@@ -1,27 +1,21 @@
 """What the fractional-derivative operational matrix looks like.
 
 The matrix maps shifted-Legendre coefficients of y to the coefficients
-of the degree-N projection of D^alpha y.  Three things are worth seeing:
+of the degree-N projection of D^alpha y.  Two things are worth seeing:
 
-1. At integer orders it collapses to the classical derivative matrix:
-   integer entries, with any residue from the gamma-ratio summation
-   far below machine epsilon (~1e-33 at N = 3).
+1. At integer orders it collapses to the classical derivative matrix,
+   built from the exact Legendre derivative recurrence: exact integer
+   entries, with exact zeros where the derivative has no component.
 2. At fractional orders the first ceil(alpha) rows are exactly zero
    (those basis polynomials are annihilated), and the remaining entries
-   are dense.
-3. The entries have two closed forms: the production double-sum and a
-   single-sum rearrangement.  The naive single-sum arrangement is wrong
-   by orders of magnitude — kept in the library as a cautionary
-   reference — while the corrected arrangement agrees to 1e-12.
+   are dense; the (1, 0) entry at alpha = 1/2 matches its closed form.
 
 Run with:  python3 demos/operational_matrices.py
 """
 
 import math
 
-import numpy as np
-
-from cltau.fracderiv import operational_matrix, single_sum_operational_matrix
+from cltau.fracderiv import operational_matrix
 
 
 def show_matrix(label, matrix):
@@ -43,19 +37,6 @@ def main():
     known = 8.0 / (3.0 * math.sqrt(math.pi))
     print(f"\n    entry (1, 0) = {half[1, 0]:.10f}")
     print(f"    closed form 8/(3 sqrt(pi)) = {known:.10f}")
-
-    print("\n\nSingle-sum closed forms versus the production matrix")
-    print("=" * 60)
-    for alpha in (0.5, 1.5):
-        reference = operational_matrix(alpha, 8).entries
-        naive = single_sum_operational_matrix(alpha, 8).entries
-        fixed = single_sum_operational_matrix(alpha, 8, corrected=True).entries
-        print(f"    alpha = {alpha}:")
-        print(f"        naive single sum:     max deviation {np.max(np.abs(naive - reference)):.3e}")
-        print(f"        corrected single sum: max deviation {np.max(np.abs(fixed - reference)):.3e}")
-    print("\nThe naive arrangement misplaces two gamma factors; its (1, 0)")
-    print(f"entry at alpha = 1/2 is {single_sum_operational_matrix(0.5, 8).entries[1, 0]:.7f} "
-          f"where the projection gives {known:.7f}.")
 
 
 if __name__ == "__main__":

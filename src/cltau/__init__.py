@@ -34,7 +34,6 @@ from .fracderiv import (
     caputo_power_rule,
     gamma,
     operational_matrix,
-    single_sum_operational_matrix,
 )
 from .orthopoly import (
     ChebyshevSeries,
@@ -133,7 +132,6 @@ __all__ = [
     "project_legendre",
     "shifted_chebyshev_table",
     "shifted_legendre_table",
-    "single_sum_operational_matrix",
     "solve_fide",
     "tau_residuals",
     "to_source",

@@ -25,6 +25,8 @@ __all__ = [
     "chebyshev_interpolate",
 ]
 
+_PAIR_CACHE = 128
+
 
 @dataclass(frozen=True)
 class TransformPair:
@@ -35,7 +37,7 @@ class TransformPair:
     b: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PAIR_CACHE)
 def transform_pair(n: int) -> TransformPair:
     """Build the transform matrices for degrees 0..n.
 

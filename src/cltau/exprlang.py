@@ -44,6 +44,7 @@ _FUNCTIONS = {
     "sqrt": (1, math.sqrt),
     "sin": (1, math.sin),
     "cos": (1, math.cos),
+    "tan": (1, math.tan),
     "abs": (1, abs),
     "gamma": (1, gamma),
     "pow": (2, math.pow),

@@ -5,22 +5,21 @@ The power rule is exact: D^a x^b = Gamma(b+1)/Gamma(b-a+1) x^{b-a}, with
 integer powers below m = ceil(a) annihilated.  caputo_legendre_factors
 evaluates D^a of each shifted Legendre polynomial itself, un-truncated, as
 x^(m-a) times a polynomial.  The operational matrix projects D^a applied to
-each shifted Legendre polynomial back onto the basis.  Its closed double
-sum mixes factorially large integer coefficients with gamma ratios and
-cancels catastrophically in float64 once the truncation degree grows past
-~20, so the entries are accumulated in mpmath extended precision (exact
-integer monomial coefficients, working precision scaled with the
-truncation) and rounded to float64 once at the end.
+each shifted Legendre polynomial back onto the basis, in float64 and
+without monomial expansions: integer orders are powers of the exact
+integer first-derivative matrix, and fractional orders integrate those
+polynomial factors against the basis with a Jacobi-Gauss rule that carries
+the x^(m-a) weight and is exact for them.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
-from .orthopoly import MonomialSeries, monomial_form_legendre
+from .orthopoly import MonomialSeries, shifted_legendre_table
+from .quadrature import jacobi_gauss_rule
 
 __all__ = [
     "gamma",
@@ -30,9 +29,10 @@ __all__ = [
     "caputo_legendre_factors",
     "OperationalMatrix",
     "operational_matrix",
-    "single_sum_operational_matrix",
     "apply_operational",
 ]
+
+_MATRIX_CACHE = 128
 
 
 def gamma(x: float) -> float:
@@ -159,28 +159,32 @@ class OperationalMatrix:
     entries: np.ndarray
 
 
-def _exact_legendre_coeffs(i: int) -> list[int]:
-    return [int(q) for q, _ in monomial_form_legendre(i).terms]
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MATRIX_CACHE)
 def _operational_entries(alpha: float, n: int) -> np.ndarray:
-    """Exact projection S(i,j) = (2j+1) sum_k c_ik G(k) sum_l c_jl/(k+l-alpha+1)."""
+    """S(i,j) = (2j+1) int_0^1 D^alpha L_{1,i} L_{1,j} dx in float64.
+
+    Integer alpha = m: the m-th power of the first-derivative matrix of
+    _legendre_derivative_coeffs.  Its entries are non-negative integers, so
+    every partial sum of the power is an integer no larger than the final
+    entry and the result is exact while the largest entry is below 2^53:
+    m <= 4 up to n = 128 (largest entry 9.2e13) and m = 5 up to n = 64.
+    Beyond that the rounding is relative, about m * n * eps.
+
+    Fractional alpha: D^alpha L_{1,i}(x) = x^(m-alpha) g_i(x) with g_i a
+    polynomial of degree i - m (caputo_legendre_factors), so
+    S(i,j) = (2j+1) sum_q w_q g_i(s_q) L_{1,j}(s_q) over the (n+2)-point
+    Jacobi-Gauss rule for the weight x^(m-alpha), which is exact because
+    g_i L_{1,j} has degree at most 2n.  Rows below m are exact zeros.
+    """
     m = math.ceil(alpha)
-    coeffs = [_exact_legendre_coeffs(i) for i in range(n + 1)]
-    entries = np.zeros((n + 1, n + 1))
-    with mpmath.mp.workdps(30 + (3 * n) // 2):
-        a = mpmath.mpf(alpha)
-        grow = {k: mpmath.gamma(k + 1) / mpmath.gamma(k - a + 1) for k in range(m, n + 1)}
-        inner = {}
-        for k in range(m, n + 1):
-            for j in range(n + 1):
-                inner[k, j] = mpmath.fsum(
-                    coeffs[j][l] / (k + l - a + 1) for l in range(j + 1))
-        for i in range(m, n + 1):
-            for j in range(n + 1):
-                entries[i, j] = float((2 * j + 1) * mpmath.fsum(
-                    coeffs[i][k] * grow[k] * inner[k, j] for k in range(m, i + 1)))
+    if alpha == m:
+        entries = _legendre_derivative_coeffs(n, m)
+    else:
+        rule = jacobi_gauss_rule(n + 1, m - alpha)
+        factors = caputo_legendre_factors(alpha, n, rule.nodes) * rule.weights
+        basis = shifted_legendre_table(n, rule.nodes)
+        entries = (factors @ basis.T) * (2.0 * np.arange(n + 1) + 1.0)
+        entries[:m] = 0.0
     entries.flags.writeable = False
     return entries
 
@@ -189,8 +193,12 @@ def operational_matrix(order, n: int) -> OperationalMatrix:
     """Operational matrix of D^alpha on shifted Legendre coefficients, degree <= n.
 
     `order` is a CaputoOrder, a positive real, or a non-negative integer;
-    integer orders reproduce exact differentiation matrices and order 0 is
-    the identity by convention.
+    integer orders give the exact differentiation matrices (exact integers
+    while they stay below 2^53, see _operational_entries) and order 0 is
+    the identity by convention.  The projection does not depend on n, so
+    the matrix for a smaller n is the leading block of the one for a larger
+    n: bit for bit at integer orders, to rounding at fractional ones.  Built
+    in float64 and cached per (alpha, n) in a bounded cache.
     """
     if n != int(n) or n < 0:
         raise ValueError(f"truncation degree must be a non-negative integer, got {n!r}")
@@ -202,55 +210,6 @@ def operational_matrix(order, n: int) -> OperationalMatrix:
     order = _as_order(order)
     return OperationalMatrix(alpha=order.alpha, m=order.m, n=n,
                              entries=_operational_entries(order.alpha, n))
-
-
-def single_sum_operational_matrix(order, n: int, corrected: bool = False) -> OperationalMatrix:
-    """Debug-only single-sum closed forms of the operational matrix.
-
-    With corrected=False this is the naive arrangement
-
-        S(i,j) = sum_k (-1)^{i+k} (2j+1) (i+k)! Gamma(k-j-a+1)
-                 / ((i-k)! k! Gamma(k-a+1) Gamma(k+j-a+1)),
-
-    retained purely as a reference: it does NOT reproduce the exact
-    projection (measured max deviation 1.58e3 at alpha=0.5 and 3.59e4 at
-    alpha=1.5, both at n=8; e.g. entry (1,0) comes out 2.2568 where the
-    projection gives 8/(3 sqrt(pi)) = 1.5045).  With corrected=True the
-    gamma factors are transposed per the moment identity
-    int_0^1 x^mu L_{1,j} dx = Gamma(mu+1)^2 / (Gamma(mu-j+1) Gamma(mu+j+2)):
-
-        S(i,j) = sum_k (-1)^{i+k} (2j+1) (i+k)! Gamma(k-a+1)
-                 / ((i-k)! k! Gamma(k-j-a+1) Gamma(k+j-a+2)),
-
-    which agrees with operational_matrix to 1e-12.  Only non-integer orders
-    are accepted (integer orders put gamma poles in both forms).
-    """
-    order = _as_order(order)
-    if n != int(n) or n < 0:
-        raise ValueError(f"truncation degree must be a non-negative integer, got {n!r}")
-    n = int(n)
-    if float(order.alpha) == int(order.alpha):
-        raise ValueError("single-sum forms are defined for non-integer orders only")
-    m = order.m
-    entries = np.zeros((n + 1, n + 1))
-    with mpmath.mp.workdps(60):
-        a = mpmath.mpf(order.alpha)
-        for i in range(m, n + 1):
-            for j in range(n + 1):
-                total = mpmath.mpf(0)
-                for k in range(m, i + 1):
-                    lead = ((-1) ** (i + k) * (2 * j + 1) * mpmath.factorial(i + k)
-                            / (mpmath.factorial(i - k) * mpmath.factorial(k)))
-                    if corrected:
-                        term = lead * mpmath.gamma(k - a + 1) / (
-                            mpmath.gamma(k - j - a + 1) * mpmath.gamma(k + j - a + 2))
-                    else:
-                        term = lead * mpmath.gamma(k - j - a + 1) / (
-                            mpmath.gamma(k - a + 1) * mpmath.gamma(k + j - a + 1))
-                    total += term
-                entries[i, j] = float(total)
-    entries.flags.writeable = False
-    return OperationalMatrix(alpha=order.alpha, m=m, n=n, entries=entries)
 
 
 def apply_operational(matrix: OperationalMatrix, coeffs) -> np.ndarray:

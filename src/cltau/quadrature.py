@@ -24,6 +24,7 @@ __all__ = [
     "project_legendre",
 ]
 
+_RULE_CACHE = 128
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITERS = 100
 
@@ -63,7 +64,7 @@ def _check_rule_index(n: int) -> int:
     return int(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RULE_CACHE)
 def chebyshev_gauss_rule(n: int, shifted: bool = False) -> QuadratureRule:
     """(n+1)-point Chebyshev-Gauss rule for the weight (1-x^2)^(-1/2).
 
@@ -95,7 +96,7 @@ def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return p, dp
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RULE_CACHE)
 def legendre_gauss_rule(n: int, shifted: bool = False) -> QuadratureRule:
     """(n+1)-point Legendre-Gauss rule: nodes are the roots of P_{n+1}.
 

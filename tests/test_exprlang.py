@@ -95,6 +95,13 @@ def test_functions():
     assert _value("sin(0) + cos(0)") == 1.0
 
 
+def test_tan():
+    node = parse("tan(t)")
+    assert node == Call("tan", (Name("t"),))
+    for t in (0.0, 0.3, 1.0, -1.2):
+        assert evaluate(node, t=t) == math.tan(t)
+
+
 # ----------------------------------------------------------- parse errors
 
 def test_unclosed_parenthesis_offset():

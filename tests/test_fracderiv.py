@@ -5,7 +5,10 @@ module under test: it expands each basis polynomial from its exact integer
 monomial coefficients, differentiates term by term with the power rule
 written out inline, and integrates against the basis with a Gauss rule made
 exact by the substitution x = u^sigma (sigma chosen so every exponent in
-the integrand becomes an integer)."""
+the integrand becomes an integer).  The package builds its matrices in
+float64; the mpmath references here (the oracle, the extended-precision
+double sum the package used to build with, and the single-sum closed forms)
+live only in the tests."""
 
 import math
 
@@ -21,7 +24,6 @@ from cltau.fracderiv import (
     caputo_power_rule,
     gamma,
     operational_matrix,
-    single_sum_operational_matrix,
 )
 from cltau.orthopoly import MonomialSeries, monomial_form_legendre, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
@@ -149,9 +151,10 @@ def test_operational_matrix_half_order_known_entry():
 
 
 def test_operational_matrix_large_truncation_stays_finite():
-    # The double sum cancels catastrophically in float64 by N ~ 20; the
-    # extended-precision construction must stay bounded (entries grow like
-    # the derivative norms, nothing worse) and keep the zero rows exact.
+    # The monomial double sum would cancel catastrophically in float64 by
+    # N ~ 20; the Jacobi-Gauss construction never expands in monomials and
+    # must stay bounded (entries grow like the derivative norms, nothing
+    # worse) and keep the zero rows exact.
     matrix = operational_matrix(0.5, 32)
     assert np.all(np.isfinite(matrix.entries))
     assert np.all(matrix.entries[0] == 0.0)
@@ -159,6 +162,76 @@ def test_operational_matrix_large_truncation_stays_finite():
     # top-left block must match the N = 12 oracle.
     oracle = _oracle_matrix(0.5, 12, 2)
     assert np.max(np.abs(matrix.entries[:13, :13] - oracle)) <= 1e-9
+
+
+def _mpmath_double_sum(alpha: float, n: int) -> np.ndarray:
+    """S(i,j) = (2j+1) sum_k c_ik G(k) sum_l c_jl/(k+l-alpha+1) in mpmath.
+
+    c are the exact integer monomial coefficients of the basis and
+    G(k) = Gamma(k+1)/Gamma(k-alpha+1); the working precision 30 + 1.5n
+    digits absorbs the cancellation between them.  This is the
+    extended-precision construction the float64 builder replaced.
+    """
+    m = math.ceil(alpha)
+    coeffs = [[int(q) for q, _ in monomial_form_legendre(i).terms] for i in range(n + 1)]
+    entries = np.zeros((n + 1, n + 1))
+    with mpmath.mp.workdps(30 + (3 * n) // 2):
+        a = mpmath.mpf(alpha)
+        grow = {k: mpmath.gamma(k + 1) / mpmath.gamma(k - a + 1) for k in range(m, n + 1)}
+        inner = {}
+        for k in range(m, n + 1):
+            for j in range(n + 1):
+                inner[k, j] = mpmath.fsum(
+                    coeffs[j][l] / (k + l - a + 1) for l in range(j + 1))
+        for i in range(m, n + 1):
+            for j in range(n + 1):
+                entries[i, j] = float((2 * j + 1) * mpmath.fsum(
+                    coeffs[i][k] * grow[k] * inner[k, j] for k in range(m, i + 1)))
+    return entries
+
+
+@pytest.mark.parametrize("alpha,n", [(0.25, 8), (0.5, 8), (1.5, 8), (1.9, 8), (2.7, 8),
+                                     (0.25, 32), (0.5, 32), (1.5, 32), (1.9, 32), (2.7, 32),
+                                     (1.9, 64)])
+def test_fractional_matrix_matches_extended_precision_double_sum(alpha, n):
+    # Row-normalised, since rows grow like the derivative norms (~1e5 at
+    # n = 64, alpha = 2.7); measured worst 4.0e-13.
+    reference = _mpmath_double_sum(alpha, n)
+    entries = operational_matrix(alpha, n).entries
+    scale = np.max(np.abs(reference), axis=1, keepdims=True)
+    m = math.ceil(alpha)
+    assert np.all(entries[:m] == 0.0)
+    assert np.max(np.abs(entries[m:] - reference[m:]) / scale[m:]) <= 1e-12
+
+
+def _exact_derivative_matrix(n: int, m: int) -> np.ndarray:
+    """Row i: shifted Legendre coefficients of the m-th derivative of L_{1,i},
+    as Python integers, from L'_{1,i+1} = L'_{1,i-1} + 2 (2i+1) L_{1,i}."""
+    rows = np.zeros((n + 1, n + 1), dtype=object)
+    for i in range(n + 1):
+        rows[i, i] = 1
+    for _ in range(m):
+        lower = rows
+        rows = np.zeros((n + 1, n + 1), dtype=object)
+        for i in range(n):
+            rows[i + 1] = (rows[i - 1] if i >= 1 else 0) + 2 * (2 * i + 1) * lower[i]
+    return rows
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_integer_matrix_is_exact_integers(m):
+    n = 128
+    exact = _exact_derivative_matrix(n, m)
+    assert max(abs(int(v)) for v in exact.flat) < 2 ** 53
+    entries = operational_matrix(m, n).entries
+    assert np.array_equal(entries, exact.astype(float))
+
+
+def test_integer_matrix_leading_block_does_not_depend_on_truncation():
+    for m in (1, 2, 3):
+        small = operational_matrix(m, 12).entries
+        large = operational_matrix(m, 24).entries
+        assert np.array_equal(small, large[:13, :13])
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.0, 2.7])
@@ -201,14 +274,55 @@ def test_apply_operational_projects_derivative():
         assert result[j] == pytest.approx(expected, abs=1e-12)
 
 
+def _single_sum_entries(alpha: float, n: int, corrected: bool = False) -> np.ndarray:
+    """Single-sum closed forms of the operational matrix, non-integer alpha.
+
+    With corrected=False this is the arrangement as printed,
+
+        S(i,j) = sum_k (-1)^{i+k} (2j+1) (i+k)! Gamma(k-j-a+1)
+                 / ((i-k)! k! Gamma(k-a+1) Gamma(k+j-a+1)),
+
+    which does NOT reproduce the projection (max deviation 1.58e3 at
+    alpha = 0.5 and 3.59e4 at alpha = 1.5, both at n = 8; entry (1, 0)
+    comes out 2.2568 where the projection gives 8/(3 sqrt(pi)) = 1.5045).
+    With corrected=True the gamma factors are transposed per the moment
+    identity int_0^1 x^mu L_{1,j} dx = Gamma(mu+1)^2 / (Gamma(mu-j+1) Gamma(mu+j+2)):
+
+        S(i,j) = sum_k (-1)^{i+k} (2j+1) (i+k)! Gamma(k-a+1)
+                 / ((i-k)! k! Gamma(k-j-a+1) Gamma(k+j-a+2)),
+
+    which agrees with operational_matrix to 1e-12.  Integer orders put
+    gamma poles in both forms.
+    """
+    m = math.ceil(alpha)
+    entries = np.zeros((n + 1, n + 1))
+    with mpmath.mp.workdps(60):
+        a = mpmath.mpf(alpha)
+        for i in range(m, n + 1):
+            for j in range(n + 1):
+                total = mpmath.mpf(0)
+                for k in range(m, i + 1):
+                    lead = ((-1) ** (i + k) * (2 * j + 1) * mpmath.factorial(i + k)
+                            / (mpmath.factorial(i - k) * mpmath.factorial(k)))
+                    if corrected:
+                        term = lead * mpmath.gamma(k - a + 1) / (
+                            mpmath.gamma(k - j - a + 1) * mpmath.gamma(k + j - a + 2))
+                    else:
+                        term = lead * mpmath.gamma(k - j - a + 1) / (
+                            mpmath.gamma(k - a + 1) * mpmath.gamma(k + j - a + 1))
+                    total += term
+                entries[i, j] = float(total)
+    return entries
+
+
 def test_single_sum_printed_form_disagrees():
     # The closed-form single sum, transcribed as printed, is far from the
     # projection matrix; the corrected gamma placement reproduces it.  The
     # frozen magnitudes document how wrong the printed form is.
     for alpha, printed_dev in ((0.5, 1.58e3), (1.5, 3.59e4)):
         exact = operational_matrix(alpha, 8).entries
-        printed = single_sum_operational_matrix(alpha, 8).entries
-        corrected = single_sum_operational_matrix(alpha, 8, corrected=True).entries
+        printed = _single_sum_entries(alpha, 8)
+        corrected = _single_sum_entries(alpha, 8, corrected=True)
         dev = np.max(np.abs(printed - exact))
         assert dev == pytest.approx(printed_dev, rel=0.01)
         assert np.max(np.abs(corrected - exact)) <= 1e-11
@@ -217,7 +331,7 @@ def test_single_sum_printed_form_disagrees():
 def test_single_sum_printed_value_spot_check():
     # Printed (1, 0) entry at alpha = 0.5 evaluates to 2.2568 where the
     # projection gives 8 / (3 sqrt pi) = 1.5045.
-    printed = single_sum_operational_matrix(0.5, 2).entries
+    printed = _single_sum_entries(0.5, 2)
     assert printed[1, 0] == pytest.approx(2.2567583, rel=1e-6)
     assert operational_matrix(0.5, 2).entries[1, 0] == pytest.approx(1.5045055, rel=1e-6)
 
