@@ -210,13 +210,11 @@ class ProblemConfig:
         callable for mms_exact configs and None otherwise.
         """
         kernel_tree = self._compile(self.kernel, {"t", "s"}, "kernel")
-        kernel = np.vectorize(
-            lambda tv, sv: exprlang.evaluate(kernel_tree, t=tv, s=sv), otypes=[float])
+        kernel = lambda tv, sv: exprlang.evaluate(kernel_tree, t=tv, s=sv)
         exact = None
         if self.forcing is not None:
             forcing_tree = self._compile(self.forcing, {"t"}, "forcing")
-            forcing = np.vectorize(
-                lambda tv: exprlang.evaluate(forcing_tree, t=tv), otypes=[float])
+            forcing = lambda tv: exprlang.evaluate(forcing_tree, t=tv)
         else:
             exact = MonomialSeries(self.mms_exact)
             forcing = mms_forcing(exact, self.n, self.a, self.alpha, kernel)
@@ -424,7 +422,7 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, exprlang.EvalError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

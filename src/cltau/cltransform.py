@@ -88,12 +88,15 @@ def chebyshev_to_legendre(series: ChebyshevSeries) -> LegendreSeries:
 def chebyshev_interpolate(f, n: int) -> ChebyshevSeries:
     """Interpolate f at the n+1 shifted Chebyshev-Gauss points.
 
-    Returns the shifted Chebyshev coefficients of the interpolant via the
-    discrete transform u_k = (2 - delta_{k0})/(n+1) sum_j f(x_j) T_{1,k}(x_j),
-    which is exact at Gauss (interior) nodes.
+    f is called once, on the array of nodes, and must broadcast; a result
+    that does not depend on its argument (a constant) is broadcast to the
+    nodes.  Returns the shifted Chebyshev coefficients of the interpolant
+    via the discrete transform
+    u_k = (2 - delta_{k0})/(n+1) sum_j f(x_j) T_{1,k}(x_j), which is exact
+    at Gauss (interior) nodes.
     """
     rule = chebyshev_gauss_rule(n, shifted=True)
-    values = np.asarray([f(float(x)) for x in rule.nodes], dtype=float)
+    values = np.broadcast_to(np.asarray(f(rule.nodes), dtype=float), rule.nodes.shape)
     if not np.all(np.isfinite(values)):
         raise ValueError("function is not finite at the interpolation nodes")
     table = shifted_chebyshev_table(rule.npoints - 1, rule.nodes)

@@ -13,11 +13,18 @@ evaluates to -4 and 2^3^2 to 512.  Numbers are decimal with optional
 fraction and exponent.  The only variables are t and s, the constants are
 pi and e, and the callable names are fixed (see _FUNCTIONS).  Unknown
 names and wrong arities are rejected at parse time with an offset.
+
+evaluate binds t and s to floats or numpy arrays and computes each node
+with one numpy ufunc over all points (gamma, which numpy lacks, maps the
+scalar routine over the entries).  A node that yields inf or nan from
+finite operands, overflow included, raises EvalError naming it.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .fracderiv import gamma
 
@@ -39,16 +46,18 @@ __all__ = [
 _VARIABLES = ("t", "s")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _FUNCTIONS = {
-    "exp": (1, math.exp),
-    "ln": (1, math.log),
-    "sqrt": (1, math.sqrt),
-    "sin": (1, math.sin),
-    "cos": (1, math.cos),
-    "tan": (1, math.tan),
-    "abs": (1, abs),
-    "gamma": (1, gamma),
-    "pow": (2, math.pow),
+    "exp": (1, np.exp),
+    "ln": (1, np.log),
+    "sqrt": (1, np.sqrt),
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+    "tan": (1, np.tan),
+    "abs": (1, np.abs),
+    # numpy has no gamma ufunc; the scalar routine raises at poles.
+    "gamma": (1, np.vectorize(gamma, otypes=[float])),
+    "pow": (2, np.power),
 }
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 # Nesting bound for parentheses, unary minus, '^', and call arguments.
 # Each level costs about four Python frames during parsing, so 100 keeps a
 # wide margin under the interpreter's recursion limit; operator chains are
@@ -377,18 +386,42 @@ def free_variables(node: Expression) -> set[str]:
     return out
 
 
-def evaluate(node: Expression, t: float | None = None, s: float | None = None) -> float:
+def _check_finite(item: Expression, value, operands: list):
+    """Raise EvalError if item made a non-finite entry from finite operands."""
+    finite = np.isfinite(value)
+    if finite.all():
+        return
+    fresh = ~finite
+    for operand in operands:
+        fresh = fresh & np.isfinite(operand)
+    if not fresh.any():
+        return
+    if isinstance(item, Binary) and item.op == "/" and np.any(fresh & (operands[1] == 0)):
+        raise EvalError("division by zero", item)
+    raise EvalError("domain error", item)
+
+
+@np.errstate(all="ignore")  # non-finite results are checked node by node
+def evaluate(node: Expression, t: float | np.ndarray | None = None,
+             s: float | np.ndarray | None = None) -> float | np.ndarray:
     """IEEE double evaluation with bindings for t and s.
 
-    Unbound variables and domain errors (sqrt of a negative, ln of a
-    non-positive, gamma at a pole, division by zero, fractional power of
-    a negative) raise EvalError naming the offending sub-expression.
-    The walk is iterative, so trees of any depth evaluate without
-    exhausting the interpreter stack.
+    Bindings may be floats or numpy arrays; every node is one numpy ufunc
+    call on the broadcast operands, so a tree is walked once however many
+    points it is evaluated at.  The result is a float when it is a scalar
+    (scalar bindings, or a tree that uses no bound variable) and an array
+    of the broadcast shape of the variables it uses otherwise.
+
+    Unbound variables and any node that turns finite operands into a
+    non-finite value raise EvalError naming that sub-expression: division
+    by zero, and as "domain error" sqrt of a negative, ln of a
+    non-positive, gamma at a pole, a fractional power of a negative, and
+    overflow to inf.  The walk is iterative, so trees of any depth
+    evaluate without exhausting the interpreter stack.
     """
     bindings = {"t": t, "s": s}
 
-    def name_value(item: Name) -> float:
+    def name_value(item: Name):
         if item.ident in _CONSTANTS:
             return _CONSTANTS[item.ident]
         if item.ident not in _VARIABLES:
@@ -396,25 +429,9 @@ def evaluate(node: Expression, t: float | None = None, s: float | None = None) -
         value = bindings[item.ident]
         if value is None:
             raise EvalError(f"unbound variable {item.ident!r}", item)
-        return float(value)
+        return np.asarray(value, dtype=float)
 
-    def binary_value(item: Binary, left: float, right: float) -> float:
-        try:
-            if item.op == "+":
-                return left + right
-            if item.op == "-":
-                return left - right
-            if item.op == "*":
-                return left * right
-            if item.op == "/":
-                return left / right
-            return math.pow(left, right)
-        except ZeroDivisionError:
-            raise EvalError("division by zero", item) from None
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"domain error ({exc})", item) from None
-
-    out: list[float] = []
+    out: list = []
     work: list[tuple[Expression, bool]] = [(node, False)]
     while work:
         item, ready = work.pop()
@@ -430,15 +447,18 @@ def evaluate(node: Expression, t: float | None = None, s: float | None = None) -
             continue
         if isinstance(item, Unary):
             out.append(-out.pop())
-        elif isinstance(item, Binary):
-            right = out.pop()
-            left = out.pop()
-            out.append(binary_value(item, left, right))
+            continue
+        arity = 2 if isinstance(item, Binary) else len(item.args)
+        operands = out[len(out) - arity:]
+        del out[len(out) - arity:]
+        if isinstance(item, Binary):
+            value = _BINARY[item.op](*operands)
         else:
-            args = out[len(out) - len(item.args):]
-            del out[len(out) - len(item.args):]
             try:
-                out.append(float(_FUNCTIONS[item.func][1](*args)))
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                value = _FUNCTIONS[item.func][1](*operands)
+            except (ValueError, OverflowError) as exc:  # gamma at a pole or overflowing
                 raise EvalError(f"domain error ({exc})", item) from None
-    return float(out[0])
+        _check_finite(item, value, operands)
+        out.append(value)
+    value = out[0]
+    return float(value) if np.ndim(value) == 0 else value

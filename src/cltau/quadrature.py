@@ -13,15 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthopoly import shifted_legendre_table
-
 __all__ = [
     "QuadratureRule",
     "chebyshev_gauss_rule",
     "legendre_gauss_rule",
     "jacobi_gauss_rule",
-    "integrate",
-    "project_legendre",
 ]
 
 _RULE_CACHE = 128
@@ -155,32 +151,3 @@ def jacobi_gauss_rule(n: int, exponent: float) -> QuadratureRule:
     weights = vectors[0] ** 2 / (b + 1.0)
     return QuadratureRule("jacobi_gauss", (0.0, 1.0), nodes, weights)
 
-
-def integrate(rule: QuadratureRule, f) -> float:
-    """sum_j w_j f(x_j).  Raises if f produces non-finite values on the nodes."""
-    values = np.asarray([f(float(x)) for x in rule.nodes], dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = rule.nodes[~np.isfinite(values)][0]
-        raise ValueError(f"integrand is not finite at node x={bad!r}")
-    return float(np.dot(rule.weights, values))
-
-
-def project_legendre(f, n: int, m: int | None = None) -> np.ndarray:
-    """Shifted-Legendre coefficients a_j = (2j+1) int_0^1 f L_{1,j} dx, j <= n.
-
-    The integrals use the (m+1)-point shifted Legendre-Gauss rule,
-    m = n + 16 by default; exact whenever f is a polynomial of degree
-    <= 2m + 1 - n.
-    """
-    n = _check_rule_index(n)
-    if m is None:
-        m = n + 16
-    if m < n:
-        raise ValueError(f"quadrature resolution m={m} must be >= n={n}")
-    rule = legendre_gauss_rule(int(m), shifted=True)
-    values = np.asarray([f(float(x)) for x in rule.nodes], dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("function is not finite on the projection nodes")
-    table = shifted_legendre_table(n, rule.nodes)
-    scale = 2.0 * np.arange(n + 1) + 1.0
-    return scale * (table @ (rule.weights * values))

@@ -209,6 +209,23 @@ def test_solve_singular_system_exits_three(capsys, tmp_path):
     assert stderr.startswith("solver error:")
 
 
+@pytest.mark.parametrize("command, base, key, source, named", [
+    ("solve", _FORCING_CONFIG, "kernel", "sqrt(t - s)", "sqrt(t - s)"),
+    ("solve", _FORCING_CONFIG, "forcing", "1 + ln(t - 0.5)", "ln(t - 0.5)"),
+    ("convergence", _MMS_CONFIG, "kernel", "t/(s - s)", "t/(s - s)"),
+])
+def test_expression_error_is_config_error(capsys, tmp_path, command, base, key, source, named):
+    # An expression that fails on the solve grid is a problem of the
+    # config: exit code 2, naming the offending sub-expression.
+    path = _write_config(tmp_path, dict(base, **{key: source}))
+    extra = ["--N", "6"] if command == "solve" else ["--N-sweep", "4:6:2"]
+    code, stdout, stderr = _run(capsys, [command, "--config", path, *extra])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+    assert f"in {named!r}" in stderr
+
+
 # ------------------------------------------------------------- convergence
 
 

@@ -71,12 +71,19 @@ def test_series_round_trip():
 
 
 def test_chebyshev_interpolate_reproduces_polynomials():
+    calls = []
+
     def f(x):
+        calls.append(np.shape(x))
         return x ** 3 - 2.0 * x + 1.0
 
     interp = chebyshev_interpolate(f, 5)
+    assert calls == [(6,)]  # one call, on the whole node array
     x = np.linspace(0.0, 1.0, 33)
     assert np.max(np.abs(interp(x) - f(x))) <= 1e-13
+    # A constant forcing need not broadcast itself.
+    constant = chebyshev_interpolate(lambda x: 2.0, 5).coeffs
+    assert np.allclose(constant, [2.0, 0.0, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-14)
     # Degree beyond n is genuinely truncated, not magically recovered.
     coarse = chebyshev_interpolate(f, 2)
     assert np.max(np.abs(coarse(x) - f(x))) > 1e-3
@@ -93,7 +100,7 @@ def test_chebyshev_interpolate_spectral_decay():
     errors = []
     x = np.linspace(0.0, 1.0, 101)
     for n in (4, 8, 16):
-        interp = chebyshev_interpolate(math.exp, n)
+        interp = chebyshev_interpolate(np.exp, n)
         errors.append(np.max(np.abs(interp(x) - np.exp(x))))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] <= 1e-13

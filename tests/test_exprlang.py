@@ -6,6 +6,7 @@ import math
 import random
 import string
 
+import numpy as np
 import pytest
 
 from cltau.exprlang import (
@@ -83,6 +84,11 @@ def test_constants_and_variables():
     assert _value("pi") == pytest.approx(math.pi, rel=0)
     assert _value("e") == pytest.approx(math.e, rel=0)
     assert _value("t + s", t=2.0, s=3.0) == 5.0
+    assert type(_value("t^2", t=3.0)) is float
+    # Array bindings broadcast; a tree without variables stays a float.
+    t, s = np.array([[0.25], [0.5]]), np.array([1.0, 2.0, 4.0])
+    assert np.array_equal(_value("t*s + 1", t=t, s=s), t * s + 1.0)
+    assert type(_value("2*pi", t=t)) is float
     assert free_variables(parse("t*s + pi")) == {"t", "s"}
     assert free_variables(parse("2 + e")) == set()
 
@@ -99,7 +105,9 @@ def test_tan():
     node = parse("tan(t)")
     assert node == Call("tan", (Name("t"),))
     for t in (0.0, 0.3, 1.0, -1.2):
-        assert evaluate(node, t=t) == math.tan(t)
+        assert evaluate(node, t=t) == np.tan(t)
+        # numpy's tan and libm's may differ in the last bit (they do at 0.3).
+        assert abs(evaluate(node, t=t) - math.tan(t)) <= math.ulp(math.tan(t))
 
 
 # ----------------------------------------------------------- parse errors
@@ -165,6 +173,22 @@ def test_eval_errors_name_the_subexpression():
     with pytest.raises(EvalError) as err:
         _value("t + 1")  # unbound
     assert "unbound" in str(err.value)
+    # With array bindings one bad entry fails the whole call, and overflow
+    # to inf is an error too.
+    array_cases = [
+        ("2 + 1/(t - 0.5)", {"t": np.array([0.0, 0.5, 1.0])}, "division by zero",
+         "1.0/(t - 0.5)"),
+        ("1 + sqrt(t - s)", {"t": np.array([[0.2], [0.8]]), "s": np.array([0.1, 0.5])},
+         "domain error", "sqrt(t - s)"),
+        ("t*ln(s)", {"t": np.ones(3), "s": np.array([1.0, 0.0, 2.0])}, "domain error", "ln(s)"),
+        ("gamma(t - 1)", {"t": np.array([0.5, 1.0])}, "domain error", "gamma(t - 1.0)"),
+        ("exp(t)*s", {"t": np.array([1.0, 1000.0]), "s": 2.0}, "domain error", "exp(t)"),
+        ("1e300*t", {"t": np.array([1.0, 1e10])}, "domain error", "1e+300*t"),
+    ]
+    for src, bindings, reason, source in array_cases:
+        with pytest.raises(EvalError) as err:
+            _value(src, **bindings)
+        assert err.value.reason.startswith(reason) and err.value.source == source
 
 
 def test_eval_error_is_value_error():
@@ -190,28 +214,52 @@ def test_to_source_minimal_parentheses():
         assert to_source(parse(src)) == printed
 
 
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.random()
+        if pick < 0.5:
+            return Number(float(rng.randint(0, 9)))
+        if pick < 0.8:
+            return Name(rng.choice(["t", "s"]))
+        return Name(rng.choice(["pi", "e"]))
+    pick = rng.random()
+    if pick < 0.15:
+        return Unary("-", _random_tree(rng, depth - 1))
+    if pick < 0.9:
+        op = rng.choice(["+", "-", "*", "/", "^"])
+        return Binary(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+    return Call("pow", (_random_tree(rng, depth - 1), _random_tree(rng, depth - 1)))
+
+
 def test_to_source_round_trips_random_trees():
     rng = random.Random(20260816)
-
-    def tree(depth):
-        if depth == 0 or rng.random() < 0.3:
-            pick = rng.random()
-            if pick < 0.5:
-                return Number(float(rng.randint(0, 9)))
-            if pick < 0.8:
-                return Name(rng.choice(["t", "s"]))
-            return Name(rng.choice(["pi", "e"]))
-        pick = rng.random()
-        if pick < 0.15:
-            return Unary("-", tree(depth - 1))
-        if pick < 0.9:
-            op = rng.choice(["+", "-", "*", "/", "^"])
-            return Binary(op, tree(depth - 1), tree(depth - 1))
-        return Call("pow", (tree(depth - 1), tree(depth - 1)))
-
     for _ in range(300):
-        node = tree(4)
+        node = _random_tree(rng, 4)
         assert parse(to_source(node)) == node
+
+
+def test_array_evaluation_matches_pointwise_evaluation():
+    # One call on 16 points gives, bit for bit, the 16 scalar results; when
+    # some point fails, the array call fails too, naming a node that fails
+    # at that point.
+    rng = random.Random(20261018)
+    points = np.random.default_rng(5).uniform(0.0, 1.0, size=(2, 16))
+    for _ in range(300):
+        node = _random_tree(rng, 4)
+        scalar, failures = [], set()
+        for t, s in points.T:
+            try:
+                scalar.append(evaluate(node, t=float(t), s=float(s)))
+            except EvalError as exc:
+                failures.add(exc.source)
+        if failures:
+            with pytest.raises(EvalError) as err:
+                evaluate(node, t=points[0], s=points[1])
+            assert err.value.source in failures
+            continue
+        vector = np.broadcast_to(evaluate(node, t=points[0], s=points[1]), (16,))
+        assert np.array_equal(vector.view(np.int64), np.array(scalar).view(np.int64)), (
+            to_source(node))
 
 
 # ---------------------------------------------------------------- totality

@@ -30,7 +30,7 @@ def test_import_without_mpmath():
     # A None entry in sys.modules makes any `import mpmath` raise ImportError.
     code = ("import sys; sys.modules['mpmath'] = None; "
             "import cltau, cltau.cli; "
-            "print(cltau.operational_matrix(0.5, 4).entries[1, 0])")
+            "print(cltau.fracderiv.operational_matrix(0.5, 4).entries[1, 0])")
     env = dict(os.environ, PYTHONPATH=str(Path(cltau.__file__).resolve().parent.parent))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, timeout=60)

@@ -1,20 +1,17 @@
 """Gauss rules: Newton-iterated Legendre nodes against numpy's independent
-implementation, closed-form Chebyshev nodes, polynomial exactness, and the
-Legendre projection helper."""
+implementation, closed-form Chebyshev nodes, Jacobi-Gauss rules, and polynomial
+exactness."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cltau.orthopoly import MonomialSeries
 from cltau.quadrature import (
     QuadratureRule,
     chebyshev_gauss_rule,
-    integrate,
     jacobi_gauss_rule,
     legendre_gauss_rule,
-    project_legendre,
 )
 
 
@@ -124,47 +121,3 @@ def test_chebyshev_rule_integrates_weighted_polynomials():
     assert float(np.sum(rule.weights * t1 * t1)) == pytest.approx(np.pi / 2, abs=1e-14)
     assert float(np.sum(rule.weights * t2 * t2)) == pytest.approx(np.pi / 2, abs=1e-14)
     assert float(np.sum(rule.weights * t1 * t2)) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_integrate_known_transcendental():
-    rule = legendre_gauss_rule(20, shifted=True)
-    assert integrate(rule, np.exp) == pytest.approx(math.e - 1.0, abs=1e-14)
-    assert integrate(rule, lambda x: np.sin(np.pi * x)) == pytest.approx(2.0 / np.pi, abs=1e-14)
-
-
-def test_integrate_endpoint_singularity_converges_slowly():
-    # x^(-1/2) is integrable but not smooth; Gauss converges, just not
-    # spectrally.  This documents why the package substitutes x = u^sigma
-    # for fractional-power integrands instead of raising the point count.
-    exact = 2.0
-    err64 = abs(integrate(legendre_gauss_rule(63, shifted=True), lambda x: x ** -0.5) - exact)
-    err256 = abs(integrate(legendre_gauss_rule(255, shifted=True), lambda x: x ** -0.5) - exact)
-    assert 1e-4 < err64 < 1e-1
-    assert err256 < err64
-
-
-def test_project_legendre_recovers_polynomial_coefficients():
-    # f = 3 L_0 - 2 L_1 + 0.5 L_4 should project back to itself.
-    from cltau.orthopoly import shifted_legendre_table
-
-    def f(x):
-        table = shifted_legendre_table(4, np.asarray(x))
-        return 3.0 * table[0] - 2.0 * table[1] + 0.5 * table[4]
-
-    coeffs = project_legendre(f, 6)
-    expected = np.array([3.0, -2.0, 0.0, 0.0, 0.5, 0.0, 0.0])
-    assert np.allclose(coeffs, expected, rtol=0, atol=1e-13)
-
-
-def test_project_legendre_fractional_power():
-    # a_j = (2j+1) int_0^1 sqrt(x) L_{1,j}(x) dx has the closed form
-    # (2j+1) Gamma(3/2)^2 / (Gamma(3/2 - j) Gamma(j + 5/2)).
-    # sqrt(x) is not smooth at 0, so plain Gauss converges only algebraically;
-    # 4001 points reach ~2e-11 (the solver-side code avoids this entirely by
-    # substituting x = u^2, which this helper deliberately does not do).
-    g = math.gamma
-    f = MonomialSeries(((1.0, 0.5),))
-    coeffs = project_legendre(f, 5, m=4000)
-    for j in range(6):
-        expected = (2 * j + 1) * g(1.5) ** 2 / (g(1.5 - j) * g(j + 2.5))
-        assert coeffs[j] == pytest.approx(expected, abs=1e-10)
