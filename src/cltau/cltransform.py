@@ -48,10 +48,8 @@ def transform_pair(n: int) -> TransformPair:
     if n != int(n) or n < 0:
         raise ValueError(f"truncation degree must be a non-negative integer, got {n!r}")
     n = int(n)
-    upper_even = np.zeros((n + 1, n + 1), dtype=bool)
-    for i in range(n + 1):
-        for j in range(i, n + 1, 2):
-            upper_even[i, j] = True
+    i, j = np.indices((n + 1, n + 1))
+    upper_even = (j >= i) & ((j - i) % 2 == 0)
 
     cg = chebyshev_gauss_rule(n, shifted=True)
     cheb_c = shifted_chebyshev_table(n, cg.nodes)

@@ -12,18 +12,23 @@ integrates k against the exact D^alpha of each basis polynomial (not its
 projection onto degree <= truncation) by a Jacobi-Gauss rule that absorbs
 the s^(ceil(alpha) - alpha) factor of that derivative; see fredholm_block.
 
+The system is solved by numpy's LAPACK (gesv, LU with partial pivoting)
+behind two gates: every LU pivot must reach 1e-14 times the largest matrix
+entry, and the residual must stay below 1e-10 * (1 + max |rhs|).  The pivot
+gate is certified from the inverse that the 1-norm condition estimate
+computes anyway, and decided by explicit elimination only when that bound
+is inconclusive; see solve_fide.
+
 Kernels and forcings must accept numpy arrays and broadcast (wrap scalar
 callables in numpy.vectorize if needed).
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .cltransform import chebyshev_interpolate, transform_pair
 from .fracderiv import (CaputoOrder, _as_order, caputo_apply, caputo_legendre_factors, gamma,
@@ -355,33 +360,67 @@ def assemble_system(problem: FIDEProblem, truncation: int,
     return matrix, rhs
 
 
+def _smallest_pivot(matrix: np.ndarray) -> float:
+    """Smallest |u_kk| of the LU factorisation with partial pivoting, by
+    explicit elimination with the row choice of LAPACK getrf."""
+    work = np.array(matrix, dtype=float)
+    smallest = math.inf
+    for k in range(work.shape[0]):
+        p = k + int(np.argmax(np.abs(work[k:, k])))
+        work[[k, p]] = work[[p, k]]
+        pivot = work[k, k]
+        smallest = min(smallest, abs(float(pivot)))
+        if pivot != 0.0:
+            work[k + 1:, k] /= pivot
+            work[k + 1:, k + 1:] -= np.outer(work[k + 1:, k], work[k, k + 1:])
+    return smallest
+
+
 def solve_fide(problem: FIDEProblem, truncation: int,
                quad_points: int | None = None) -> SpectralSolution:
-    """Assemble and solve the tau system by dense LU with partial pivoting.
+    """Assemble and solve the tau system by dense LU with partial pivoting
+    (LAPACK gesv through numpy.linalg.solve).
 
-    Raises SolverError when a pivot falls below 1e-14 times the largest
-    matrix entry or the solved system's residual exceeds
-    1e-10 * (1 + max |rhs|).
+    Raises SolverError when a pivot of that LU falls below 1e-14 times the
+    largest matrix entry, or when the solved system's residual exceeds
+    1e-10 * (1 + max |rhs|).  The pivot gate is decided from the inverse
+    that the 1-norm condition estimate needs anyway: every pivot u_kk of
+    partial pivoting has 1/|u_kk| <= size * ||A^-1||_1, so when
+    2 * size * ||A^-1||_1 * 1e-14 * max|A| < 1 no pivot can fail (the 2
+    covers rounding in the computed inverse).  Only when that bound is
+    inconclusive, or the matrix is exactly singular, does _smallest_pivot
+    eliminate explicitly to decide.  condition_estimate is
+    ||A||_1 * ||A^-1||_1, the value of numpy.linalg.cond(A, 1).
     """
     matrix, rhs = assemble_system(problem, truncation, quad_points)
-    with warnings.catch_warnings():
-        # The pivot gate below reports exact singularity as a SolverError.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(matrix)
-    pivot_min = float(np.min(np.abs(np.diag(lu))))
     scale = float(np.max(np.abs(matrix)))
-    if scale == 0.0 or pivot_min < _PIVOT_RTOL * scale:
-        raise SolverError(
+    if not (math.isfinite(scale) and np.all(np.isfinite(rhs))):
+        raise ValueError(f"tau system has non-finite entries at truncation {truncation}")
+
+    def singular(pivot_min: float) -> SolverError:
+        return SolverError(
             f"tau system is singular or numerically rank-deficient at "
             f"truncation {truncation} (smallest pivot {pivot_min:.3e})")
-    coeffs = scipy.linalg.lu_solve((lu, piv), rhs)
+
+    try:
+        inverse_norm = float(np.linalg.norm(np.linalg.inv(matrix), 1))
+    except np.linalg.LinAlgError:
+        inverse_norm = math.inf
+    if not 2.0 * matrix.shape[0] * inverse_norm * _PIVOT_RTOL * scale < 1.0:
+        pivot_min = _smallest_pivot(matrix)
+        if scale == 0.0 or pivot_min < _PIVOT_RTOL * scale:
+            raise singular(pivot_min)
+    try:
+        coeffs = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        raise singular(_smallest_pivot(matrix)) from None
     residual = float(np.max(np.abs(matrix @ coeffs - rhs)))
     tolerance = _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(rhs))))
     if residual > tolerance:
         raise SolverError(
             f"solve residual {residual:.3e} exceeds {tolerance:.3e} at "
             f"truncation {truncation}")
-    condition = float(np.linalg.cond(matrix, 1))
+    condition = float(np.linalg.norm(matrix, 1)) * inverse_norm
     return SpectralSolution(truncation, LegendreSeries(coeffs), condition)
 
 

@@ -1,5 +1,6 @@
-"""Package-wide properties: every cache is bounded, and the package imports
-without mpmath (a test-only dependency)."""
+"""Package-wide properties: every cache is bounded, and numpy is the only
+runtime dependency: the package imports without mpmath and solves without
+scipy (both test-only dependencies)."""
 
 import importlib
 import os
@@ -26,13 +27,32 @@ def test_every_lru_cache_is_bounded():
     assert not unbounded
 
 
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that finds this checkout's cltau."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cltau.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
 def test_import_without_mpmath():
     # A None entry in sys.modules makes any `import mpmath` raise ImportError.
-    code = ("import sys; sys.modules['mpmath'] = None; "
-            "import cltau, cltau.cli; "
-            "print(cltau.fracderiv.operational_matrix(0.5, 4).entries[1, 0])")
-    env = dict(os.environ, PYTHONPATH=str(Path(cltau.__file__).resolve().parent.parent))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=60)
+    result = _run_fresh("import sys; sys.modules['mpmath'] = None; "
+                        "import cltau, cltau.cli; "
+                        "print(cltau.fracderiv.operational_matrix(0.5, 4).entries[1, 0])")
     assert result.returncode == 0, result.stderr
     assert float(result.stdout) > 1.5
+
+
+def test_cli_solves_without_scipy():
+    result = _run_fresh("import sys; sys.modules['scipy'] = None; "
+                        "import cltau.cli; "
+                        "sys.exit(cltau.cli.main(['solve', '--example', '5.4', '--N', '16']))")
+    assert result.returncode == 0, result.stderr
+    assert '"legendre_coeffs"' in result.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    result = _run_fresh("import sys, cltau.cli; "
+                        "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,14 +1,17 @@
 """Tau solver: kernel moments and forcing projections against closed forms,
 a fully hand-checked 2x2 assembly, the built-in problem catalog with frozen
 error magnitudes, manufactured-solution round trips, scaling equivariance,
-and the convergence-study classifier."""
+the convergence-study classifier, and the solve against a scipy LU
+reference, including both ways the pivot gate is decided."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
+from cltau import solver
 from cltau.fracderiv import gamma, operational_matrix
 from cltau.orthopoly import MonomialSeries, monomial_form_legendre, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
@@ -447,3 +450,106 @@ def test_solver_error_paths():
     with pytest.raises(SolverError) as err:
         solve_fide(singular, 3)
     assert "truncation 3" in str(err.value)
+
+
+def _lapack_smallest_pivot(matrix):
+    return float(np.min(np.abs(np.diag(scipy.linalg.lu_factor(matrix)[0]))))
+
+
+@pytest.mark.parametrize("eid", ["5.1", "5.2", "5.3", "5.4"])
+@pytest.mark.parametrize("truncation", [8, 32, 64, 128])
+def test_smallest_pivot_matches_lapack_on_tau_systems(eid, truncation):
+    matrix, _ = assemble_system(builtin_example(eid).problem, truncation)
+    reference = _lapack_smallest_pivot(matrix)
+    assert abs(solver._smallest_pivot(matrix) - reference) <= 1e-14 * reference
+
+
+def test_smallest_pivot_matches_lapack_on_random_matrices():
+    # Blocked getrf sums the trailing updates in another order than plain
+    # elimination, so pivots agree to backward-error size, not bitwise:
+    # measured worst 2.2 * size * eps * max|A| over 160 such matrices.
+    rng = np.random.default_rng(5)
+    for size in (3, 8, 32, 64, 128):
+        for _ in range(4):
+            matrix = rng.standard_normal((size, size))
+            bound = 8.0 * size * np.finfo(float).eps * np.max(np.abs(matrix))
+            assert abs(solver._smallest_pivot(matrix) - _lapack_smallest_pivot(matrix)) <= bound
+    singular = rng.standard_normal((6, 6))
+    singular[:, 4] = singular[:, 1]
+    assert solver._smallest_pivot(singular) <= 1e-15 * np.max(np.abs(singular))
+
+
+def _counting_smallest_pivot(monkeypatch):
+    calls = []
+    smallest_pivot = solver._smallest_pivot
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return smallest_pivot(matrix)
+
+    monkeypatch.setattr(solver, "_smallest_pivot", counted)
+    return calls
+
+
+def test_well_conditioned_solve_skips_elimination(monkeypatch):
+    calls = _counting_smallest_pivot(monkeypatch)
+    solution = solve_fide(builtin_example("5.4").problem, 32)
+    assert solution.condition_estimate > 1e7
+    assert calls == []
+
+
+def _matrix_with_pivot(relative_pivot):
+    """8x8 A = L U, no row exchanges, U[3, 3] = relative_pivot * max|A|.
+
+    Dyadic entries and a zero column of U above the small pivot keep every
+    product and every elimination step exact, so the small pivot is exact."""
+    rng = np.random.default_rng(11)
+    choices = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+    lower = np.eye(8) + np.tril(rng.choice(choices, (8, 8)), -1)
+    upper = np.eye(8) + np.triu(rng.choice(choices, (8, 8)), 1)
+    upper[:3, 3] = 0.0
+    upper[3, 3] = 0.0
+    scale = float(np.max(np.abs(lower @ upper)))
+    upper[3, 3] = relative_pivot * scale
+    matrix = lower @ upper
+    assert np.max(np.abs(matrix)) == scale
+    assert solver._smallest_pivot(matrix) == upper[3, 3]
+    return matrix
+
+
+def test_pivot_gate_decided_by_elimination_near_the_edge(monkeypatch):
+    matrices = {relative_pivot: _matrix_with_pivot(relative_pivot)
+                for relative_pivot in (1e-15, 1e-13)}
+    calls = _counting_smallest_pivot(monkeypatch)
+    problem = builtin_example("5.1").problem
+    exact = np.linspace(1.0, 2.0, 8)
+    for relative_pivot, matrix in matrices.items():
+        monkeypatch.setattr(solver, "assemble_system",
+                            lambda *args, m=matrix: (m, m @ exact))
+        if relative_pivot < 1e-14:
+            with pytest.raises(SolverError, match=r"truncation 7 \(smallest pivot"):
+                solve_fide(problem, 7)
+        else:
+            assert solve_fide(problem, 7).condition_estimate > 1e12
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("eid", ["5.1", "5.2", "5.3", "5.4"])
+@pytest.mark.parametrize("truncation", [8, 16, 32, 64])
+def test_solve_matches_scipy_lu_reference(eid, truncation):
+    problem = builtin_example(eid).problem
+    matrix, rhs = assemble_system(problem, truncation)
+    reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(matrix), rhs)
+    solution = solve_fide(problem, truncation)
+    deviation = np.max(np.abs(solution.coeffs.coeffs - reference))
+    assert deviation <= 1e-14 * np.max(np.abs(reference))
+    assert solution.condition_estimate == float(np.linalg.cond(matrix, 1))
+
+
+def test_overflowing_system_is_rejected():
+    # Without the check the overflowed system would solve to NaN
+    # coefficients that slip past the residual gate (NaN > tol is False).
+    problem = FIDEProblem(n=1, a=(1e308, 1e308), order=0.5, kernel=lambda t, s: t * s,
+                          forcing=_zero_forcing, ics=(0.0,))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        solve_fide(problem, 8)
