@@ -83,6 +83,20 @@ def chebyshev_to_legendre(series: ChebyshevSeries) -> LegendreSeries:
     return LegendreSeries(pair.b @ series.coeffs)
 
 
+@lru_cache(maxsize=_PAIR_CACHE)
+def _interpolation_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of the (n+1)-point shifted Chebyshev-Gauss rule, T_{1,k}(x_j)
+    (indexed [k, j]) and the discrete-transform scale (2 - delta_{k0})/(n+1);
+    cached, read-only."""
+    rule = chebyshev_gauss_rule(n, shifted=True)
+    table = shifted_chebyshev_table(n, rule.nodes)
+    scale = np.full(rule.npoints, 2.0 / rule.npoints)
+    scale[0] = 1.0 / rule.npoints
+    table.flags.writeable = False
+    scale.flags.writeable = False
+    return rule.nodes, table, scale
+
+
 def chebyshev_interpolate(f, n: int) -> ChebyshevSeries:
     """Interpolate f at the n+1 shifted Chebyshev-Gauss points.
 
@@ -91,13 +105,12 @@ def chebyshev_interpolate(f, n: int) -> ChebyshevSeries:
     nodes.  Returns the shifted Chebyshev coefficients of the interpolant
     via the discrete transform
     u_k = (2 - delta_{k0})/(n+1) sum_j f(x_j) T_{1,k}(x_j), which is exact
-    at Gauss (interior) nodes.
+    at Gauss (interior) nodes.  The nodes, the table T_{1,k}(x_j) and the
+    scale depend only on n and come from a bounded cache, so a repeated
+    call evaluates only f.
     """
-    rule = chebyshev_gauss_rule(n, shifted=True)
-    values = np.broadcast_to(np.asarray(f(rule.nodes), dtype=float), rule.nodes.shape)
+    nodes, table, scale = _interpolation_table(n)
+    values = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
     if not np.all(np.isfinite(values)):
         raise ValueError("function is not finite at the interpolation nodes")
-    table = shifted_chebyshev_table(rule.npoints - 1, rule.nodes)
-    scale = np.full(rule.npoints, 2.0 / rule.npoints)
-    scale[0] = 1.0 / rule.npoints
     return ChebyshevSeries(scale * (table @ values))

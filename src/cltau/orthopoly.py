@@ -6,7 +6,7 @@ are kept in exact integer arithmetic for cross-checks and for the fractional
 calculus, which needs explicit powers of x.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -28,7 +28,8 @@ __all__ = [
 
 def _check_domain(x):
     x = np.asarray(x, dtype=float)
-    if x.size and (np.any(x < 0.0) or np.any(x > 1.0) or not np.all(np.isfinite(x))):
+    # NaN fails both comparisons, so one min and one max also reject it.
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
         raise ValueError("evaluation point outside [0, 1]")
     return x
 
@@ -88,10 +89,14 @@ class MonomialSeries:
     Coefficients may be Python ints (kept exact) or floats.  This is the
     carrier for closed monomial forms and for Caputo derivatives of them,
     whose exponents are genuinely non-integer (and may sit in (-1, 0),
-    an integrable singularity at x = 0).
+    an integrable singularity at x = 0).  Evaluation is one broadcast,
+    x[..., None] ** p @ q, over float64 copies of the terms made once at
+    construction; it keeps the shape of x and returns a float for a
+    scalar.
     """
 
     terms: tuple[tuple[float, float], ...]
+    _qp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for q, p in self.terms:
@@ -99,16 +104,15 @@ class MonomialSeries:
                 raise ValueError("non-finite monomial term")
             if p <= -1:
                 raise ValueError(f"exponent {p!r} is not integrable on [0, 1]")
+        qp = np.array(self.terms, dtype=float).reshape(-1, 2).T
+        qp.flags.writeable = False
+        object.__setattr__(self, "_qp", qp)
 
     def __call__(self, x):
         x = _check_domain(x)
-        out = np.zeros(x.shape)
+        q, p = self._qp
         with np.errstate(divide="ignore"):
-            for q, p in self.terms:
-                if p == 0:
-                    out += float(q)
-                else:
-                    out += float(q) * x ** float(p)
+            out = (x[..., None] ** p) @ q
         return float(out) if out.ndim == 0 else out
 
 

@@ -67,7 +67,7 @@ _ERROR_RULE_POINTS = 128
 _MAX_ERROR_POINTS = 101
 _ERROR_FLOOR = 1e-12
 _FIT_R2_MIN = 0.98
-_CAPUTO_TABLE_CACHE = 128
+_TABLE_CACHE = 128
 
 
 class SolverError(RuntimeError):
@@ -228,21 +228,35 @@ def _kernel_grid(kernel: Callable, x: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _check_quad_points(truncation: int, quad_points: int | None) -> int:
     if quad_points is None:
         return truncation + 16
-    if quad_points <= truncation:
-        raise ValueError(f"need more than {truncation} quadrature points, got {quad_points}")
-    return quad_points
+    if not isinstance(quad_points, (int, np.integer)) or quad_points <= truncation:
+        raise ValueError(
+            f"need an integer number of quadrature points above {truncation}, got {quad_points!r}")
+    return int(quad_points)
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _outer_projection(truncation: int,
+                      quad_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x, weighted table w_x L_{1,r}(x) (indexed [x, r]) and the scale
+    2r + 1 of the quad_points shifted Legendre-Gauss projection onto degrees
+    0..truncation; cached, read-only."""
+    rule = legendre_gauss_rule(quad_points - 1, shifted=True)
+    weighted = rule.weights[:, None] * shifted_legendre_table(truncation, rule.nodes).T
+    scale = 2.0 * np.arange(truncation + 1) + 1.0
+    weighted.flags.writeable = False
+    scale.flags.writeable = False
+    return rule.nodes, weighted, scale
 
 
 def _project_kernel(kernel: Callable, truncation: int, quad_points: int,
                     s: np.ndarray, s_table: np.ndarray) -> np.ndarray:
     """entries[l, r] = (2r+1) sum_x w_x L_{1,r}(x) sum_q k(x, s_q) s_table[l, q],
-    x by the quad_points shifted Legendre-Gauss rule."""
-    x_rule = legendre_gauss_rule(quad_points - 1, shifted=True)
-    x, wx = x_rule.nodes, x_rule.weights
+    x by the quad_points shifted Legendre-Gauss rule.  The outer nodes and
+    weighted Legendre table come from a bounded cache keyed on
+    (truncation, quad_points), so only the kernel is evaluated per call."""
+    x, weighted, scale = _outer_projection(truncation, quad_points)
     inner = _kernel_grid(kernel, x, s) @ s_table.T
-    leg_x = shifted_legendre_table(truncation, x)
-    scale = 2.0 * np.arange(truncation + 1) + 1.0
-    entries = (inner.T @ (wx[:, None] * leg_x.T)) * scale[None, :]
+    entries = (inner.T @ weighted) * scale[None, :]
     entries.flags.writeable = False
     return entries
 
@@ -264,7 +278,7 @@ def kernel_moments(kernel: Callable, truncation: int,
     return KernelMoments(truncation, _project_kernel(kernel, truncation, quad_points, s, s_table))
 
 
-@lru_cache(maxsize=_CAPUTO_TABLE_CACHE)
+@lru_cache(maxsize=_TABLE_CACHE)
 def _caputo_quadrature(alpha: float, s_power: int, truncation: int,
                        quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s_q and table[j, q] with sum_q h(s_q) table[j, q] =
@@ -303,7 +317,9 @@ def fredholm_block(kernel: Callable, order, truncation: int,
     <= truncation in s, this equals
     operational_matrix(order, truncation).entries @ kernel_moments(...).entries.
     The weighted basis table is cached per (alpha, s_power, truncation,
-    quad_points) in a bounded cache.
+    quad_points), and the outer nodes and weighted Legendre table per
+    (truncation, quad_points), in bounded caches of read-only arrays, so a
+    repeated call evaluates only the kernel.
     """
     truncation = _check_truncation(truncation)
     quad_points = _check_quad_points(truncation, quad_points)
@@ -325,6 +341,16 @@ def forcing_coeffs(forcing: Callable, truncation: int) -> np.ndarray:
     return leg / (2.0 * np.arange(truncation + 1) + 1.0)
 
 
+@lru_cache(maxsize=_TABLE_CACHE)
+def _initial_condition_rows(n: int, truncation: int) -> np.ndarray:
+    """rows[i, l] = (d/dx)^i L_{1,l} at x = 0 for i < n, through integer
+    operational matrices and L_{1,l}(0) = (-1)^l; cached, read-only."""
+    signs = (-1.0) ** np.arange(truncation + 1)
+    rows = np.array([operational_matrix(i, truncation).entries @ signs for i in range(n)])
+    rows.flags.writeable = False
+    return rows
+
+
 def assemble_system(problem: FIDEProblem, truncation: int,
                     quad_points: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Dense tau system (matrix, rhs) for the given truncation.
@@ -334,7 +360,9 @@ def assemble_system(problem: FIDEProblem, truncation: int,
     operational matrices, the kernel term through fredholm_block (the
     kernel against the exact D^alpha L_{1,l}, not its projection onto
     degree <= truncation).  The last n rows evaluate y^(i)(0) through
-    integer operational matrices and L_{1,l}(0) = (-1)^l.
+    integer operational matrices and L_{1,l}(0) = (-1)^l; they depend only
+    on (n, truncation) and are cached.  Raises ValueError naming the first
+    coefficient a_i whose derivative term makes the matrix non-finite.
     """
     truncation = _check_truncation(truncation)
     if truncation < problem.n:
@@ -342,21 +370,24 @@ def assemble_system(problem: FIDEProblem, truncation: int,
             f"truncation {truncation} leaves no room for {problem.n} initial conditions")
     size = truncation + 1
     core = np.zeros((size, size))
-    for i, coeff in enumerate(problem.a):
-        if coeff != 0.0:
-            core += coeff * operational_matrix(i, truncation).entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, coeff in enumerate(problem.a):
+            if coeff != 0.0:
+                core += coeff * operational_matrix(i, truncation).entries
+                if not np.isfinite(core).all():
+                    raise ValueError(
+                        f"derivative coefficient a_{i} = {coeff!r} makes the tau system "
+                        f"non-finite at truncation {truncation}")
     core = core - fredholm_block(problem.kernel, problem.order, truncation, quad_points,
                                  problem.kernel_s_power)
     norms = 2.0 * np.arange(size) + 1.0
     galerkin_rows = truncation - problem.n + 1
     matrix = np.zeros((size, size))
     matrix[:galerkin_rows, :] = (core[:, :galerkin_rows] / norms[:galerkin_rows]).T
+    matrix[galerkin_rows:, :] = _initial_condition_rows(problem.n, truncation)
     rhs = np.zeros(size)
     rhs[:galerkin_rows] = forcing_coeffs(problem.forcing, truncation)[:galerkin_rows]
-    signs = (-1.0) ** np.arange(size)
-    for i in range(problem.n):
-        matrix[galerkin_rows + i, :] = operational_matrix(i, truncation).entries @ signs
-        rhs[galerkin_rows + i] = problem.ics[i]
+    rhs[galerkin_rows:] = problem.ics
     return matrix, rhs
 
 
@@ -400,7 +431,8 @@ def solve_fide(problem: FIDEProblem, truncation: int,
     def singular(pivot_min: float) -> SolverError:
         return SolverError(
             f"tau system is singular or numerically rank-deficient at "
-            f"truncation {truncation} (smallest pivot {pivot_min:.3e})")
+            f"truncation {truncation} (smallest pivot {pivot_min:.3e}, threshold "
+            f"{_PIVOT_RTOL:.0e}*max|A| = {_PIVOT_RTOL * scale:.3e})")
 
     try:
         inverse_norm = float(np.linalg.norm(np.linalg.inv(matrix), 1))

@@ -152,6 +152,44 @@ def test_monomial_series_fractional_exponents():
         MonomialSeries(((float("nan"), 1.0),))
 
 
+def _termwise(terms, x):
+    """Per-term loop reference: the sum and the sum of absolute terms."""
+    x = np.asarray(x, dtype=float)
+    total, magnitude = np.zeros(x.shape), np.zeros(x.shape)
+    for q, p in terms:
+        term = float(q) * x ** float(p)
+        total += term
+        magnitude += np.abs(term)
+    return total, magnitude
+
+
+def test_monomial_series_matches_termwise_sum():
+    # The broadcast sums the terms in another order than the loop; measured
+    # worst 1.5 * eps * sum |q x^p| on these inputs.
+    rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
+    inputs = (np.linspace(0.0, 1.0, 41), rng.uniform(0.0, 1.0, (5, 7)), np.zeros((2, 3)))
+    for count in (1, 4, 12, 21):
+        powers = np.concatenate(([0.0, 0.5], rng.integers(1, 20, count),
+                                 rng.uniform(0.0, 9.0, count)))
+        coeffs = rng.standard_normal(powers.size) * 10.0 ** rng.integers(-3, 4, powers.size)
+        series = MonomialSeries(tuple(zip(coeffs.tolist(), powers.tolist())))
+        for x in inputs:
+            value = series(x)
+            total, magnitude = _termwise(series.terms, x)
+            assert value.shape == x.shape
+            assert np.all(np.abs(value - total) <= 8.0 * eps * magnitude)
+        scalar = series(0.3)
+        total, magnitude = _termwise(series.terms, 0.3)
+        assert isinstance(scalar, float)
+        assert abs(scalar - total) <= 8.0 * eps * magnitude
+    at_zero = MonomialSeries(((2.0, 0.0), (3.0, 0.5), (4.0, 1.0)))
+    assert at_zero(0.0) == 2.0
+    empty = MonomialSeries(())
+    assert empty(0.5) == 0.0
+    assert empty(np.ones((2, 3)) / 2).shape == (2, 3)
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         shifted_legendre_table(4, np.array([-0.1]))
@@ -159,3 +197,6 @@ def test_domain_validation():
         shifted_chebyshev_table(4, np.array([1.1]))
     with pytest.raises(ValueError):
         shifted_legendre_table(-1, np.array([0.5]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            MonomialSeries(((1.0, 1.0),))(np.array([0.5, bad]))

@@ -22,7 +22,8 @@ def test_every_lru_cache_is_bounded():
                 cached[f"{name}.{attr}"] = value.cache_info().maxsize
     assert {"fracderiv._operational_entries", "quadrature.legendre_gauss_rule",
             "quadrature.chebyshev_gauss_rule", "cltransform.transform_pair",
-            "solver._caputo_quadrature"} <= set(cached)
+            "solver._caputo_quadrature", "solver._outer_projection",
+            "solver._initial_condition_rows", "cltransform._interpolation_table"} <= set(cached)
     unbounded = [name for name, maxsize in cached.items() if maxsize is None]
     assert not unbounded
 

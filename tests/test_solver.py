@@ -5,13 +5,14 @@ the convergence-study classifier, and the solve against a scipy LU
 reference, including both ways the pivot gate is decided."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from cltau import solver
+from cltau import cltransform, orthopoly, solver
 from cltau.fracderiv import gamma, operational_matrix
 from cltau.orthopoly import MonomialSeries, monomial_form_legendre, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
@@ -450,6 +451,7 @@ def test_solver_error_paths():
     with pytest.raises(SolverError) as err:
         solve_fide(singular, 3)
     assert "truncation 3" in str(err.value)
+    assert "threshold 1e-14*max|A| = " in str(err.value)
 
 
 def _lapack_smallest_pivot(matrix):
@@ -553,3 +555,52 @@ def test_overflowing_system_is_rejected():
                           forcing=_zero_forcing, ics=(0.0,))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         solve_fide(problem, 8)
+
+
+def test_overflowing_coefficient_is_named_without_a_warning():
+    # No errstate here: the RuntimeWarning filter of the suite turns an
+    # overflow warning from the assembly into a failure.
+    problem = FIDEProblem(n=1, a=(1e308, 1e308), order=0.5, kernel=lambda t, s: t * s,
+                          forcing=_zero_forcing, ics=(0.0,))
+    with pytest.raises(ValueError, match=r"a_1 = 1e\+308 .* non-finite"):
+        assemble_system(problem, 8)
+    with pytest.raises(ValueError, match="a_1"):
+        solve_fide(problem, 8)
+
+
+def _count_table_calls(monkeypatch):
+    """Count calls of the two orthopoly tables through every cltau binding."""
+    calls = {"shifted_legendre_table": 0, "shifted_chebyshev_table": 0}
+    for name in calls:
+        original = getattr(orthopoly, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("cltau") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
+    problem = builtin_example("5.4").problem
+    for cache in (solver._outer_projection, solver._initial_condition_rows,
+                  cltransform._interpolation_table):
+        cache.cache_clear()
+    calls = _count_table_calls(monkeypatch)
+    cold = solve_fide(problem, 24, quad_points=43)
+    assert calls["shifted_legendre_table"] > 0 and calls["shifted_chebyshev_table"] > 0
+    calls.update(dict.fromkeys(calls, 0))
+    warm = solve_fide(problem, 24, quad_points=43)
+    assert calls == {"shifted_legendre_table": 0, "shifted_chebyshev_table": 0}
+    np.testing.assert_array_equal(warm.coeffs.coeffs, cold.coeffs.coeffs)
+
+
+def test_cached_tables_are_read_only():
+    arrays = (list(solver._outer_projection(12, 28)) + [solver._initial_condition_rows(3, 12)]
+              + list(cltransform._interpolation_table(12)))
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array.flat[0] = 1.0
