@@ -217,7 +217,8 @@ class ProblemConfig:
             forcing = lambda tv: exprlang.evaluate(forcing_tree, t=tv)
         else:
             exact = MonomialSeries(self.mms_exact)
-            forcing = mms_forcing(exact, self.n, self.a, self.alpha, kernel)
+            forcing = mms_forcing(exact, self.n, self.a, self.alpha, kernel,
+                                  kernel_s_power=self.kernel_s_power)
         problem = FIDEProblem(n=self.n, a=self.a, order=self.alpha,
                               kernel=kernel, forcing=forcing, ics=self.ics,
                               kernel_s_power=self.kernel_s_power)

@@ -51,14 +51,14 @@ def transform_pair(n: int) -> TransformPair:
     i, j = np.indices((n + 1, n + 1))
     upper_even = (j >= i) & ((j - i) % 2 == 0)
 
-    cg = chebyshev_gauss_rule(n, shifted=True)
+    cg = chebyshev_gauss_rule(n)
     cheb_c = shifted_chebyshev_table(n, cg.nodes)
     leg_c = shifted_legendre_table(n, cg.nodes)
     h = np.full(n + 1, np.pi / 2.0)
     h[0] = np.pi
     a = ((cheb_c * cg.weights) @ leg_c.T) / h[:, None]
 
-    lg = legendre_gauss_rule(n, shifted=True)
+    lg = legendre_gauss_rule(n)
     leg_l = shifted_legendre_table(n, lg.nodes)
     cheb_l = shifted_chebyshev_table(n, lg.nodes)
     scale = 2.0 * np.arange(n + 1) + 1.0
@@ -88,7 +88,7 @@ def _interpolation_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes of the (n+1)-point shifted Chebyshev-Gauss rule, T_{1,k}(x_j)
     (indexed [k, j]) and the discrete-transform scale (2 - delta_{k0})/(n+1);
     cached, read-only."""
-    rule = chebyshev_gauss_rule(n, shifted=True)
+    rule = chebyshev_gauss_rule(n)
     table = shifted_chebyshev_table(n, rule.nodes)
     scale = np.full(rule.npoints, 2.0 / rule.npoints)
     scale[0] = 1.0 / rule.npoints

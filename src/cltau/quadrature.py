@@ -1,4 +1,4 @@
-"""Chebyshev-Gauss, Legendre-Gauss and Jacobi-Gauss quadrature rules.
+"""Chebyshev-Gauss, Legendre-Gauss and Jacobi-Gauss quadrature rules, all on (0, 1).
 
 Chebyshev-Gauss nodes and weights are closed-form.  Legendre-Gauss nodes are
 computed by Newton iteration on the Legendre recurrence from the classical
@@ -61,22 +61,18 @@ def _check_rule_index(n: int) -> int:
 
 
 @lru_cache(maxsize=_RULE_CACHE)
-def chebyshev_gauss_rule(n: int, shifted: bool = False) -> QuadratureRule:
-    """(n+1)-point Chebyshev-Gauss rule for the weight (1-x^2)^(-1/2).
+def chebyshev_gauss_rule(n: int) -> QuadratureRule:
+    """(n+1)-point Chebyshev-Gauss rule on (0, 1) for the weight (x - x^2)^(-1/2).
 
-    Nodes x_j = -cos((2j+1)pi/(2n+2)), constant weights pi/(n+1); exact for
-    polynomials of degree <= 2n+1 against the weight.  With shifted=True the
-    rule lives on (0, 1) with weight (x - x^2)^(-1/2) (same weights).
+    Nodes (y_j + 1)/2 with y_j = -cos((2j+1)pi/(2n+2)), constant weights
+    pi/(n+1); exact for polynomials of degree <= 2n+1 against the weight.
     """
     n = _check_rule_index(n)
     j = np.arange(n + 1)
     nodes = -np.cos((2 * j + 1) * np.pi / (2 * n + 2))
     nodes = (nodes - nodes[::-1]) / 2.0  # enforce exact antisymmetry (exact 0 mid-node)
     weights = np.full(n + 1, np.pi / (n + 1))
-    if shifted:
-        rule = QuadratureRule("chebyshev_gauss", (0.0, 1.0), (nodes + 1.0) / 2.0, weights)
-    else:
-        rule = QuadratureRule("chebyshev_gauss", (-1.0, 1.0), nodes, weights)
+    rule = QuadratureRule("chebyshev_gauss", (0.0, 1.0), (nodes + 1.0) / 2.0, weights)
     rule.nodes.flags.writeable = False
     rule.weights.flags.writeable = False
     return rule
@@ -93,14 +89,15 @@ def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 @lru_cache(maxsize=_RULE_CACHE)
-def legendre_gauss_rule(n: int, shifted: bool = False) -> QuadratureRule:
-    """(n+1)-point Legendre-Gauss rule: nodes are the roots of P_{n+1}.
+def legendre_gauss_rule(n: int) -> QuadratureRule:
+    """(n+1)-point Legendre-Gauss rule on (0, 1): nodes are the roots of L_{1,n+1}.
 
-    Newton iteration from the initial guesses cos(pi(4j+3)/(4n+6)) with
-    update tolerance 1e-15, then the symmetrization x_j <- (x_j - x_{n-j})/2
-    to remove the last-bit asymmetry.  Weights 2/((1-x^2) P'_{n+1}(x)^2).
-    Exact for polynomials of degree <= 2n+1.  With shifted=True the rule is
-    mapped to (0, 1) (weights halved).
+    Newton iteration on P_{n+1} over (-1, 1) from the initial guesses
+    cos(pi(4j+3)/(4n+6)) with update tolerance 1e-15, then the
+    symmetrization x_j <- (x_j - x_{n-j})/2 to remove the last-bit
+    asymmetry; weights 2/((1-x^2) P'_{n+1}(x)^2).  The rule is then mapped
+    to (0, 1): nodes (x + 1)/2, weights halved.  Exact for polynomials of
+    degree <= 2n+1.
     """
     n = _check_rule_index(n)
     m = n + 1
@@ -119,10 +116,7 @@ def legendre_gauss_rule(n: int, shifted: bool = False) -> QuadratureRule:
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     x, w = x[order], w[order]
-    if shifted:
-        rule = QuadratureRule("legendre_gauss", (0.0, 1.0), (x + 1.0) / 2.0, w / 2.0)
-    else:
-        rule = QuadratureRule("legendre_gauss", (-1.0, 1.0), x, w)
+    rule = QuadratureRule("legendre_gauss", (0.0, 1.0), (x + 1.0) / 2.0, w / 2.0)
     rule.nodes.flags.writeable = False
     rule.weights.flags.writeable = False
     return rule
@@ -134,7 +128,7 @@ def jacobi_gauss_rule(n: int, exponent: float) -> QuadratureRule:
     sum_j w_j g(x_j) equals int_0^1 x^exponent g(x) dx for polynomials g of
     degree <= 2n+1.  Nodes and weights come from the symmetric tridiagonal
     Jacobi matrix of the Jacobi polynomials P^(0, exponent) mapped to
-    (0, 1) (Golub-Welsch); exponent 0 gives the shifted Legendre-Gauss rule.
+    (0, 1) (Golub-Welsch); exponent 0 gives the Legendre-Gauss rule.
     """
     n = _check_rule_index(n)
     b = float(exponent)

@@ -68,6 +68,7 @@ _MAX_ERROR_POINTS = 101
 _ERROR_FLOOR = 1e-12
 _FIT_R2_MIN = 0.98
 _TABLE_CACHE = 128
+_INTEGER_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -80,13 +81,11 @@ class FIDEProblem:
 
     n is the classical derivative order (a has n + 1 entries, a[n] != 0),
     order the Caputo order of the derivative under the integral, and ics
-    the n initial values y^(i)(0).  kernel_s_power > 1 declares that the
-    kernel is smooth in u after substituting s = u**kernel_s_power, which
-    the kernel-term quadrature then applies (needed for kernels with
-    fractional powers of s, e.g. sqrt(s) with kernel_s_power = 2).  The
-    substitution also carries the s^(ceil(alpha) - alpha) factor of
-    D^alpha y into the Jacobi-Gauss weight
-    u^(kernel_s_power (ceil(alpha) - alpha + 1) - 1).
+    the n initial values y^(i)(0).  kernel_s_power = p declares the kernel
+    smooth in v = s**(1/p) (p = 2 for sqrt(s)).  Each s-integral of the
+    kernel against s^phi times a polynomial (phi = ceil(alpha) - alpha in
+    the kernel term) is then one Jacobi-Gauss rule in v for the weight
+    v^(p (phi + 1) - 1), exact for kernels polynomial in v (_singular_rule).
     """
 
     n: int
@@ -114,8 +113,7 @@ class FIDEProblem:
             raise ValueError("non-finite initial value")
         if not callable(self.kernel) or not callable(self.forcing):
             raise TypeError("kernel and forcing must be callable")
-        if not isinstance(self.kernel_s_power, int) or self.kernel_s_power < 1:
-            raise ValueError(f"kernel_s_power must be an integer >= 1, got {self.kernel_s_power!r}")
+        _check_s_power(self.kernel_s_power)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "ics", ics)
         object.__setattr__(self, "order", _as_order(self.order))
@@ -203,14 +201,26 @@ def _check_truncation(truncation: int) -> int:
     return int(truncation)
 
 
-def _substituted_rule(points: int, s_power: int):
-    """Shifted Legendre-Gauss nodes/weights for integral_0^1 g(s) ds under
-    the substitution s = u**s_power (plain rule when s_power == 1)."""
-    rule = legendre_gauss_rule(points - 1, shifted=True)
-    if s_power == 1:
-        return rule.nodes, rule.weights
-    u = rule.nodes
-    return u**s_power, rule.weights * s_power * u ** (s_power - 1)
+def _check_s_power(s_power) -> None:
+    if not isinstance(s_power, int) or s_power < 1:
+        raise ValueError(f"kernel_s_power must be an integer >= 1, got {s_power!r}")
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _singular_rule(points: int, phi: float, s_power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s_q, weights w_q with sum_q w_q h(s_q) = integral_0^1 s^phi h(s) ds.
+
+    Under s = v**s_power the integrand is s_power v^(s_power (phi + 1) - 1)
+    h(v**s_power): the points-point Jacobi-Gauss rule in v for that weight
+    is exact when h(v**s_power) is a polynomial of degree < 2 points.
+    Cached, read-only.
+    """
+    rule = jacobi_gauss_rule(points - 1, s_power * (phi + 1.0) - 1.0)
+    s = rule.nodes ** s_power
+    weights = s_power * rule.weights
+    s.flags.writeable = False
+    weights.flags.writeable = False
+    return s, weights
 
 
 def _kernel_grid(kernel: Callable, x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -240,7 +250,7 @@ def _outer_projection(truncation: int,
     """Nodes x, weighted table w_x L_{1,r}(x) (indexed [x, r]) and the scale
     2r + 1 of the quad_points shifted Legendre-Gauss projection onto degrees
     0..truncation; cached, read-only."""
-    rule = legendre_gauss_rule(quad_points - 1, shifted=True)
+    rule = legendre_gauss_rule(quad_points - 1)
     weighted = rule.weights[:, None] * shifted_legendre_table(truncation, rule.nodes).T
     scale = 2.0 * np.arange(truncation + 1) + 1.0
     weighted.flags.writeable = False
@@ -266,14 +276,13 @@ def kernel_moments(kernel: Callable, truncation: int,
     """Project x -> integral_0^1 k(x, s) L_{1,l}(s) ds onto the Legendre basis.
 
     entries[l, r] = (2r+1) * double integral of k(x, s) L_{1,l}(s) L_{1,r}(x),
-    both directions by shifted Legendre-Gauss rules with quad_points points
-    (default truncation + 16).  Exact for kernels polynomial of degree
-    <= truncation in each variable; s_power applies the substitution
-    s = u**s_power in the inner integral first.
+    with quad_points points (default truncation + 16): in s by _singular_rule
+    with phi = 0, in x by the shifted Legendre-Gauss rule.  Exact for kernels
+    polynomial of degree <= truncation in x and polynomial in s**(1/s_power).
     """
     truncation = _check_truncation(truncation)
     quad_points = _check_quad_points(truncation, quad_points)
-    s, ws = _substituted_rule(quad_points, s_power)
+    s, ws = _singular_rule(quad_points, 0.0, s_power)
     s_table = ws * shifted_legendre_table(truncation, s)
     return KernelMoments(truncation, _project_kernel(kernel, truncation, quad_points, s, s_table))
 
@@ -285,18 +294,13 @@ def _caputo_quadrature(alpha: float, s_power: int, truncation: int,
     integral_0^1 h(s) D^alpha L_{1,j}(s) ds.
 
     D^alpha L_{1,j}(s) = s^mu g_j(s) with mu = m - alpha and g_j a
-    polynomial; under s = v**s_power the inner integrand becomes
-    s_power v^(s_power (mu + 1) - 1) h(v**s_power) g_j(v**s_power), so a
-    Jacobi-Gauss rule in v with that weight is exact whenever
-    h(v**s_power) is polynomial in v of degree <= 2 quad_points - 1 -
-    s_power (truncation - m).
+    polynomial, so the table is the weights of _singular_rule for phi = mu
+    times g_j: exact whenever h(v**s_power) is polynomial in
+    v = s**(1/s_power) of degree <= 2 quad_points - 1 - s_power (truncation - m).
     """
     order = CaputoOrder(alpha)
-    mu = order.m - order.alpha
-    rule = jacobi_gauss_rule(quad_points - 1, s_power * (mu + 1.0) - 1.0)
-    s = rule.nodes ** s_power
-    table = caputo_legendre_factors(order, truncation, s) * (s_power * rule.weights)
-    s.flags.writeable = False
+    s, weights = _singular_rule(quad_points, order.m - order.alpha, s_power)
+    table = caputo_legendre_factors(order, truncation, s) * weights
     table.flags.writeable = False
     return s, table
 
@@ -456,37 +460,17 @@ def solve_fide(problem: FIDEProblem, truncation: int,
     return SpectralSolution(truncation, LegendreSeries(coeffs), condition)
 
 
-def _monomial_derivative(series: MonomialSeries) -> MonomialSeries:
-    terms = []
-    for q, p in series.terms:
-        if p != 0:
-            terms.append((float(q) * float(p), float(p) - 1.0))
-    return MonomialSeries(tuple(terms))
-
-
-_SUBSTITUTION_POWERS = (1, 2, 3, 4, 5, 6, 8)
-
-
-def _integerizing_power(exponents) -> int:
-    """Smallest s from a fixed ladder with s * p integral for every
-    fractional exponent p, so the substituted integrand is polynomial.
-    Falls back to 1 (plain rule) when no ladder entry works."""
-    fractional = [p for p in exponents if abs(p - round(p)) > 1e-12]
-    for power in _SUBSTITUTION_POWERS:
-        if all(abs(power * p - round(power * p)) <= 1e-9 for p in fractional):
-            return power
-    return 1
-
-
 def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
-                quad_points: int = 64) -> Callable:
+                quad_points: int = 64, kernel_s_power: int = 1) -> Callable:
     """Forcing that makes `exact` solve the problem (manufactured solution).
 
     f(t) = sum_i a_i (d/dt)^i exact(t) - integral_0^1 k(t, s) D^alpha exact(s) ds.
-    The classical derivatives and D^alpha are applied termwise by power
-    rules; the integral uses a 64-point shifted Legendre-Gauss rule after
-    substituting s = u**sigma with sigma chosen to clear the fractional
-    exponents of D^alpha exact (exact for polynomial kernels).
+    All derivatives are applied termwise by the Caputo power rule.  The terms
+    of D^alpha exact are grouped by the fractional part phi of their
+    exponents (phi < 0 for an exponent in (-1, 0)); each group, s^phi times a
+    polynomial, gets the quad_points rule of _singular_rule under
+    s = v**kernel_s_power (pass FIDEProblem.kernel_s_power), so the forcing
+    is exact at every alpha for kernels polynomial in s**(1/kernel_s_power).
     """
     if not isinstance(exact, MonomialSeries):
         raise TypeError(f"exact must be a MonomialSeries, got {type(exact).__name__}")
@@ -496,18 +480,24 @@ def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
     if len(a) != n + 1:
         raise ValueError(f"need {n + 1} coefficients a_0..a_n, got {len(a)}")
     order = _as_order(order)
+    _check_s_power(kernel_s_power)
     for _, p in exact.terms:
-        if abs(p - round(p)) > 1e-12 and p <= n - 1:
+        if abs(p - round(p)) > _INTEGER_TOL and p <= n - 1:
             raise ValueError(
                 f"non-integer exponent {p!r} must exceed n - 1 = {n - 1} so all "
                 f"classical derivatives up to order {n} stay integrable")
-    derivatives = [exact]
-    for _ in range(n):
-        derivatives.append(_monomial_derivative(derivatives[-1]))
-    fractional = caputo_apply(exact, order)
-    sigma = _integerizing_power([p for _, p in fractional.terms])
-    s, ws = _substituted_rule(quad_points, sigma)
-    weighted = ws * fractional(s)
+    derivatives = [exact] + [caputo_apply(exact, i) for i in range(1, n + 1)]
+    groups: dict[float, list] = {}  # phi -> terms (q, p - phi) in (near-)integer powers
+    for q, p in caputo_apply(exact, order).terms:
+        phi = p - max(math.floor(p), 0)
+        phi = 0.0 if abs(phi - round(phi)) <= _INTEGER_TOL else next(
+            (key for key in groups if abs(key - phi) <= _INTEGER_TOL), phi)
+        groups.setdefault(phi, []).append((q, p - phi))
+    s, weighted = np.empty(0), np.empty(0)
+    for phi, terms in groups.items():
+        nodes, weights = _singular_rule(quad_points, phi, kernel_s_power)
+        s = np.concatenate((s, nodes))
+        weighted = np.concatenate((weighted, weights * MonomialSeries(tuple(terms))(nodes)))
 
     def forcing(t):
         t_arr = np.asarray(t, dtype=float)
@@ -680,8 +670,8 @@ def builtin_example(example_id: str, variant: str = "corrected") -> BuiltinExamp
     if variant == "printed":
         forcing = entry.forcing
     else:
-        forcing = mms_forcing(entry.mms_exact, entry.n, entry.a,
-                              entry.alpha, entry.kernel)
+        forcing = mms_forcing(entry.mms_exact, entry.n, entry.a, entry.alpha,
+                              entry.kernel, kernel_s_power=entry.kernel_s_power)
     problem = FIDEProblem(n=entry.n, a=entry.a, order=entry.alpha,
                           kernel=entry.kernel, forcing=forcing, ics=entry.ics,
                           kernel_s_power=entry.kernel_s_power)
@@ -729,7 +719,7 @@ def l2_error(solution, exact: Callable) -> float:
     """Weighted L2 distance between the solution and `exact` on [0, 1],
     by a 128-point shifted Legendre-Gauss rule."""
     series = _as_series(solution)
-    rule = legendre_gauss_rule(_ERROR_RULE_POINTS - 1, shifted=True)
+    rule = legendre_gauss_rule(_ERROR_RULE_POINTS - 1)
     diff = series(rule.nodes) - np.asarray(exact(rule.nodes), dtype=float)
     return math.sqrt(max(float(np.sum(rule.weights * diff * diff)), 0.0))
 

@@ -225,7 +225,7 @@ def test_09_quadrature_exactness():
     # The (N+1)-point rule must integrate every monomial through degree
     # 2N+1 over [0, 1] to 1e-12.
     for n in (2, 4, 8, 16):
-        rule = legendre_gauss_rule(n, shifted=True)
+        rule = legendre_gauss_rule(n)
         for degree in range(2 * n + 2):
             value = float(rule.weights @ rule.nodes ** degree)
             assert abs(value - 1.0 / (degree + 1)) <= 1e-12, (

@@ -151,6 +151,21 @@ def test_solve_custom_mms_config_reports_small_error(capsys, tmp_path):
     assert math.isclose(l2, 1.599945e-4, rel_tol=1e-4)
 
 
+def test_config_build_passes_kernel_s_power_to_the_forcing():
+    # Example 5.3 as a config: the kernel t^2*sqrt(s) is polynomial in
+    # sqrt(s), so with kernel_s_power 2 the manufactured forcing is exact,
+    # 8 + 36t + (9 - 8/sqrt(pi)) t^2.
+    config = ProblemConfig.from_dict({
+        "name": "sqrt-kernel", "n": 2, "a": [0, 1, 2], "alpha": 1.5,
+        "kernel": "t^2*sqrt(s)", "mms_exact": [[8, 1], [3, 3]], "ics": [0, 8],
+        "kernel_s_power": 2})
+    problem, _ = config.build()
+    assert problem.kernel_s_power == 2
+    t = np.linspace(0.0, 1.0, 11)
+    closed = 8.0 + 36.0 * t + (9.0 - 8.0 / math.sqrt(math.pi)) * t ** 2
+    assert np.max(np.abs(problem.forcing(t) - closed)) <= 1e-12
+
+
 def test_solve_forcing_config_has_no_error_report(capsys, tmp_path):
     path = _write_config(tmp_path, _FORCING_CONFIG)
     code, stdout, stderr = _run(capsys, ["solve", "--config", path, "--N", "6"])

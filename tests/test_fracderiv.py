@@ -100,7 +100,7 @@ def _oracle_matrix(alpha: float, n: int, sigma: int) -> np.ndarray:
     """
     m = math.ceil(alpha)
     entries = np.zeros((n + 1, n + 1))
-    rule = legendre_gauss_rule(63, shifted=True)
+    rule = legendre_gauss_rule(63)
     u, w = rule.nodes, rule.weights
     x = u ** sigma
     w = w * sigma * u ** (sigma - 1)

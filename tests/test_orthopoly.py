@@ -105,7 +105,7 @@ def test_single_index_evaluators_match_tables():
 def test_legendre_orthogonality():
     # <L_i, L_j> = delta_ij / (2i + 1) on [0, 1]; a 33-point rule is exact
     # through degree 65.
-    rule = legendre_gauss_rule(32, shifted=True)
+    rule = legendre_gauss_rule(32)
     table = shifted_legendre_table(16, rule.nodes)
     gram = (table * rule.weights) @ table.T
     expected = np.diag(1.0 / (2.0 * np.arange(17) + 1.0))

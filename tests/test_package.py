@@ -23,7 +23,8 @@ def test_every_lru_cache_is_bounded():
     assert {"fracderiv._operational_entries", "quadrature.legendre_gauss_rule",
             "quadrature.chebyshev_gauss_rule", "cltransform.transform_pair",
             "solver._caputo_quadrature", "solver._outer_projection",
-            "solver._initial_condition_rows", "cltransform._interpolation_table"} <= set(cached)
+            "solver._initial_condition_rows", "cltransform._interpolation_table",
+            "solver._singular_rule"} <= set(cached)
     unbounded = [name for name, maxsize in cached.items() if maxsize is None]
     assert not unbounded
 

@@ -128,6 +128,23 @@ def test_fredholm_block_sqrt_kernel_closed_form():
         fredholm_block(lambda t, s: t * s, 0.5, 4, quad_points=4)
 
 
+@pytest.mark.parametrize("s_power", [1, 2, 3])
+@pytest.mark.parametrize("phi", [-0.3, 0.0, 0.25, 0.5])
+def test_singular_rule_integrates_weighted_powers(phi, s_power):
+    # sum_q w_q s_q^k = int_0^1 s^phi s^k ds = 1/(phi + k + 1) whenever
+    # s^k = v^(s_power k) has degree below 2 points in v = s**(1/s_power).
+    points = 20
+    s, weights = solver._singular_rule(points, phi, s_power)
+    assert s.shape == weights.shape == (points,)
+    for k in range((2 * points - 1) // s_power + 1):
+        exact = 1.0 / (phi + k + 1.0)
+        approx = float(weights @ s ** k)
+        assert abs(approx - exact) / exact < 1e-13, f"degree {k}"
+    for array in (s, weights):
+        with pytest.raises(ValueError):
+            array.flat[0] = 1.0
+
+
 # ---------------------------------------------------------------- forcing
 
 def test_forcing_coeffs_closed_forms():
@@ -298,6 +315,57 @@ def test_mms_forcing_rejects_unreachable_exponents():
     # order in (n - 1, n].
     with pytest.raises(ValueError):
         mms_forcing(MonomialSeries(((1.0, 0.5),)), 2, (0.0, 0.0, 1.0), 1.5, _const_kernel(0.0))
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.3, 1.7, 1.9])
+def test_mms_forcing_is_exact_at_every_alpha(alpha):
+    # y = t^2, n = 2, kernel t s: D^alpha t^2 = 2 s^(2 - alpha) / Gamma(3 - alpha),
+    # so f(t) = 2 - 2t / (Gamma(3 - alpha) (4 - alpha)).
+    forcing = mms_forcing(MonomialSeries(((1.0, 2.0),)), 2, (0.0, 0.0, 1.0), alpha,
+                          lambda t, s: t * s)
+    t = np.linspace(0.0, 1.0, 11)
+    closed = 2.0 - 2.0 * t / (gamma(3.0 - alpha) * (4.0 - alpha))
+    assert np.max(np.abs(forcing(t) - closed)) <= 1e-14
+
+
+def _oracle_forcing(terms, n, a, alpha, kernel, t):
+    """f(t) of the manufactured problem in 30-digit arithmetic: power-rule
+    derivatives of sum q s^p and mpmath.quad for the kernel integral."""
+    m = math.ceil(alpha)
+    with mpmath.workdps(30):
+        alpha, t = mpmath.mpf(alpha), mpmath.mpf(t)
+        caputo = [(q * mpmath.gamma(p + 1) / mpmath.gamma(p - alpha + 1), p - alpha)
+                  for q, p in terms if not (p == int(p) and p < m)]
+        integral = mpmath.quad(
+            lambda s: kernel(t, s) * mpmath.fsum(c * s ** e for c, e in caputo), [0, 1])
+        classical = mpmath.fsum(a[i] * q * mpmath.ff(p, i) * t ** (p - i)
+                                for i in range(n + 1) for q, p in terms
+                                if not (p == int(p) and p < i))
+        return float(classical - integral)
+
+
+@pytest.mark.parametrize("terms, n, a, alpha, kernel, kernel_mp", [
+    # two fractional parts (3/4 and 1/4) in D^(1/4) exact
+    (((2.0, 4.0), (-1.0, 1.5), (0.5, 2.0)), 1, (0.0, 1.0), 0.25,
+     lambda t, s: t ** 2 * s ** 2, lambda t, s: t ** 2 * s ** 2),
+    # D^(3/2) t^1.2 carries s^(-0.3): a negative fractional part
+    (((1.0, 1.2), (1.0, 3.0)), 1, (0.0, 1.0), 1.5,
+     lambda t, s: 1.0 + t + 0.0 * s, lambda t, s: 1 + t),
+    (((1.0, 3.0), (0.3, 5.5), (0.1, 7.0)), 3, (1.0, 0.0, -1.0, 3.0), 2.7,
+     lambda t, s: np.exp(t - s), lambda t, s: mpmath.exp(t - s)),
+])
+def test_mms_forcing_matches_mpmath_oracle(terms, n, a, alpha, kernel, kernel_mp):
+    forcing = mms_forcing(MonomialSeries(terms), n, a, alpha, kernel)
+    for t in (0.05, 0.3, 0.7, 1.0):
+        expected = _oracle_forcing(terms, n, a, alpha, kernel_mp, t)
+        assert abs(forcing(t) - expected) <= 1e-13 * max(1.0, abs(expected)), f"t={t}"
+
+
+def test_mms_forcing_validates_kernel_s_power():
+    exact = MonomialSeries(((1.0, 1.0),))
+    for bad in (0, -1, 2.0, "2"):
+        with pytest.raises(ValueError, match=r"kernel_s_power must be an integer >= 1"):
+            mms_forcing(exact, 1, (0.0, 1.0), 0.5, _const_kernel(1.0), kernel_s_power=bad)
 
 
 def test_manufactured_polynomial_round_trips():
