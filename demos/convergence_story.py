@@ -30,6 +30,8 @@ def show(example_id: str, truncations):
     fit = report.fitted_decay
     if fit.kind == "stagnated":
         print("    fitted decay: stagnated")
+    elif fit.kind == "resolved":
+        print(f"    fitted decay: resolved at N={fit.resolved_at}")
     else:
         print(f"    fitted decay: {fit.kind}, rate {fit.rate:.4g}, R^2 {fit.r_squared:.6f}")
 

@@ -338,6 +338,8 @@ def cmd_convergence(args) -> int:
     fit = report.fitted_decay
     if fit.kind == "stagnated":
         print("fitted decay: stagnated", file=sys.stderr)
+    elif fit.kind == "resolved":
+        print(f"fitted decay: resolved at N={fit.resolved_at}", file=sys.stderr)
     else:
         print(f"fitted decay: {fit.kind} (rate {fit.rate:.6g}, "
               f"R^2 {fit.r_squared:.6g})", file=sys.stderr)

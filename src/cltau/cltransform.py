@@ -20,7 +20,6 @@ from .quadrature import chebyshev_gauss_rule, legendre_gauss_rule
 __all__ = [
     "TransformPair",
     "transform_pair",
-    "legendre_to_chebyshev",
     "chebyshev_to_legendre",
     "chebyshev_interpolate",
 ]
@@ -69,12 +68,6 @@ def transform_pair(n: int) -> TransformPair:
     a.flags.writeable = False
     b.flags.writeable = False
     return TransformPair(n=n, a=a, b=b)
-
-
-def legendre_to_chebyshev(series: LegendreSeries) -> ChebyshevSeries:
-    """Re-expand a shifted Legendre series in the shifted Chebyshev basis."""
-    pair = transform_pair(series.degree)
-    return ChebyshevSeries(pair.a @ series.coeffs)
 
 
 def chebyshev_to_legendre(series: ChebyshevSeries) -> LegendreSeries:

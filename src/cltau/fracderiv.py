@@ -29,7 +29,6 @@ __all__ = [
     "caputo_legendre_factors",
     "OperationalMatrix",
     "operational_matrix",
-    "apply_operational",
 ]
 
 _MATRIX_CACHE = 128
@@ -149,7 +148,8 @@ class OperationalMatrix:
     """entries[i, j]: coefficient of L_{1,j} in the projection of D^alpha L_{1,i}.
 
     Row i of `entries` expands the derivative of basis element i, so
-    coefficient vectors transform by entries.T (see apply_operational).
+    coefficient vectors transform by entries.T: entries.T @ c holds the
+    Legendre coefficients of the projected D^alpha of the series c.
     The first m rows are exactly zero.
     """
 
@@ -210,12 +210,3 @@ def operational_matrix(order, n: int) -> OperationalMatrix:
     order = _as_order(order)
     return OperationalMatrix(alpha=order.alpha, m=order.m, n=n,
                              entries=_operational_entries(order.alpha, n))
-
-
-def apply_operational(matrix: OperationalMatrix, coeffs) -> np.ndarray:
-    """Map Legendre coefficients of y to those of the projected D^alpha y."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (matrix.n + 1,):
-        raise ValueError(
-            f"coefficient vector of length {c.size} does not match truncation {matrix.n}")
-    return matrix.entries.T @ c

@@ -1,14 +1,12 @@
 """Shifted Legendre and shifted Chebyshev polynomials on [0, 1].
 
 Both families are the classical ones composed with t = 2x - 1.  Evaluation
-goes through the stable three-term recurrences; the closed monomial forms
-are kept in exact integer arithmetic for cross-checks and for the fractional
-calculus, which needs explicit powers of x.
+goes through the stable three-term recurrences.  MonomialSeries carries
+finite sums of real powers of x, which the fractional calculus needs
+explicitly.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -16,12 +14,8 @@ __all__ = [
     "LegendreSeries",
     "ChebyshevSeries",
     "MonomialSeries",
-    "eval_shifted_legendre",
-    "eval_shifted_chebyshev",
     "shifted_legendre_table",
     "shifted_chebyshev_table",
-    "monomial_form_legendre",
-    "monomial_form_chebyshev",
     "eval_series",
 ]
 
@@ -68,28 +62,14 @@ def shifted_chebyshev_table(n: int, x) -> np.ndarray:
     return table
 
 
-def eval_shifted_legendre(i: int, x):
-    """L_{1,i}(x) = P_i(2x - 1) by the three-term recurrence."""
-    i = _check_degree(i)
-    out = shifted_legendre_table(i, x)[i]
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_shifted_chebyshev(i: int, x):
-    """T_{1,i}(x) = T_i(2x - 1) by the three-term recurrence."""
-    i = _check_degree(i)
-    out = shifted_chebyshev_table(i, x)[i]
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class MonomialSeries:
     """Finite sum q_1 x^{p_1} + ... with real exponents p_k > -1.
 
     Coefficients may be Python ints (kept exact) or floats.  This is the
-    carrier for closed monomial forms and for Caputo derivatives of them,
-    whose exponents are genuinely non-integer (and may sit in (-1, 0),
-    an integrable singularity at x = 0).  Evaluation is one broadcast,
+    carrier for manufactured exact solutions and for Caputo derivatives of
+    them, whose exponents are genuinely non-integer (and may sit in
+    (-1, 0), an integrable singularity at x = 0).  Evaluation is one broadcast,
     x[..., None] ** p @ q, over float64 copies of the terms made once at
     construction; it keeps the shape of x and returns a float for a
     scalar.
@@ -114,42 +94,6 @@ class MonomialSeries:
         with np.errstate(divide="ignore"):
             out = (x[..., None] ** p) @ q
         return float(out) if out.ndim == 0 else out
-
-
-def monomial_form_legendre(i: int) -> MonomialSeries:
-    """Exact monomial expansion of L_{1,i}.
-
-    L_{1,i}(x) = sum_k (-1)^{i+k} (i+k)! / ((i-k)! (k!)^2) x^k.  Coefficients
-    are exact integers at every degree; note that evaluating the monomial
-    form in float64 loses accuracy past i ~ 30 (the coefficients exceed
-    2^53), so use eval_shifted_legendre for large degrees.
-    """
-    i = _check_degree(i)
-    terms = []
-    for k in range(i + 1):
-        c = (-1) ** (i + k) * (factorial(i + k) // (factorial(i - k) * factorial(k) ** 2))
-        terms.append((c, k))
-    return MonomialSeries(tuple(terms))
-
-
-def monomial_form_chebyshev(i: int) -> MonomialSeries:
-    """Exact monomial expansion of T_{1,i}.
-
-    T_{1,i}(x) = i * sum_k (-1)^{i-k} (i+k-1)! 4^k / ((i-k)! (2k)!) x^k for
-    i >= 1; T_{1,0} = 1.  Individual terms of the sum are not integers, so
-    they are accumulated as exact rationals and verified integral.
-    """
-    i = _check_degree(i)
-    if i == 0:
-        return MonomialSeries(((1, 0),))
-    terms = []
-    for k in range(i + 1):
-        c = (Fraction(i) * (-1) ** (i - k) * factorial(i + k - 1) * 4**k
-             / (factorial(i - k) * factorial(2 * k)))
-        if c.denominator != 1:
-            raise AssertionError(f"non-integer Chebyshev monomial coefficient at i={i}, k={k}")
-        terms.append((int(c), k))
-    return MonomialSeries(tuple(terms))
 
 
 def _check_coeffs(coeffs) -> np.ndarray:

@@ -27,10 +27,8 @@ _NEWTON_MAX_ITERS = 100
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """An (N+1)-point rule: family name, domain, strictly increasing nodes, positive weights."""
+    """An (N+1)-point rule on (0, 1): strictly increasing nodes, positive weights."""
 
-    family: str
-    domain: tuple[float, float]
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -39,12 +37,12 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        lo, hi = self.domain
-        if np.any(nodes <= lo) or np.any(nodes >= hi):
-            raise ValueError("quadrature nodes must lie strictly inside the domain")
-        if np.any(np.diff(nodes) <= 0):
+        # Each condition is written so that NaN fails it.
+        if not np.all((nodes > 0.0) & (nodes < 1.0)):
+            raise ValueError("quadrature nodes must lie strictly inside (0, 1)")
+        if not np.all(np.diff(nodes) > 0):
             raise ValueError("quadrature nodes must be strictly increasing")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):
             raise ValueError("quadrature weights must be positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -72,7 +70,7 @@ def chebyshev_gauss_rule(n: int) -> QuadratureRule:
     nodes = -np.cos((2 * j + 1) * np.pi / (2 * n + 2))
     nodes = (nodes - nodes[::-1]) / 2.0  # enforce exact antisymmetry (exact 0 mid-node)
     weights = np.full(n + 1, np.pi / (n + 1))
-    rule = QuadratureRule("chebyshev_gauss", (0.0, 1.0), (nodes + 1.0) / 2.0, weights)
+    rule = QuadratureRule((nodes + 1.0) / 2.0, weights)
     rule.nodes.flags.writeable = False
     rule.weights.flags.writeable = False
     return rule
@@ -116,7 +114,7 @@ def legendre_gauss_rule(n: int) -> QuadratureRule:
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     x, w = x[order], w[order]
-    rule = QuadratureRule("legendre_gauss", (0.0, 1.0), (x + 1.0) / 2.0, w / 2.0)
+    rule = QuadratureRule((x + 1.0) / 2.0, w / 2.0)
     rule.nodes.flags.writeable = False
     rule.weights.flags.writeable = False
     return rule
@@ -143,5 +141,5 @@ def jacobi_gauss_rule(n: int, exponent: float) -> QuadratureRule:
     jacobi = np.diag((1.0 + diag) / 2.0) + np.diag(off / 2.0, 1) + np.diag(off / 2.0, -1)
     nodes, vectors = np.linalg.eigh(jacobi)
     weights = vectors[0] ** 2 / (b + 1.0)
-    return QuadratureRule("jacobi_gauss", (0.0, 1.0), nodes, weights)
+    return QuadratureRule(nodes, weights)
 

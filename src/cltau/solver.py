@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cltransform import chebyshev_interpolate, transform_pair
+from .cltransform import chebyshev_interpolate, chebyshev_to_legendre
 from .fracderiv import (CaputoOrder, _as_order, caputo_apply, caputo_legendre_factors, gamma,
                         operational_matrix)
 from .orthopoly import LegendreSeries, MonomialSeries, shifted_legendre_table
@@ -39,12 +39,10 @@ from .quadrature import jacobi_gauss_rule, legendre_gauss_rule
 __all__ = [
     "SolverError",
     "FIDEProblem",
-    "KernelMoments",
     "SpectralSolution",
     "ConvergenceEntry",
     "DecayFit",
     "ConvergenceReport",
-    "kernel_moments",
     "fredholm_block",
     "forcing_coeffs",
     "assemble_system",
@@ -64,6 +62,8 @@ __all__ = [
 _PIVOT_RTOL = 1e-14
 _RESIDUAL_RTOL = 1e-10
 _ERROR_RULE_POINTS = 128
+_KERNEL_EXTRA_POINTS = 16
+_MMS_QUAD_POINTS = 64
 _MAX_ERROR_POINTS = 101
 _ERROR_FLOOR = 1e-12
 _FIT_R2_MIN = 0.98
@@ -120,20 +120,6 @@ class FIDEProblem:
 
 
 @dataclass(frozen=True)
-class KernelMoments:
-    """entries[l, r] = (2r+1) * double integral of k(x, s) L_{1,l}(s)
-    L_{1,r}(x): the L_{1,r}-coefficient of the Legendre projection of
-    x -> integral_0^1 k(x, s) L_{1,l}(s) ds."""
-
-    truncation: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("non-finite kernel moment")
-
-
-@dataclass(frozen=True)
 class SpectralSolution:
     """Computed Legendre coefficients plus the 1-norm condition number of
     the assembled system."""
@@ -167,21 +153,26 @@ class DecayFit:
     """Decay classification of an error sequence.
 
     kind is "exponential" (log error linear in the truncation),
-    "algebraic" (log error linear in log truncation) or "stagnated"
-    (fewer than three errors above the 1e-12 floor, or neither fit
-    reaches R^2 >= 0.98 with negative slope).  rate is the positive
-    decay rate of the accepted fit, None when stagnated.
+    "algebraic" (log error linear in log truncation), "resolved" (fewer
+    than three errors above the 1e-12 floor, and every solved error from
+    truncation resolved_at on below it) or "stagnated" (a failed fit: too
+    few errors above the floor without a resolved tail, or neither fit
+    reaching R^2 >= 0.98 with negative slope).  rate is the positive decay
+    rate of the accepted fit, None for the other two kinds.
     """
 
     kind: str
     rate: float | None
     r_squared: float | None
+    resolved_at: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "algebraic", "stagnated"):
+        if self.kind not in ("exponential", "algebraic", "resolved", "stagnated"):
             raise ValueError(f"unknown decay kind {self.kind!r}")
-        if (self.rate is None) != (self.kind == "stagnated"):
+        if (self.rate is None) != (self.kind in ("resolved", "stagnated")):
             raise ValueError("rate must be present exactly for fitted kinds")
+        if (self.resolved_at is not None) != (self.kind == "resolved"):
+            raise ValueError("resolved_at must be present exactly for the resolved kind")
 
 
 @dataclass(frozen=True)
@@ -235,22 +226,12 @@ def _kernel_grid(kernel: Callable, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_quad_points(truncation: int, quad_points: int | None) -> int:
-    if quad_points is None:
-        return truncation + 16
-    if not isinstance(quad_points, (int, np.integer)) or quad_points <= truncation:
-        raise ValueError(
-            f"need an integer number of quadrature points above {truncation}, got {quad_points!r}")
-    return int(quad_points)
-
-
 @lru_cache(maxsize=_TABLE_CACHE)
-def _outer_projection(truncation: int,
-                      quad_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _outer_projection(truncation: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes x, weighted table w_x L_{1,r}(x) (indexed [x, r]) and the scale
-    2r + 1 of the quad_points shifted Legendre-Gauss projection onto degrees
-    0..truncation; cached, read-only."""
-    rule = legendre_gauss_rule(quad_points - 1)
+    2r + 1 of the (truncation + 16)-point shifted Legendre-Gauss projection
+    onto degrees 0..truncation; cached, read-only."""
+    rule = legendre_gauss_rule(truncation + _KERNEL_EXTRA_POINTS - 1)
     weighted = rule.weights[:, None] * shifted_legendre_table(truncation, rule.nodes).T
     scale = 2.0 * np.arange(truncation + 1) + 1.0
     weighted.flags.writeable = False
@@ -258,77 +239,52 @@ def _outer_projection(truncation: int,
     return rule.nodes, weighted, scale
 
 
-def _project_kernel(kernel: Callable, truncation: int, quad_points: int,
-                    s: np.ndarray, s_table: np.ndarray) -> np.ndarray:
-    """entries[l, r] = (2r+1) sum_x w_x L_{1,r}(x) sum_q k(x, s_q) s_table[l, q],
-    x by the quad_points shifted Legendre-Gauss rule.  The outer nodes and
-    weighted Legendre table come from a bounded cache keyed on
-    (truncation, quad_points), so only the kernel is evaluated per call."""
-    x, weighted, scale = _outer_projection(truncation, quad_points)
-    inner = _kernel_grid(kernel, x, s) @ s_table.T
-    entries = (inner.T @ weighted) * scale[None, :]
-    entries.flags.writeable = False
-    return entries
-
-
-def kernel_moments(kernel: Callable, truncation: int,
-                   quad_points: int | None = None, s_power: int = 1) -> KernelMoments:
-    """Project x -> integral_0^1 k(x, s) L_{1,l}(s) ds onto the Legendre basis.
-
-    entries[l, r] = (2r+1) * double integral of k(x, s) L_{1,l}(s) L_{1,r}(x),
-    with quad_points points (default truncation + 16): in s by _singular_rule
-    with phi = 0, in x by the shifted Legendre-Gauss rule.  Exact for kernels
-    polynomial of degree <= truncation in x and polynomial in s**(1/s_power).
-    """
-    truncation = _check_truncation(truncation)
-    quad_points = _check_quad_points(truncation, quad_points)
-    s, ws = _singular_rule(quad_points, 0.0, s_power)
-    s_table = ws * shifted_legendre_table(truncation, s)
-    return KernelMoments(truncation, _project_kernel(kernel, truncation, quad_points, s, s_table))
-
-
 @lru_cache(maxsize=_TABLE_CACHE)
-def _caputo_quadrature(alpha: float, s_power: int, truncation: int,
-                       quad_points: int) -> tuple[np.ndarray, np.ndarray]:
+def _caputo_quadrature(alpha: float, s_power: int,
+                       truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s_q and table[j, q] with sum_q h(s_q) table[j, q] =
     integral_0^1 h(s) D^alpha L_{1,j}(s) ds.
 
     D^alpha L_{1,j}(s) = s^mu g_j(s) with mu = m - alpha and g_j a
-    polynomial, so the table is the weights of _singular_rule for phi = mu
-    times g_j: exact whenever h(v**s_power) is polynomial in
-    v = s**(1/s_power) of degree <= 2 quad_points - 1 - s_power (truncation - m).
+    polynomial, so the table is the weights of the (truncation + 16)-point
+    _singular_rule for phi = mu times g_j: exact whenever h(v**s_power) is
+    polynomial in v = s**(1/s_power) of degree
+    <= 2 (truncation + 16) - 1 - s_power (truncation - m).
     """
     order = CaputoOrder(alpha)
-    s, weights = _singular_rule(quad_points, order.m - order.alpha, s_power)
+    s, weights = _singular_rule(truncation + _KERNEL_EXTRA_POINTS, order.m - order.alpha,
+                                s_power)
     table = caputo_legendre_factors(order, truncation, s) * weights
     table.flags.writeable = False
     return s, table
 
 
-def fredholm_block(kernel: Callable, order, truncation: int,
-                   quad_points: int | None = None, s_power: int = 1) -> np.ndarray:
+def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -> np.ndarray:
     """Kernel term of the tau system: the Legendre projection of
     x -> integral_0^1 k(x, s) D^alpha L_{1,j}(s) ds.
 
     block[j, r] = (2r+1) * double integral of k(x, s) D^alpha L_{1,j}(s)
     L_{1,r}(x), with D^alpha L_{1,j} itself (not its projection onto
-    degree <= truncation) under the integral.  The inner integral is a
-    quad_points Jacobi-Gauss rule whose weight carries the s^(m - alpha)
-    factor of D^alpha L_{1,j} and the substitution s = v**s_power; the
-    outer one a shifted Legendre-Gauss rule (quad_points defaults to
-    truncation + 16).  Exact for kernels polynomial in x and in
-    v = s**(1/s_power).  Where the kernel is polynomial of degree
-    <= truncation in s, this equals
-    operational_matrix(order, truncation).entries @ kernel_moments(...).entries.
-    The weighted basis table is cached per (alpha, s_power, truncation,
-    quad_points), and the outer nodes and weighted Legendre table per
-    (truncation, quad_points), in bounded caches of read-only arrays, so a
-    repeated call evaluates only the kernel.
+    degree <= truncation) under the integral.  Both integrals take
+    truncation + 16 points: the inner one a Jacobi-Gauss rule whose weight
+    carries the s^(m - alpha) factor of D^alpha L_{1,j} and the
+    substitution s = v**s_power, the outer one a shifted Legendre-Gauss
+    rule.  Exact for kernels polynomial in x and in v = s**(1/s_power).
+    Where the kernel is polynomial of degree <= truncation in s, this
+    equals the operational matrix times the Legendre kernel moments, since
+    projecting D^alpha L_{1,j} onto degree <= truncation is then free.
+    The weighted basis table is cached per (alpha, s_power, truncation),
+    and the outer nodes and weighted Legendre table per truncation, in
+    bounded caches of read-only arrays, so a repeated call evaluates only
+    the kernel.
     """
     truncation = _check_truncation(truncation)
-    quad_points = _check_quad_points(truncation, quad_points)
-    s, table = _caputo_quadrature(_as_order(order).alpha, s_power, truncation, quad_points)
-    return _project_kernel(kernel, truncation, quad_points, s, table)
+    s, table = _caputo_quadrature(_as_order(order).alpha, s_power, truncation)
+    x, weighted, scale = _outer_projection(truncation)
+    inner = _kernel_grid(kernel, x, s) @ table.T
+    block = (inner.T @ weighted) * scale[None, :]
+    block.flags.writeable = False
+    return block
 
 
 def forcing_coeffs(forcing: Callable, truncation: int) -> np.ndarray:
@@ -339,9 +295,7 @@ def forcing_coeffs(forcing: Callable, truncation: int) -> np.ndarray:
     norms 2k + 1.
     """
     truncation = _check_truncation(truncation)
-    interp = chebyshev_interpolate(forcing, truncation)
-    pair = transform_pair(truncation)
-    leg = pair.b @ interp.coeffs
+    leg = chebyshev_to_legendre(chebyshev_interpolate(forcing, truncation)).coeffs
     return leg / (2.0 * np.arange(truncation + 1) + 1.0)
 
 
@@ -355,8 +309,7 @@ def _initial_condition_rows(n: int, truncation: int) -> np.ndarray:
     return rows
 
 
-def assemble_system(problem: FIDEProblem, truncation: int,
-                    quad_points: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense tau system (matrix, rhs) for the given truncation.
 
     Rows 0..truncation - n test the equation against L_{1,k} (each divided
@@ -382,7 +335,7 @@ def assemble_system(problem: FIDEProblem, truncation: int,
                     raise ValueError(
                         f"derivative coefficient a_{i} = {coeff!r} makes the tau system "
                         f"non-finite at truncation {truncation}")
-    core = core - fredholm_block(problem.kernel, problem.order, truncation, quad_points,
+    core = core - fredholm_block(problem.kernel, problem.order, truncation,
                                  problem.kernel_s_power)
     norms = 2.0 * np.arange(size) + 1.0
     galerkin_rows = truncation - problem.n + 1
@@ -411,8 +364,7 @@ def _smallest_pivot(matrix: np.ndarray) -> float:
     return smallest
 
 
-def solve_fide(problem: FIDEProblem, truncation: int,
-               quad_points: int | None = None) -> SpectralSolution:
+def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
     """Assemble and solve the tau system by dense LU with partial pivoting
     (LAPACK gesv through numpy.linalg.solve).
 
@@ -427,7 +379,7 @@ def solve_fide(problem: FIDEProblem, truncation: int,
     eliminate explicitly to decide.  condition_estimate is
     ||A||_1 * ||A^-1||_1, the value of numpy.linalg.cond(A, 1).
     """
-    matrix, rhs = assemble_system(problem, truncation, quad_points)
+    matrix, rhs = assemble_system(problem, truncation)
     scale = float(np.max(np.abs(matrix)))
     if not (math.isfinite(scale) and np.all(np.isfinite(rhs))):
         raise ValueError(f"tau system has non-finite entries at truncation {truncation}")
@@ -461,14 +413,14 @@ def solve_fide(problem: FIDEProblem, truncation: int,
 
 
 def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
-                quad_points: int = 64, kernel_s_power: int = 1) -> Callable:
+                kernel_s_power: int = 1) -> Callable:
     """Forcing that makes `exact` solve the problem (manufactured solution).
 
     f(t) = sum_i a_i (d/dt)^i exact(t) - integral_0^1 k(t, s) D^alpha exact(s) ds.
     All derivatives are applied termwise by the Caputo power rule.  The terms
     of D^alpha exact are grouped by the fractional part phi of their
     exponents (phi < 0 for an exponent in (-1, 0)); each group, s^phi times a
-    polynomial, gets the quad_points rule of _singular_rule under
+    polynomial, gets the 64-point rule of _singular_rule under
     s = v**kernel_s_power (pass FIDEProblem.kernel_s_power), so the forcing
     is exact at every alpha for kernels polynomial in s**(1/kernel_s_power).
     """
@@ -495,7 +447,7 @@ def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
         groups.setdefault(phi, []).append((q, p - phi))
     s, weighted = np.empty(0), np.empty(0)
     for phi, terms in groups.items():
-        nodes, weights = _singular_rule(quad_points, phi, kernel_s_power)
+        nodes, weights = _singular_rule(_MMS_QUAD_POINTS, phi, kernel_s_power)
         s = np.concatenate((s, nodes))
         weighted = np.concatenate((weighted, weights * MonomialSeries(tuple(terms))(nodes)))
 
@@ -724,11 +676,11 @@ def l2_error(solution, exact: Callable) -> float:
     return math.sqrt(max(float(np.sum(rule.weights * diff * diff)), 0.0))
 
 
-def max_error(solution, exact: Callable, points: int = _MAX_ERROR_POINTS) -> float:
-    """Largest absolute deviation on an equispaced grid including both
-    endpoints (101 points by default)."""
+def max_error(solution, exact: Callable) -> float:
+    """Largest absolute deviation on the 101-point equispaced grid that
+    includes both endpoints."""
     series = _as_series(solution)
-    grid = np.linspace(0.0, 1.0, points)
+    grid = np.linspace(0.0, 1.0, _MAX_ERROR_POINTS)
     return float(np.max(np.abs(series(grid) - np.asarray(exact(grid), dtype=float))))
 
 
@@ -745,12 +697,11 @@ def initial_condition_residuals(problem: FIDEProblem, solution) -> np.ndarray:
     return residuals
 
 
-def tau_residuals(problem: FIDEProblem, solution,
-                  quad_points: int | None = None) -> np.ndarray:
+def tau_residuals(problem: FIDEProblem, solution) -> np.ndarray:
     """Absolute Galerkin-row residuals of the solution, re-assembled from
     scratch (independent of any factorization used to compute it)."""
     series = _as_series(solution)
-    matrix, rhs = assemble_system(problem, series.degree, quad_points)
+    matrix, rhs = assemble_system(problem, series.degree)
     rows = series.degree - problem.n + 1
     return np.abs(matrix[:rows, :] @ series.coeffs - rhs[:rows])
 
@@ -769,6 +720,10 @@ def _fit_decay(entries: tuple[ConvergenceEntry, ...]) -> DecayFit:
     solved = [(e.truncation, e.l2_error) for e in entries if e.l2_error is not None]
     live = [(n, err) for n, err in solved if err >= _ERROR_FLOOR]
     if len(live) < 3:
+        if solved and solved[-1][1] < _ERROR_FLOOR:
+            last_live = live[-1][0] if live else -1
+            resolved_at = next(n for n, _ in solved if n > last_live)
+            return DecayFit("resolved", None, None, resolved_at)
         return DecayFit("stagnated", None, None)
     ns = np.array([n for n, _ in live], dtype=float)
     log_err = np.log(np.array([err for _, err in live]))
@@ -781,14 +736,15 @@ def _fit_decay(entries: tuple[ConvergenceEntry, ...]) -> DecayFit:
     return DecayFit("stagnated", None, None)
 
 
-def convergence_study(problem: FIDEProblem, exact: Callable, truncations,
-                      quad_points: int | None = None) -> ConvergenceReport:
+def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> ConvergenceReport:
     """Solve at each truncation, record L2 and max errors against `exact`,
     and classify the decay of the L2 errors.
 
     Solver failures at individual truncations are recorded on their
     entries without aborting the sweep.  Errors below 1e-12 are treated
-    as the machine floor and excluded from the decay fit.
+    as the machine floor and excluded from the decay fit; a sweep that
+    sinks below the floor before three errors lie above it is "resolved"
+    (see DecayFit).
     """
     ns = [_check_truncation(n) for n in truncations]
     if not ns:
@@ -800,7 +756,7 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations,
     entries = []
     for n in ns:
         try:
-            sol = solve_fide(problem, n, quad_points)
+            sol = solve_fide(problem, n)
         except SolverError as exc:
             entries.append(ConvergenceEntry(n, None, None, str(exc)))
             continue

@@ -260,6 +260,15 @@ def test_convergence_writes_csv_and_fit(capsys, tmp_path):
     assert "fitted decay: algebraic" in stderr
 
 
+def test_convergence_reports_resolved_sweep(capsys):
+    # 5.4 sits below the 1e-12 floor from N = 12 on, with only N = 4 and 8
+    # above it: too few errors to fit, and the sweep is resolved.
+    code, _, stderr = _run(capsys, ["convergence", "--example", "5.4",
+                                    "--N-sweep", "4:64:4"])
+    assert code == 0
+    assert "fitted decay: resolved at N=12" in stderr
+
+
 def test_convergence_uses_config_sweep(capsys, tmp_path):
     payload = dict(_MMS_CONFIG)
     payload["N_sweep"] = {"from": 4, "to": 8, "step": 2}

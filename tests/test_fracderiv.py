@@ -16,16 +16,17 @@ import mpmath
 import numpy as np
 import pytest
 
+from test_orthopoly import monomial_form_legendre
+
 from cltau.fracderiv import (
     CaputoOrder,
-    apply_operational,
     caputo_apply,
     caputo_legendre_factors,
     caputo_power_rule,
     gamma,
     operational_matrix,
 )
-from cltau.orthopoly import MonomialSeries, monomial_form_legendre, shifted_legendre_table
+from cltau.orthopoly import MonomialSeries, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -256,9 +257,9 @@ def test_caputo_legendre_factors_match_power_rule(alpha):
             assert np.max(np.abs(factors[j] - expected)) <= 1e-14 * scale, f"j={j}"
 
 
-def test_apply_operational_projects_derivative():
-    # y = 14x has Legendre coefficients (7, 7, 0, ...); apply_operational
-    # must return the exact projection coefficients of D^(1/2) y =
+def test_operational_matrix_transpose_projects_derivative():
+    # y = 14x has Legendre coefficients (7, 7, 0, ...); entries.T times them
+    # must give the exact projection coefficients of D^(1/2) y =
     # (28 / sqrt pi) sqrt(x), whose closed form uses the beta integral
     # int x^(1/2) L_j = Gamma(3/2)^2 / (Gamma(3/2 - j) Gamma(j + 5/2)).
     n = 6
@@ -266,7 +267,7 @@ def test_apply_operational_projects_derivative():
     coeffs = np.zeros(n + 1)
     coeffs[0] = 7.0
     coeffs[1] = 7.0
-    result = apply_operational(matrix, coeffs)
+    result = matrix.entries.T @ coeffs
     g = math.gamma
     scale = 28.0 / _SQRT_PI
     for j in range(n + 1):

@@ -1,6 +1,11 @@
-"""Shifted Legendre/Chebyshev tables, closed monomial forms, and series
-evaluation, checked against hand-expanded low-degree polynomials, endpoint
-identities, and quadrature orthogonality."""
+"""Shifted Legendre/Chebyshev tables and series evaluation, checked against
+hand-expanded low-degree polynomials, exact closed monomial forms, endpoint
+identities, and quadrature orthogonality.  The closed monomial forms are
+test oracles (the fracderiv and solver tests use them too); the package
+itself never expands a basis polynomial in monomials."""
+
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -10,10 +15,6 @@ from cltau.orthopoly import (
     LegendreSeries,
     MonomialSeries,
     eval_series,
-    eval_shifted_chebyshev,
-    eval_shifted_legendre,
-    monomial_form_chebyshev,
-    monomial_form_legendre,
     shifted_chebyshev_table,
     shifted_legendre_table,
 )
@@ -38,6 +39,40 @@ _CHEBYSHEV_LOW = {
 
 def _poly(coeffs, x):
     return sum(c * x ** k for k, c in enumerate(coeffs))
+
+
+def monomial_form_legendre(i: int) -> MonomialSeries:
+    """Exact monomial expansion of L_{1,i}.
+
+    L_{1,i}(x) = sum_k (-1)^{i+k} (i+k)! / ((i-k)! (k!)^2) x^k.  Coefficients
+    are exact integers at every degree; note that evaluating the monomial
+    form in float64 loses accuracy past i ~ 30 (the coefficients exceed
+    2^53), so use shifted_legendre_table for large degrees.
+    """
+    terms = []
+    for k in range(i + 1):
+        c = (-1) ** (i + k) * (factorial(i + k) // (factorial(i - k) * factorial(k) ** 2))
+        terms.append((c, k))
+    return MonomialSeries(tuple(terms))
+
+
+def monomial_form_chebyshev(i: int) -> MonomialSeries:
+    """Exact monomial expansion of T_{1,i}.
+
+    T_{1,i}(x) = i * sum_k (-1)^{i-k} (i+k-1)! 4^k / ((i-k)! (2k)!) x^k for
+    i >= 1; T_{1,0} = 1.  Individual terms of the sum are not integers, so
+    they are accumulated as exact rationals and verified integral.
+    """
+    if i == 0:
+        return MonomialSeries(((1, 0),))
+    terms = []
+    for k in range(i + 1):
+        c = (Fraction(i) * (-1) ** (i - k) * factorial(i + k - 1) * 4**k
+             / (factorial(i - k) * factorial(2 * k)))
+        if c.denominator != 1:
+            raise AssertionError(f"non-integer Chebyshev monomial coefficient at i={i}, k={k}")
+        terms.append((int(c), k))
+    return MonomialSeries(tuple(terms))
 
 
 def test_legendre_table_matches_hand_expansions():
@@ -97,9 +132,9 @@ def test_single_index_evaluators_match_tables():
     leg = shifted_legendre_table(6, x)
     cheb = shifted_chebyshev_table(6, x)
     for i in range(7):
-        assert np.allclose(eval_shifted_legendre(i, x), leg[i], rtol=0, atol=0)
-        assert np.allclose(eval_shifted_chebyshev(i, x), cheb[i], rtol=0, atol=0)
-    assert eval_shifted_legendre(2, 0.5) == pytest.approx(-0.5, abs=1e-15)
+        assert np.allclose(shifted_legendre_table(i, x)[i], leg[i], rtol=0, atol=0)
+        assert np.allclose(shifted_chebyshev_table(i, x)[i], cheb[i], rtol=0, atol=0)
+    assert shifted_legendre_table(2, 0.5)[2] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_legendre_orthogonality():

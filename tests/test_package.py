@@ -1,7 +1,9 @@
-"""Package-wide properties: every cache is bounded, and numpy is the only
-runtime dependency: the package imports without mpmath and solves without
-scipy (both test-only dependencies)."""
+"""Package-wide properties: every cache is bounded, every exported name is
+used by the package or a demo, and numpy is the only runtime dependency:
+the package imports without mpmath and solves without scipy (both
+test-only dependencies)."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -27,6 +29,25 @@ def test_every_lru_cache_is_bounded():
             "solver._singular_rule"} <= set(cached)
     unbounded = [name for name, maxsize in cached.items() if maxsize is None]
     assert not unbounded
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # A name in a module's __all__ must be loaded, read as an attribute or
+    # imported by name somewhere in the package or the demos; a name only
+    # the tests call belongs in the tests.
+    root = Path(cltau.__file__).resolve().parent
+    used = set()
+    for path in [*root.glob("*.py"), *(root.parent.parent / "demos").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [f"{name}.{attr}" for name in _MODULES
+              for attr in importlib.import_module(f"cltau.{name}").__all__ if attr not in used]
+    assert not unused
 
 
 def _run_fresh(code: str) -> subprocess.CompletedProcess:

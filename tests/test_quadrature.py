@@ -21,7 +21,7 @@ def test_legendre_nodes_match_numpy(n):
     # on [-1, 1] by eigenvalue methods; mapped to (0, 1) it is ours.
     rule = legendre_gauss_rule(n)
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n + 1)
-    assert rule.domain == (0.0, 1.0)
+    assert 0.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
     assert np.allclose(rule.nodes, (ref_nodes + 1.0) / 2.0, rtol=0, atol=1e-14)
     assert np.allclose(rule.weights, ref_weights / 2.0, rtol=0, atol=5e-14)
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
@@ -37,7 +37,12 @@ def test_rule_structure():
     with pytest.raises(ValueError):
         legendre_gauss_rule(-1)
     with pytest.raises(ValueError):
-        QuadratureRule("legendre", (0.0, 1.0), np.array([0.5, 0.25]), np.array([0.5, 0.5]))
+        QuadratureRule(np.array([0.5, 0.25]), np.array([0.5, 0.5]))
+    for nodes, weights in (([0.25, 0.5], [1.0]), ([0.0, 0.5], [0.5, 0.5]),
+                           ([0.5, 1.0], [0.5, 0.5]), ([0.25, 0.5], [0.5, 0.0]),
+                           ([0.25, np.nan], [0.5, 0.5]), ([0.25, 0.5], [np.nan, 0.5])):
+        with pytest.raises(ValueError):
+            QuadratureRule(np.array(nodes), np.array(weights))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -66,7 +71,7 @@ def test_jacobi_rule_exactness(n, exponent):
     # The (n+1)-point rule for the weight x^b integrates x^b x^k exactly,
     # 1/(b + k + 1), through k = 2n + 1, and misses degree 2n + 2.
     rule = jacobi_gauss_rule(n, exponent)
-    assert rule.domain == (0.0, 1.0) and rule.npoints == n + 1
+    assert 0.0 < rule.nodes[0] and rule.nodes[-1] < 1.0 and rule.npoints == n + 1
     for k in range(2 * n + 2):
         exact = 1.0 / (exponent + k + 1)
         approx = float(np.sum(rule.weights * rule.nodes ** k))
@@ -94,7 +99,7 @@ def test_chebyshev_rule_closed_forms():
     rule = chebyshev_gauss_rule(n)
     k = np.arange(n + 1)
     expected = np.cos((2.0 * k + 1.0) * np.pi / (2.0 * n + 2.0))
-    assert rule.domain == (0.0, 1.0)
+    assert 0.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
     assert np.allclose(rule.nodes, 0.5 * (np.sort(expected) + 1.0), rtol=0, atol=1e-15)
     assert np.allclose(rule.weights, np.pi / (n + 1.0), rtol=0, atol=1e-15)
 

@@ -6,17 +6,21 @@ reference, including both ways the pivot gate is decided."""
 
 import math
 import sys
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
+from test_orthopoly import monomial_form_legendre
+
 from cltau import cltransform, orthopoly, solver
 from cltau.fracderiv import gamma, operational_matrix
-from cltau.orthopoly import MonomialSeries, monomial_form_legendre, shifted_legendre_table
+from cltau.orthopoly import MonomialSeries, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
 from cltau.solver import (
+    DecayFit,
     FIDEProblem,
     SolverError,
     assemble_system,
@@ -27,7 +31,6 @@ from cltau.solver import (
     forcing_coeffs,
     fredholm_block,
     initial_condition_residuals,
-    kernel_moments,
     l2_error,
     max_error,
     mms_forcing,
@@ -47,6 +50,34 @@ def _zero_forcing(t):
 
 
 # ---------------------------------------------------------------- moments
+
+@dataclass(frozen=True)
+class KernelMoments:
+    """entries[l, r] = (2r+1) * double integral of k(x, s) L_{1,l}(s)
+    L_{1,r}(x): the L_{1,r}-coefficient of the Legendre projection of
+    x -> integral_0^1 k(x, s) L_{1,l}(s) ds."""
+
+    truncation: int
+    entries: np.ndarray
+
+
+def kernel_moments(kernel, truncation: int, quad_points: int | None = None,
+                   s_power: int = 1) -> KernelMoments:
+    """Reference for the kernel term: project x -> integral_0^1 k(x, s)
+    L_{1,l}(s) ds onto the Legendre basis with quad_points points (default
+    truncation + 16), in s by the package's singular rule with phi = 0, in x
+    by the shifted Legendre-Gauss rule.  Exact for kernels polynomial of
+    degree <= truncation in x and polynomial in s**(1/s_power)."""
+    quad_points = truncation + 16 if quad_points is None else quad_points
+    s, ws = solver._singular_rule(quad_points, 0.0, s_power)
+    rule = legendre_gauss_rule(quad_points - 1)
+    weighted = rule.weights[:, None] * shifted_legendre_table(truncation, rule.nodes).T
+    samples = np.broadcast_to(kernel(rule.nodes[:, None], s[None, :]), (rule.npoints, s.size))
+    inner = samples @ (ws * shifted_legendre_table(truncation, s)).T
+    entries = (inner.T @ weighted) * (2.0 * np.arange(truncation + 1) + 1.0)
+    entries.flags.writeable = False
+    return KernelMoments(truncation, entries)
+
 
 def test_kernel_moments_product_kernel_closed_form():
     # k(x, s) = x s separates: entries[l, r] = (2r+1) (int s L_l)(int x L_r),
@@ -86,11 +117,9 @@ def test_kernel_moments_s_power_substitution():
     assert 1e-8 < worst < 1e-4
 
 
-def test_kernel_moments_validation():
-    with pytest.raises(ValueError):
-        kernel_moments(lambda t, s: t * s, 4, quad_points=3)
-    with pytest.raises(ValueError):
-        kernel_moments(lambda t, s: np.full(np.broadcast(t, s).shape, np.nan), 2)
+def test_fredholm_block_rejects_non_finite_kernel():
+    with pytest.raises(ValueError, match="non-finite kernel"):
+        fredholm_block(lambda t, s: np.full(np.broadcast(t, s).shape, np.nan), 0.5, 2)
 
 
 @pytest.mark.parametrize("truncation", [4, 8, 16])
@@ -124,8 +153,6 @@ def test_fredholm_block_sqrt_kernel_closed_form():
     assert np.allclose(block[:, 1:], 0.0, rtol=0, atol=1e-11)
     with pytest.raises(ValueError):
         block[0, 0] = 1.0  # frozen buffer
-    with pytest.raises(ValueError):
-        fredholm_block(lambda t, s: t * s, 0.5, 4, quad_points=4)
 
 
 @pytest.mark.parametrize("s_power", [1, 2, 3])
@@ -456,14 +483,33 @@ def test_convergence_study_exponential_classification():
     assert fit.rate == pytest.approx(3.7863, rel=1e-3)
 
 
-def test_convergence_study_stagnates_below_floor():
-    # The first problem is exact at every truncation, so all errors sit at
-    # the 1e-12 floor and no decay fit is attempted.
+def test_convergence_study_resolved_below_floor():
+    # The first problem is exact at every truncation, so all errors sit
+    # below the 1e-12 floor: no decay fit is attempted, and the sweep is
+    # resolved from its first truncation on.
     ex = builtin_example("5.1")
     report = convergence_study(ex.problem, ex.exact, [1, 2, 3, 4, 5, 6])
-    assert report.fitted_decay.kind == "stagnated"
+    assert report.fitted_decay.kind == "resolved"
+    assert report.fitted_decay.resolved_at == 1
     assert report.fitted_decay.rate is None
     assert max(entry.l2_error for entry in report.entries) <= 1e-12
+
+
+def test_decay_fit_resolved_from_the_last_error_above_floor():
+    def fit(errors):
+        return solver._fit_decay(tuple(
+            solver.ConvergenceEntry(n, err, err, None if err is not None else "failed")
+            for n, err in zip((4, 8, 12, 16, 20), errors)))
+
+    assert fit((1e-3, 1e-8, 1e-14, None, 1e-15)) == DecayFit("resolved", None, None, 12)
+    # A dip below the floor that does not last is not resolution.
+    assert fit((1e-13, 1e-8, 1e-14, 1e-15, 1e-15)).resolved_at == 12
+    assert fit((1e-14, 1e-15, 1e-14, 1e-15, 1e-6)).kind == "stagnated"
+    assert fit((None,) * 5).kind == "stagnated"
+    for bad in (("resolved", None, None, None), ("resolved", 1.0, 0.99, 12),
+                ("exponential", 1.0, 0.99, 12), ("stagnated", None, None, 4)):
+        with pytest.raises(ValueError):
+            DecayFit(*bad)
 
 
 def test_convergence_study_records_failures():
@@ -654,20 +700,21 @@ def _count_table_calls(monkeypatch):
 
 def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
     problem = builtin_example("5.4").problem
-    for cache in (solver._outer_projection, solver._initial_condition_rows,
-                  cltransform._interpolation_table):
+    for cache in (solver._outer_projection, solver._caputo_quadrature,
+                  solver._initial_condition_rows, cltransform._interpolation_table):
         cache.cache_clear()
     calls = _count_table_calls(monkeypatch)
-    cold = solve_fide(problem, 24, quad_points=43)
+    cold = solve_fide(problem, 24)
     assert calls["shifted_legendre_table"] > 0 and calls["shifted_chebyshev_table"] > 0
     calls.update(dict.fromkeys(calls, 0))
-    warm = solve_fide(problem, 24, quad_points=43)
+    warm = solve_fide(problem, 24)
     assert calls == {"shifted_legendre_table": 0, "shifted_chebyshev_table": 0}
     np.testing.assert_array_equal(warm.coeffs.coeffs, cold.coeffs.coeffs)
 
 
 def test_cached_tables_are_read_only():
-    arrays = (list(solver._outer_projection(12, 28)) + [solver._initial_condition_rows(3, 12)]
+    arrays = (list(solver._outer_projection(12)) + list(solver._caputo_quadrature(0.5, 1, 12))
+              + [solver._initial_condition_rows(3, 12)]
               + list(cltransform._interpolation_table(12)))
     for array in arrays:
         with pytest.raises(ValueError):
