@@ -13,14 +13,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthopoly import (ChebyshevSeries, LegendreSeries, shifted_chebyshev_table,
-                        shifted_legendre_table)
+from .orthopoly import ChebyshevSeries, shifted_chebyshev_table, shifted_legendre_table
 from .quadrature import chebyshev_gauss_rule, legendre_gauss_rule
 
 __all__ = [
     "TransformPair",
     "transform_pair",
-    "chebyshev_to_legendre",
     "chebyshev_interpolate",
 ]
 
@@ -68,12 +66,6 @@ def transform_pair(n: int) -> TransformPair:
     a.flags.writeable = False
     b.flags.writeable = False
     return TransformPair(n=n, a=a, b=b)
-
-
-def chebyshev_to_legendre(series: ChebyshevSeries) -> LegendreSeries:
-    """Re-expand a shifted Chebyshev series in the shifted Legendre basis."""
-    pair = transform_pair(series.degree)
-    return LegendreSeries(pair.b @ series.coeffs)
 
 
 @lru_cache(maxsize=_PAIR_CACHE)

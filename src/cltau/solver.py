@@ -12,12 +12,12 @@ integrates k against the exact D^alpha of each basis polynomial (not its
 projection onto degree <= truncation) by a Jacobi-Gauss rule that absorbs
 the s^(ceil(alpha) - alpha) factor of that derivative; see fredholm_block.
 
-The system is solved by numpy's LAPACK (gesv, LU with partial pivoting)
-behind two gates: every LU pivot must reach 1e-14 times the largest matrix
-entry, and the residual must stay below 1e-10 * (1 + max |rhs|).  The pivot
-gate is certified from the inverse that the 1-norm condition estimate
-computes anyway, and decided by explicit elimination only when that bound
-is inconclusive; see solve_fide.
+The system is solved by one LAPACK gesv through numpy.linalg.solve (LU with
+partial pivoting) behind two gates: every LU pivot must reach 1e-14 times the
+largest matrix entry, and the residual must stay below 1e-10 * (1 + max |rhs|).
+The pivot gate is certified from the inverse that the 1-norm condition
+estimate computes anyway, from the same factorization, and decided by explicit
+elimination only when that bound is inconclusive; see solve_fide.
 
 Kernels and forcings must accept numpy arrays and broadcast (wrap scalar
 callables in numpy.vectorize if needed).
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cltransform import chebyshev_interpolate, chebyshev_to_legendre
+from .cltransform import chebyshev_interpolate, transform_pair
 from .fracderiv import (CaputoOrder, _as_order, caputo_apply, caputo_legendre_factors, gamma,
                         operational_matrix)
 from .orthopoly import LegendreSeries, MonomialSeries, shifted_legendre_table
@@ -97,7 +97,7 @@ class FIDEProblem:
     kernel_s_power: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"derivative order n must be an integer >= 1, got {self.n!r}")
         a = tuple(float(v) for v in self.a)
         if len(a) != self.n + 1:
@@ -187,13 +187,14 @@ class ConvergenceReport:
 
 
 def _check_truncation(truncation: int) -> int:
-    if not isinstance(truncation, (int, np.integer)) or truncation < 0:
+    if (isinstance(truncation, bool) or not isinstance(truncation, (int, np.integer))
+            or truncation < 0):
         raise ValueError(f"truncation must be a non-negative integer, got {truncation!r}")
     return int(truncation)
 
 
 def _check_s_power(s_power) -> None:
-    if not isinstance(s_power, int) or s_power < 1:
+    if isinstance(s_power, bool) or not isinstance(s_power, int) or s_power < 1:
         raise ValueError(f"kernel_s_power must be an integer >= 1, got {s_power!r}")
 
 
@@ -287,16 +288,24 @@ def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -
     return block
 
 
+@lru_cache(maxsize=_TABLE_CACHE)
+def _forcing_projection(truncation: int) -> np.ndarray:
+    """Chebyshev-to-Legendre matrix b of transform_pair with row k divided by
+    the Legendre norm 2k + 1; cached, read-only."""
+    table = transform_pair(truncation).b / (2.0 * np.arange(truncation + 1) + 1.0)[:, None]
+    table.flags.writeable = False
+    return table
+
+
 def forcing_coeffs(forcing: Callable, truncation: int) -> np.ndarray:
     """Weighted Legendre projections f_k = (interpolant of f, L_{1,k}).
 
     The forcing is interpolated at the truncation + 1 shifted Chebyshev-Gauss
-    points, converted to Legendre coefficients, and divided by the Legendre
-    norms 2k + 1.
+    points; one product with the cached _forcing_projection converts to
+    Legendre coefficients and divides by the Legendre norms 2k + 1.
     """
     truncation = _check_truncation(truncation)
-    leg = chebyshev_to_legendre(chebyshev_interpolate(forcing, truncation)).coeffs
-    return leg / (2.0 * np.arange(truncation + 1) + 1.0)
+    return _forcing_projection(truncation) @ chebyshev_interpolate(forcing, truncation).coeffs
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -318,19 +327,25 @@ def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, 
     kernel against the exact D^alpha L_{1,l}, not its projection onto
     degree <= truncation).  The last n rows evaluate y^(i)(0) through
     integer operational matrices and L_{1,l}(0) = (-1)^l; they depend only
-    on (n, truncation) and are cached.  Raises ValueError naming the first
-    coefficient a_i whose derivative term makes the matrix non-finite.
+    on (n, truncation) and are cached.  The derivative terms are summed
+    under one finiteness check; only a failure re-walks the partial sums to
+    raise a ValueError naming the first a_i whose term is non-finite.
     """
     truncation = _check_truncation(truncation)
     if truncation < problem.n:
         raise ValueError(
             f"truncation {truncation} leaves no room for {problem.n} initial conditions")
     size = truncation + 1
+    terms = [(i, coeff, operational_matrix(i, truncation).entries)
+             for i, coeff in enumerate(problem.a) if coeff != 0.0]
     core = np.zeros((size, size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, coeff in enumerate(problem.a):
-            if coeff != 0.0:
-                core += coeff * operational_matrix(i, truncation).entries
+        for _, coeff, entries in terms:
+            core += coeff * entries
+        if not np.isfinite(core).all():
+            core[:] = 0.0
+            for i, coeff, entries in terms:
+                core += coeff * entries
                 if not np.isfinite(core).all():
                     raise ValueError(
                         f"derivative coefficient a_{i} = {coeff!r} makes the tau system "
@@ -365,13 +380,14 @@ def _smallest_pivot(matrix: np.ndarray) -> float:
 
 
 def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
-    """Assemble and solve the tau system by dense LU with partial pivoting
-    (LAPACK gesv through numpy.linalg.solve).
+    """Assemble and solve the tau system by dense LU with partial pivoting:
+    one LAPACK gesv through numpy.linalg.solve against [I | rhs] yields A^-1
+    (the first size columns, as numpy.linalg.inv) and the coefficients.
 
     Raises SolverError when a pivot of that LU falls below 1e-14 times the
     largest matrix entry, or when the solved system's residual exceeds
     1e-10 * (1 + max |rhs|).  The pivot gate is decided from the inverse
-    that the 1-norm condition estimate needs anyway: every pivot u_kk of
+    that the 1-norm condition estimate computes anyway: every pivot u_kk of
     partial pivoting has 1/|u_kk| <= size * ||A^-1||_1, so when
     2 * size * ||A^-1||_1 * 1e-14 * max|A| < 1 no pivot can fail (the 2
     covers rounding in the computed inverse).  Only when that bound is
@@ -390,18 +406,17 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
             f"truncation {truncation} (smallest pivot {pivot_min:.3e}, threshold "
             f"{_PIVOT_RTOL:.0e}*max|A| = {_PIVOT_RTOL * scale:.3e})")
 
+    size = matrix.shape[0]
     try:
-        inverse_norm = float(np.linalg.norm(np.linalg.inv(matrix), 1))
-    except np.linalg.LinAlgError:
-        inverse_norm = math.inf
-    if not 2.0 * matrix.shape[0] * inverse_norm * _PIVOT_RTOL * scale < 1.0:
+        joint = np.linalg.solve(matrix, np.column_stack((np.eye(size), rhs)))
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        joint = None
+    inverse_norm = math.inf if joint is None else float(np.linalg.norm(joint[:, :size], 1))
+    if not 2.0 * size * inverse_norm * _PIVOT_RTOL * scale < 1.0:
         pivot_min = _smallest_pivot(matrix)
-        if scale == 0.0 or pivot_min < _PIVOT_RTOL * scale:
+        if joint is None or scale == 0.0 or pivot_min < _PIVOT_RTOL * scale:
             raise singular(pivot_min)
-    try:
-        coeffs = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError:
-        raise singular(_smallest_pivot(matrix)) from None
+    coeffs = joint[:, size].copy()
     residual = float(np.max(np.abs(matrix @ coeffs - rhs)))
     tolerance = _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(rhs))))
     if residual > tolerance:
@@ -417,16 +432,17 @@ def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
     """Forcing that makes `exact` solve the problem (manufactured solution).
 
     f(t) = sum_i a_i (d/dt)^i exact(t) - integral_0^1 k(t, s) D^alpha exact(s) ds.
-    All derivatives are applied termwise by the Caputo power rule.  The terms
-    of D^alpha exact are grouped by the fractional part phi of their
-    exponents (phi < 0 for an exponent in (-1, 0)); each group, s^phi times a
+    Derivatives are applied termwise by the Caputo power rule; the classical
+    sum is one MonomialSeries with equal exponents merged.  The terms of
+    D^alpha exact are grouped by the fractional part phi of their exponents
+    (phi < 0 for an exponent in (-1, 0)); each group, s^phi times a
     polynomial, gets the 64-point rule of _singular_rule under
     s = v**kernel_s_power (pass FIDEProblem.kernel_s_power), so the forcing
     is exact at every alpha for kernels polynomial in s**(1/kernel_s_power).
     """
     if not isinstance(exact, MonomialSeries):
         raise TypeError(f"exact must be a MonomialSeries, got {type(exact).__name__}")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"derivative order n must be an integer >= 1, got {n!r}")
     a = tuple(float(v) for v in a)
     if len(a) != n + 1:
@@ -438,7 +454,12 @@ def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
             raise ValueError(
                 f"non-integer exponent {p!r} must exceed n - 1 = {n - 1} so all "
                 f"classical derivatives up to order {n} stay integrable")
-    derivatives = [exact] + [caputo_apply(exact, i) for i in range(1, n + 1)]
+    classical: dict[float, float] = {}  # exponent -> summed coefficient
+    for i, coeff in enumerate(a):
+        if coeff != 0.0:
+            for q, p in (caputo_apply(exact, i) if i else exact).terms:
+                classical[p] = classical.get(p, 0.0) + coeff * q
+    classical_series = MonomialSeries(tuple((q, p) for p, q in classical.items()))
     groups: dict[float, list] = {}  # phi -> terms (q, p - phi) in (near-)integer powers
     for q, p in caputo_apply(exact, order).terms:
         phi = p - max(math.floor(p), 0)
@@ -454,10 +475,7 @@ def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
     def forcing(t):
         t_arr = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t_arr)
-        out = -(_kernel_grid(kernel, flat, s) @ weighted)
-        for coeff, derivative in zip(a, derivatives):
-            if coeff != 0.0:
-                out = out + coeff * derivative(flat)
+        out = classical_series(flat) - _kernel_grid(kernel, flat, s) @ weighted
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     return forcing

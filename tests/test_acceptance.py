@@ -26,9 +26,10 @@ import time
 
 import numpy as np
 
+from test_cltransform import chebyshev_to_legendre
 from test_fracderiv import _oracle_matrix
 
-from cltau.cltransform import chebyshev_interpolate, chebyshev_to_legendre, transform_pair
+from cltau.cltransform import chebyshev_interpolate, transform_pair
 from cltau.fracderiv import operational_matrix
 from cltau.orthopoly import MonomialSeries
 from cltau.quadrature import legendre_gauss_rule

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from cltau.cltransform import (
-    chebyshev_interpolate,
-    chebyshev_to_legendre,
-    transform_pair,
-)
+from cltau.cltransform import chebyshev_interpolate, transform_pair
 from cltau.orthopoly import ChebyshevSeries, LegendreSeries
+
+
+def chebyshev_to_legendre(series: ChebyshevSeries) -> LegendreSeries:
+    """Re-expand a shifted Chebyshev series in the shifted Legendre basis."""
+    pair = transform_pair(series.degree)
+    return LegendreSeries(pair.b @ series.coeffs)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])

@@ -16,7 +16,7 @@ import scipy.linalg
 from test_orthopoly import monomial_form_legendre
 
 from cltau import cltransform, orthopoly, solver
-from cltau.fracderiv import gamma, operational_matrix
+from cltau.fracderiv import caputo_apply, gamma, operational_matrix
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
 from cltau.solver import (
@@ -183,6 +183,18 @@ def test_forcing_coeffs_closed_forms():
     assert np.allclose(linear, [0.5, 1.0 / 6.0, 0.0], rtol=0, atol=1e-14)
     basis2 = forcing_coeffs(lambda t: shifted_legendre_table(2, np.asarray(t))[2], 3)
     assert np.allclose(basis2, [0.0, 0.0, 0.2, 0.0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("truncation", [1, 4, 16, 64])
+def test_forcing_coeffs_is_the_legendre_transform_of_the_interpolant(truncation):
+    # The cached table folds the division by 2k + 1 into transform_pair's b;
+    # only the rounding of that product may move.
+    forcing = builtin_example("5.4").problem.forcing
+    reference = (cltransform.transform_pair(truncation).b
+                 @ cltransform.chebyshev_interpolate(forcing, truncation).coeffs
+                 / (2.0 * np.arange(truncation + 1) + 1.0))
+    deviation = np.max(np.abs(forcing_coeffs(forcing, truncation) - reference))
+    assert deviation <= 1e-15 * np.max(np.abs(reference))
 
 
 # ---------------------------------------------------------------- assembly
@@ -388,6 +400,25 @@ def test_mms_forcing_matches_mpmath_oracle(terms, n, a, alpha, kernel, kernel_mp
         assert abs(forcing(t) - expected) <= 1e-13 * max(1.0, abs(expected)), f"t={t}"
 
 
+@pytest.mark.parametrize("terms, n, a", [
+    # 5.4: the 21-term series of t e^t, a with a zero entry
+    (example_config("5.4")["mms_exact"], 3, (1.0, 0.0, -1.0, 3.0)),
+    # fractional exponents, merged with integer ones after differentiation
+    (((1.0, 2.5), (-2.0, 3.25), (0.5, 4.0), (3.0, 1.0)), 2, (0.5, -1.0, 2.0)),
+    # only the leading coefficient nonzero
+    (((1.0, 2.0), (4.0, 5.0), (-1.0, 7.0)), 2, (0.0, 0.0, 1.0)),
+], ids=["5.4", "fractional", "leading-only"])
+def test_mms_forcing_folds_the_classical_terms(terms, n, a):
+    # With a zero kernel the forcing is the merged classical series alone; it
+    # must match sum_i a_i D^i(exact) evaluated series by series.
+    exact = MonomialSeries(tuple(tuple(term) for term in terms))
+    forcing = mms_forcing(exact, n, a, 0.5, _const_kernel(0.0))
+    t = np.linspace(0.0, 1.0, 41)
+    termwise = sum(coeff * (caputo_apply(exact, i) if i else exact)(t)
+                   for i, coeff in enumerate(a) if coeff != 0.0)
+    assert np.all(np.abs(forcing(t) - termwise) <= 1e-14 * np.maximum(1.0, np.abs(termwise)))
+
+
 def test_mms_forcing_validates_kernel_s_power():
     exact = MonomialSeries(((1.0, 1.0),))
     for bad in (0, -1, 2.0, "2"):
@@ -555,6 +586,24 @@ def test_problem_validation():
                     forcing=_zero_forcing, ics=(0.0,))
 
 
+_VALID = dict(n=1, a=(0.0, 1.0), order=0.5, kernel=_const_kernel(0.0),
+              forcing=_zero_forcing, ics=(0.0,))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FIDEProblem(**{**_VALID, "n": True}), "derivative order n"),
+    (lambda: FIDEProblem(**_VALID, kernel_s_power=True), "kernel_s_power"),
+    (lambda: solve_fide(FIDEProblem(**_VALID), True), "truncation must be"),
+    (lambda: mms_forcing(MonomialSeries(((1.0, 1.0),)), True, (0.0, 1.0), 0.5,
+                         _const_kernel(0.0)), "derivative order n"),
+], ids=["problem-n", "kernel-s-power", "truncation", "mms-n"])
+def test_bool_is_not_an_integer(build, message):
+    # True == 1 in Python; the CLI's config reader rejects bools, and so
+    # does the library.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_solver_error_paths():
     problem = builtin_example("5.4").problem
     with pytest.raises(ValueError):
@@ -565,6 +614,7 @@ def test_solver_error_paths():
     with pytest.raises(SolverError) as err:
         solve_fide(singular, 3)
     assert "truncation 3" in str(err.value)
+    assert "smallest pivot" in str(err.value)
     assert "threshold 1e-14*max|A| = " in str(err.value)
 
 
@@ -650,6 +700,38 @@ def test_pivot_gate_decided_by_elimination_near_the_edge(monkeypatch):
     assert len(calls) == 2
 
 
+def _count_linalg(monkeypatch):
+    calls = {"solve": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_one_factorization_per_solve(monkeypatch):
+    # The inverse for the condition estimate and the pivot gate and the
+    # coefficients come from one gesv; an exactly zero pivot (LAPACK's
+    # LinAlgError) is decided by elimination and raises the pivot message.
+    problem = builtin_example("5.4").problem
+    calls = _count_linalg(monkeypatch)
+    solve_fide(problem, 32)
+    assert calls == {"solve": 1, "inv": 0}
+    for relative_pivot in (1e-13, 0.0):
+        matrix = _matrix_with_pivot(relative_pivot)
+        monkeypatch.setattr(solver, "assemble_system",
+                            lambda *args, m=matrix: (m, m @ np.linspace(1.0, 2.0, 8)))
+        calls.update(solve=0, inv=0)
+        if relative_pivot:
+            assert solve_fide(problem, 7).condition_estimate > 1e12
+        else:
+            with pytest.raises(SolverError, match=r"smallest pivot 0\.000e\+00, threshold"):
+                solve_fide(problem, 7)
+        assert calls == {"solve": 1, "inv": 0}
+
+
 @pytest.mark.parametrize("eid", ["5.1", "5.2", "5.3", "5.4"])
 @pytest.mark.parametrize("truncation", [8, 16, 32, 64])
 def test_solve_matches_scipy_lu_reference(eid, truncation):
@@ -701,7 +783,8 @@ def _count_table_calls(monkeypatch):
 def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
     problem = builtin_example("5.4").problem
     for cache in (solver._outer_projection, solver._caputo_quadrature,
-                  solver._initial_condition_rows, cltransform._interpolation_table):
+                  solver._initial_condition_rows, solver._forcing_projection,
+                  cltransform._interpolation_table):
         cache.cache_clear()
     calls = _count_table_calls(monkeypatch)
     cold = solve_fide(problem, 24)
@@ -714,7 +797,7 @@ def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
 
 def test_cached_tables_are_read_only():
     arrays = (list(solver._outer_projection(12)) + list(solver._caputo_quadrature(0.5, 1, 12))
-              + [solver._initial_condition_rows(3, 12)]
+              + [solver._initial_condition_rows(3, 12), solver._forcing_projection(12)]
               + list(cltransform._interpolation_table(12)))
     for array in arrays:
         with pytest.raises(ValueError):
