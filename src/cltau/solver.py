@@ -290,8 +290,7 @@ def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -
 
 @lru_cache(maxsize=_TABLE_CACHE)
 def _forcing_projection(truncation: int) -> np.ndarray:
-    """Chebyshev-to-Legendre matrix b of transform_pair with row k divided by
-    the Legendre norm 2k + 1; cached, read-only."""
+    """transform_pair(truncation).b with row k divided by 2k + 1; cached, read-only."""
     table = transform_pair(truncation).b / (2.0 * np.arange(truncation + 1) + 1.0)[:, None]
     table.flags.writeable = False
     return table
@@ -327,9 +326,8 @@ def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, 
     kernel against the exact D^alpha L_{1,l}, not its projection onto
     degree <= truncation).  The last n rows evaluate y^(i)(0) through
     integer operational matrices and L_{1,l}(0) = (-1)^l; they depend only
-    on (n, truncation) and are cached.  The derivative terms are summed
-    under one finiteness check; only a failure re-walks the partial sums to
-    raise a ValueError naming the first a_i whose term is non-finite.
+    on (n, truncation) and are cached.  Raises ValueError naming the first
+    a_i whose derivative term makes the sum non-finite (checked once).
     """
     truncation = _check_truncation(truncation)
     if truncation < problem.n:
@@ -407,8 +405,10 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
             f"{_PIVOT_RTOL:.0e}*max|A| = {_PIVOT_RTOL * scale:.3e})")
 
     size = matrix.shape[0]
+    joint = np.eye(size, size + 1)
+    joint[:, size] = rhs
     try:
-        joint = np.linalg.solve(matrix, np.column_stack((np.eye(size), rhs)))
+        joint = np.linalg.solve(matrix, joint)
     except np.linalg.LinAlgError:  # an exactly zero pivot
         joint = None
     inverse_norm = math.inf if joint is None else float(np.linalg.norm(joint[:, :size], 1))
