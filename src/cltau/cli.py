@@ -46,9 +46,8 @@ from .solver import (
     builtin_example,
     builtin_example_ids,
     convergence_study,
+    error_norms,
     example_config,
-    l2_error,
-    max_error,
     mms_forcing,
     solve_fide,
 )
@@ -310,8 +309,8 @@ def cmd_solve(args) -> int:
     summary = (f"solved {config.name or 'problem'} at N={solution.truncation}, "
                f"condition_estimate={solution.condition_estimate:.6e}")
     if exact is not None:
-        summary += (f", l2_error={l2_error(solution, exact):.6e}"
-                    f", max_error={max_error(solution, exact):.6e}")
+        l2, largest = error_norms(solution, exact)
+        summary += f", l2_error={l2:.6e}, max_error={largest:.6e}"
     print(summary, file=sys.stderr)
     return 0
 

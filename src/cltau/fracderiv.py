@@ -118,7 +118,7 @@ def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
 
     Row j holds g_j at the points x in [0, 1]; g_j has degree j - m and
     vanishes for j < m.  D^alpha = I^(m-alpha) D^m: the m-th derivative is
-    expanded in L_{1,k} by the exact derivative recurrence, and the
+    expanded in L_{1,k} by the cached integer operational matrix, and the
     Riemann-Liouville integral of order mu = m - alpha maps
     L_{1,k} to k!/Gamma(k+mu+1) x^mu P_k^(-mu,mu)(2x-1), with the Jacobi
     polynomials taken from their three-term recurrence.  Nothing is
@@ -139,8 +139,7 @@ def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
         jacobi[1] = (t - mu) / gamma(mu + 2.0)
     for k in range(2, n + 1):
         jacobi[k] = ((2 * k - 1) * t * jacobi[k - 1] - (k - 1 - mu) * jacobi[k - 2]) / (k + mu)
-    derivative = _legendre_derivative_coeffs(n, order.m)
-    return np.tensordot(derivative, jacobi, axes=1)
+    return np.tensordot(_operational_entries(float(order.m), n), jacobi, axes=1)
 
 
 @dataclass(frozen=True)

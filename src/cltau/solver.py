@@ -52,6 +52,7 @@ __all__ = [
     "builtin_example",
     "builtin_example_ids",
     "example_config",
+    "error_norms",
     "l2_error",
     "max_error",
     "initial_condition_residuals",
@@ -97,8 +98,7 @@ class FIDEProblem:
     kernel_s_power: int = 1
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"derivative order n must be an integer >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", _check_order_n(self.n))
         a = tuple(float(v) for v in self.a)
         if len(a) != self.n + 1:
             raise ValueError(f"need {self.n + 1} coefficients a_0..a_n, got {len(a)}")
@@ -113,7 +113,7 @@ class FIDEProblem:
             raise ValueError("non-finite initial value")
         if not callable(self.kernel) or not callable(self.forcing):
             raise TypeError("kernel and forcing must be callable")
-        _check_s_power(self.kernel_s_power)
+        object.__setattr__(self, "kernel_s_power", _check_s_power(self.kernel_s_power))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "ics", ics)
         object.__setattr__(self, "order", _as_order(self.order))
@@ -186,16 +186,23 @@ class ConvergenceReport:
             raise ValueError("truncations must be strictly increasing")
 
 
-def _check_truncation(truncation: int) -> int:
-    if (isinstance(truncation, bool) or not isinstance(truncation, (int, np.integer))
-            or truncation < 0):
-        raise ValueError(f"truncation must be a non-negative integer, got {truncation!r}")
-    return int(truncation)
+def _check_integer(value, minimum: int, message: str) -> int:
+    """value as a Python int: an int or numpy integer, never a bool, >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{message}, got {value!r}")
+    return int(value)
 
 
-def _check_s_power(s_power) -> None:
-    if isinstance(s_power, bool) or not isinstance(s_power, int) or s_power < 1:
-        raise ValueError(f"kernel_s_power must be an integer >= 1, got {s_power!r}")
+def _check_truncation(truncation) -> int:
+    return _check_integer(truncation, 0, "truncation must be a non-negative integer")
+
+
+def _check_s_power(s_power) -> int:
+    return _check_integer(s_power, 1, "kernel_s_power must be an integer >= 1")
+
+
+def _check_order_n(n) -> int:
+    return _check_integer(n, 1, "derivative order n must be an integer >= 1")
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -394,7 +401,8 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
     ||A||_1 * ||A^-1||_1, the value of numpy.linalg.cond(A, 1).
     """
     matrix, rhs = assemble_system(problem, truncation)
-    scale = float(np.max(np.abs(matrix)))
+    absolute = np.abs(matrix)
+    scale = float(absolute.max())
     if not (math.isfinite(scale) and np.all(np.isfinite(rhs))):
         raise ValueError(f"tau system has non-finite entries at truncation {truncation}")
 
@@ -411,7 +419,8 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
         joint = np.linalg.solve(matrix, joint)
     except np.linalg.LinAlgError:  # an exactly zero pivot
         joint = None
-    inverse_norm = math.inf if joint is None else float(np.linalg.norm(joint[:, :size], 1))
+    # ||.||_1 as numpy.linalg.norm(., 1) computes it: the largest column sum of |.|.
+    inverse_norm = math.inf if joint is None else float(np.abs(joint[:, :size]).sum(axis=0).max())
     if not 2.0 * size * inverse_norm * _PIVOT_RTOL * scale < 1.0:
         pivot_min = _smallest_pivot(matrix)
         if joint is None or scale == 0.0 or pivot_min < _PIVOT_RTOL * scale:
@@ -423,7 +432,7 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
         raise SolverError(
             f"solve residual {residual:.3e} exceeds {tolerance:.3e} at "
             f"truncation {truncation}")
-    condition = float(np.linalg.norm(matrix, 1)) * inverse_norm
+    condition = float(absolute.sum(axis=0).max()) * inverse_norm
     return SpectralSolution(truncation, LegendreSeries(coeffs), condition)
 
 
@@ -442,13 +451,12 @@ def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
     """
     if not isinstance(exact, MonomialSeries):
         raise TypeError(f"exact must be a MonomialSeries, got {type(exact).__name__}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"derivative order n must be an integer >= 1, got {n!r}")
+    n = _check_order_n(n)
     a = tuple(float(v) for v in a)
     if len(a) != n + 1:
         raise ValueError(f"need {n + 1} coefficients a_0..a_n, got {len(a)}")
     order = _as_order(order)
-    _check_s_power(kernel_s_power)
+    kernel_s_power = _check_s_power(kernel_s_power)
     for _, p in exact.terms:
         if abs(p - round(p)) > _INTEGER_TOL and p <= n - 1:
             raise ValueError(
@@ -685,21 +693,38 @@ def _as_series(solution) -> LegendreSeries:
     raise TypeError(f"expected SpectralSolution or LegendreSeries, got {type(solution).__name__}")
 
 
-def l2_error(solution, exact: Callable) -> float:
-    """Weighted L2 distance between the solution and `exact` on [0, 1],
-    by a 128-point shifted Legendre-Gauss rule."""
-    series = _as_series(solution)
+@lru_cache(maxsize=1)
+def _error_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The 128 shifted Legendre-Gauss nodes followed by the 101 equispaced
+    points of [0, 1] (both endpoints included), and the Gauss weights;
+    cached, read-only."""
     rule = legendre_gauss_rule(_ERROR_RULE_POINTS - 1)
-    diff = series(rule.nodes) - np.asarray(exact(rule.nodes), dtype=float)
-    return math.sqrt(max(float(np.sum(rule.weights * diff * diff)), 0.0))
+    grid = np.concatenate((rule.nodes, np.linspace(0.0, 1.0, _MAX_ERROR_POINTS)))
+    grid.flags.writeable = False
+    return grid, rule.weights
+
+
+def error_norms(solution, exact: Callable) -> tuple[float, float]:
+    """(l2, max) distance between the solution and `exact` on [0, 1] from
+    one evaluation of each on _error_grid: the weighted L2 norm by the
+    128-point shifted Legendre-Gauss rule, the largest absolute deviation
+    over the 101 equispaced points."""
+    series = _as_series(solution)
+    grid, weights = _error_grid()
+    diff = series(grid) - np.asarray(exact(grid), dtype=float)
+    gauss = diff[:_ERROR_RULE_POINTS]
+    l2 = math.sqrt(max(float(np.sum(weights * gauss * gauss)), 0.0))
+    return l2, float(np.max(np.abs(diff[_ERROR_RULE_POINTS:])))
+
+
+def l2_error(solution, exact: Callable) -> float:
+    """The L2 part of error_norms."""
+    return error_norms(solution, exact)[0]
 
 
 def max_error(solution, exact: Callable) -> float:
-    """Largest absolute deviation on the 101-point equispaced grid that
-    includes both endpoints."""
-    series = _as_series(solution)
-    grid = np.linspace(0.0, 1.0, _MAX_ERROR_POINTS)
-    return float(np.max(np.abs(series(grid) - np.asarray(exact(grid), dtype=float))))
+    """The max part of error_norms."""
+    return error_norms(solution, exact)[1]
 
 
 def initial_condition_residuals(problem: FIDEProblem, solution) -> np.ndarray:
@@ -778,7 +803,6 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
         except SolverError as exc:
             entries.append(ConvergenceEntry(n, None, None, str(exc)))
             continue
-        entries.append(ConvergenceEntry(
-            n, l2_error(sol, exact), max_error(sol, exact)))
+        entries.append(ConvergenceEntry(n, *error_norms(sol, exact)))
     entries = tuple(entries)
     return ConvergenceReport(entries, _fit_decay(entries))

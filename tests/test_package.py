@@ -26,7 +26,8 @@ def test_every_lru_cache_is_bounded():
             "quadrature.chebyshev_gauss_rule", "cltransform.transform_pair",
             "solver._caputo_quadrature", "solver._outer_projection",
             "solver._initial_condition_rows", "cltransform._interpolation_table",
-            "solver._singular_rule", "solver._forcing_projection"} <= set(cached)
+            "solver._singular_rule", "solver._forcing_projection",
+            "solver._error_grid"} <= set(cached)
     unbounded = [name for name, maxsize in cached.items() if maxsize is None]
     assert not unbounded
 

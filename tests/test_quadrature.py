@@ -1,9 +1,11 @@
-"""Gauss rules: Newton-iterated Legendre nodes against numpy's independent
-implementation, closed-form Chebyshev nodes, Jacobi-Gauss rules, and polynomial
-exactness."""
+"""Gauss rules: Legendre nodes from Newton iteration on the cosine series
+of P_{n+1} against numpy's independent implementation, their weights against
+a 40-digit mpmath reference, closed-form Chebyshev nodes, Jacobi-Gauss
+rules, and polynomial exactness."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +29,40 @@ def test_legendre_nodes_match_numpy(n):
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
 
 
+def _reference_weights(nodes):
+    """Weights 2/((1-x^2) P_m'(x)^2) at 40 digits on [-1, 1], halved for (0, 1),
+    after two Newton steps that polish each float node to a root of P_m."""
+    m = nodes.size
+
+    def legendre(x):  # P_m(x) and P_m'(x) by the three-term recurrence
+        p_prev, p = mpmath.mpf(1), x
+        for k in range(1, m):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, m * (x * p - p_prev) / (x * x - 1)
+
+    weights = []
+    with mpmath.workdps(40):
+        for node in nodes:
+            x = 2 * mpmath.mpf(float(node)) - 1
+            for _ in range(2):
+                p, dp = legendre(x)
+                x -= p / dp
+            weights.append(1 / ((1 - x * x) * legendre(x)[1] ** 2))
+    return weights
+
+
+@pytest.mark.parametrize("n", [63, 127])
+def test_legendre_weights_match_a_40_digit_reference(n):
+    # A few eps relative everywhere, including the nodes nearest the
+    # midpoint, where 2/((1-x^2) P'^2) from the recurrence lost 1e-13.
+    rule = legendre_gauss_rule(n)
+    reference = _reference_weights(rule.nodes)
+    relative = max(abs((mpmath.mpf(float(w)) - ref) / ref)
+                   for w, ref in zip(rule.weights, reference))
+    assert relative <= 5e-15
+    assert abs(float(np.sum(rule.weights)) - 1.0) <= 1e-15
+
+
 def test_rule_structure():
     rule = legendre_gauss_rule(12)
     assert rule.npoints == 13
@@ -34,6 +70,7 @@ def test_rule_structure():
     assert np.all(rule.weights > 0)
     # Gauss nodes are symmetric about the midpoint.
     assert np.allclose(rule.nodes + rule.nodes[::-1], 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(rule.weights, rule.weights[::-1]) and rule.nodes[6] == 0.5
     with pytest.raises(ValueError):
         legendre_gauss_rule(-1)
     with pytest.raises(ValueError):

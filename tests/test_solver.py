@@ -27,6 +27,7 @@ from cltau.solver import (
     builtin_example,
     builtin_example_ids,
     convergence_study,
+    error_norms,
     example_config,
     forcing_coeffs,
     fredholm_block,
@@ -492,6 +493,22 @@ def test_error_norms_reference_behavior():
     assert max_error(solution, shifted) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("eid", ["5.2", "5.4"])
+def test_error_norms_is_both_norms_from_one_evaluation(eid):
+    ex = builtin_example(eid)
+    for truncation in (4, 12, 32):
+        solution = solve_fide(ex.problem, truncation)
+        l2, largest = error_norms(solution, ex.exact)
+        assert (l2, largest) == (l2_error(solution, ex.exact), max_error(solution, ex.exact))
+        # Bitwise the separate evaluations on the 128 Gauss nodes and the
+        # 101 equispaced points.
+        rule = legendre_gauss_rule(127)
+        diff = solution(rule.nodes) - ex.exact(rule.nodes)
+        assert l2 == math.sqrt(float(np.sum(rule.weights * diff * diff)))
+        grid = np.linspace(0.0, 1.0, 101)
+        assert largest == float(np.max(np.abs(solution(grid) - ex.exact(grid))))
+
+
 # ----------------------------------------------------------- convergence
 
 def test_convergence_study_algebraic_classification():
@@ -556,6 +573,17 @@ def test_convergence_study_records_failures():
     assert report.fitted_decay.kind == "stagnated"
 
 
+def test_convergence_study_evaluates_each_solution_once(monkeypatch):
+    calls = []
+    original = orthopoly.eval_series
+    monkeypatch.setattr(orthopoly, "eval_series",
+                        lambda series, x: calls.append(np.size(x)) or original(series, x))
+    ex = builtin_example("5.4")
+    report = convergence_study(ex.problem, ex.exact, [4, 8, 12, 16])
+    assert len(report.entries) == 4
+    assert calls == [128 + 101] * 4
+
+
 def test_convergence_study_validation():
     ex = builtin_example("5.1")
     with pytest.raises(ValueError):
@@ -602,6 +630,25 @@ def test_bool_is_not_an_integer(build, message):
     # does the library.
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_numpy_integer_orders_solve_like_python_ints():
+    ex = builtin_example("5.3")
+    built = {}
+    for kind in (int, np.int64):
+        n, s_power = kind(ex.problem.n), kind(ex.problem.kernel_s_power)
+        forcing = mms_forcing(MonomialSeries(((8.0, 1.0), (3.0, 3.0))), n, ex.problem.a,
+                              ex.problem.order, ex.problem.kernel, kernel_s_power=s_power)
+        problem = FIDEProblem(n=n, a=ex.problem.a, order=ex.problem.order,
+                              kernel=ex.problem.kernel, forcing=forcing, ics=ex.problem.ics,
+                              kernel_s_power=s_power)
+        assert type(problem.n) is int and type(problem.kernel_s_power) is int
+        built[kind] = solve_fide(problem, kind(12))
+    np.testing.assert_array_equal(built[np.int64].coeffs.coeffs, built[int].coeffs.coeffs)
+    assert built[np.int64].condition_estimate == built[int].condition_estimate
+    for bad in (np.int64(0), np.float64(1.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="derivative order n"):
+            FIDEProblem(**{**_VALID, "n": bad})
 
 
 def test_solver_error_paths():
@@ -733,7 +780,7 @@ def test_one_factorization_per_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("eid", ["5.1", "5.2", "5.3", "5.4"])
-@pytest.mark.parametrize("truncation", [8, 16, 32, 64])
+@pytest.mark.parametrize("truncation", [8, 16, 32, 64, 128])
 def test_solve_matches_scipy_lu_reference(eid, truncation):
     problem = builtin_example(eid).problem
     matrix, rhs = assemble_system(problem, truncation)
@@ -798,7 +845,7 @@ def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
 def test_cached_tables_are_read_only():
     arrays = (list(solver._outer_projection(12)) + list(solver._caputo_quadrature(0.5, 1, 12))
               + [solver._initial_condition_rows(3, 12), solver._forcing_projection(12)]
-              + list(cltransform._interpolation_table(12)))
+              + list(cltransform._interpolation_table(12)) + list(solver._error_grid()))
     for array in arrays:
         with pytest.raises(ValueError):
             array.flat[0] = 1.0
