@@ -1,101 +1,76 @@
-"""Coefficient transforms between shifted Chebyshev and shifted Legendre bases.
+"""Chebyshev interpolation carried into the shifted Legendre frame.
 
-For u = sum_j beta_j L_{1,j} = sum_j alpha_j T_{1,j} the matrices satisfy
-alpha = A beta and beta = B alpha.  Entries are weighted/unweighted inner
-products of basis pairs; both are polynomials of degree <= 2n, so an
-(n+1)-point Gauss rule of the matching family evaluates them exactly and
-no recurrence bootstrapping is needed.  Entries with i > j or i + j odd
-vanish by parity and are pinned to exact zeros.
+Known functions are sampled at the n + 1 shifted Chebyshev-Gauss points and
+enter the solver only through the weighted Legendre projections
+f_k = (I_n f, L_{1,k}) of their interpolant I_n f (Don & Gottlieb, SIAM J.
+Numer. Anal. 31, 1994).  I_n f is evaluated by barycentric interpolation
+(Berrut & Trefethen, SIAM Rev. 46, 2004) at the nodes of the
+(n + 16)-point shifted Legendre-Gauss rule that also projects the kernel
+term, and integrated against L_{1,k} there; (I_n f) L_{1,k} has degree
+<= 2n, so the rule is exact.  The sampling-to-projection map depends on n
+alone and is cached.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .orthopoly import ChebyshevSeries, shifted_chebyshev_table, shifted_legendre_table
+from .orthopoly import _check_integer, shifted_legendre_table
 from .quadrature import chebyshev_gauss_rule, legendre_gauss_rule
 
 __all__ = [
-    "TransformPair",
-    "transform_pair",
     "chebyshev_interpolate",
 ]
 
-_PAIR_CACHE = 128
+_TABLE_CACHE = 128
+_KERNEL_EXTRA_POINTS = 16
 
 
-@dataclass(frozen=True)
-class TransformPair:
-    """a: Legendre->Chebyshev coefficient matrix; b: its inverse. a @ b = I."""
-
-    n: int
-    a: np.ndarray
-    b: np.ndarray
-
-
-@lru_cache(maxsize=_PAIR_CACHE)
-def transform_pair(n: int) -> TransformPair:
-    """Build the transform matrices for degrees 0..n.
-
-    a[i, j] = (T_{1,i}, L_{1,j})_w / h_i with the Chebyshev weight
-    (x - x^2)^(-1/2), h_0 = pi and h_i = pi/2 otherwise, via Chebyshev-Gauss
-    quadrature; b[i, j] = (2i+1) (L_{1,i}, T_{1,j}) via Legendre-Gauss.
-    """
-    if n != int(n) or n < 0:
-        raise ValueError(f"truncation degree must be a non-negative integer, got {n!r}")
-    n = int(n)
-    i, j = np.indices((n + 1, n + 1))
-    upper_even = (j >= i) & ((j - i) % 2 == 0)
-
-    cg = chebyshev_gauss_rule(n)
-    cheb_c = shifted_chebyshev_table(n, cg.nodes)
-    leg_c = shifted_legendre_table(n, cg.nodes)
-    h = np.full(n + 1, np.pi / 2.0)
-    h[0] = np.pi
-    a = ((cheb_c * cg.weights) @ leg_c.T) / h[:, None]
-
-    lg = legendre_gauss_rule(n)
-    leg_l = shifted_legendre_table(n, lg.nodes)
-    cheb_l = shifted_chebyshev_table(n, lg.nodes)
+@lru_cache(maxsize=_TABLE_CACHE)
+def _legendre_projection(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x, weighted table w_x L_{1,r}(x) (indexed [x, r]) and the scale
+    2r + 1 of the (n + 16)-point shifted Legendre-Gauss projection onto
+    degrees 0..n; cached, read-only."""
+    rule = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
+    weighted = rule.weights[:, None] * shifted_legendre_table(n, rule.nodes).T
     scale = 2.0 * np.arange(n + 1) + 1.0
-    b = ((leg_l * lg.weights) @ cheb_l.T) * scale[:, None]
-
-    a[~upper_even] = 0.0
-    b[~upper_even] = 0.0
-    a.flags.writeable = False
-    b.flags.writeable = False
-    return TransformPair(n=n, a=a, b=b)
-
-
-@lru_cache(maxsize=_PAIR_CACHE)
-def _interpolation_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of the (n+1)-point shifted Chebyshev-Gauss rule, T_{1,k}(x_j)
-    (indexed [k, j]) and the discrete-transform scale (2 - delta_{k0})/(n+1);
-    cached, read-only."""
-    rule = chebyshev_gauss_rule(n)
-    table = shifted_chebyshev_table(n, rule.nodes)
-    scale = np.full(rule.npoints, 2.0 / rule.npoints)
-    scale[0] = 1.0 / rule.npoints
-    table.flags.writeable = False
+    weighted.flags.writeable = False
     scale.flags.writeable = False
-    return rule.nodes, table, scale
+    return rule.nodes, weighted, scale
 
 
-def chebyshev_interpolate(f, n: int) -> ChebyshevSeries:
-    """Interpolate f at the n+1 shifted Chebyshev-Gauss points.
+@lru_cache(maxsize=_TABLE_CACHE)
+def _forcing_map(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted Chebyshev-Gauss nodes y_j and the matrix M with
+    M @ f(y) = ((I_n f, L_{1,k}))_k; cached, read-only.
+
+    M = weighted^T P, where P[q, j] is the barycentric interpolation matrix
+    from the y_j to the projection nodes x_q, with the closed-form weights
+    (-1)^j sin((2j + 1) pi / (2n + 2)) of Chebyshev points of the first
+    kind.  No x_q equals a y_j: both rules hold an exact 0.5 midpoint, the
+    Chebyshev one for even n and the Legendre one for odd n.
+    """
+    nodes = chebyshev_gauss_rule(n).nodes
+    x, weighted, _ = _legendre_projection(n)
+    j = np.arange(n + 1)
+    terms = ((-1.0) ** j * np.sin((2 * j + 1) * np.pi / (2 * n + 2))) / (x[:, None] - nodes)
+    matrix = weighted.T @ (terms / terms.sum(axis=1, keepdims=True))
+    matrix.flags.writeable = False
+    return nodes, matrix
+
+
+def chebyshev_interpolate(f, n: int) -> np.ndarray:
+    """Weighted Legendre projections f_k = (I_n f, L_{1,k}), k = 0..n, of the
+    interpolant I_n f of f at the n+1 shifted Chebyshev-Gauss points.
 
     f is called once, on the array of nodes, and must broadcast; a result
     that does not depend on its argument (a constant) is broadcast to the
-    nodes.  Returns the shifted Chebyshev coefficients of the interpolant
-    via the discrete transform
-    u_k = (2 - delta_{k0})/(n+1) sum_j f(x_j) T_{1,k}(x_j), which is exact
-    at Gauss (interior) nodes.  The nodes, the table T_{1,k}(x_j) and the
-    scale depend only on n and come from a bounded cache, so a repeated
-    call evaluates only f.
+    nodes.  The nodes and the sampling-to-projection map depend only on n
+    and come from a bounded cache, so a repeated call evaluates only f and
+    one matrix-vector product.
     """
-    nodes, table, scale = _interpolation_table(n)
+    nodes, matrix = _forcing_map(_check_integer(n, 0, "truncation must be a non-negative integer"))
     values = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
     if not np.all(np.isfinite(values)):
         raise ValueError("function is not finite at the interpolation nodes")
-    return ChebyshevSeries(scale * (table @ values))
+    return matrix @ values

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthopoly import MonomialSeries, shifted_legendre_table
+from .orthopoly import MonomialSeries, _check_integer, shifted_legendre_table
 from .quadrature import jacobi_gauss_rule
 
 __all__ = [
@@ -125,9 +125,7 @@ def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
     expanded in monomials, so the values stay accurate at high degree.
     """
     order = _as_order(order)
-    if n != int(n) or n < 0:
-        raise ValueError(f"truncation degree must be a non-negative integer, got {n!r}")
-    n = int(n)
+    n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
     mu = order.m - order.alpha
     t = 2.0 * np.asarray(x, dtype=float) - 1.0
     jacobi = np.empty((n + 1,) + t.shape)
@@ -199,9 +197,7 @@ def operational_matrix(order, n: int) -> OperationalMatrix:
     n: bit for bit at integer orders, to rounding at fractional ones.  Built
     in float64 and cached per (alpha, n) in a bounded cache.
     """
-    if n != int(n) or n < 0:
-        raise ValueError(f"truncation degree must be a non-negative integer, got {n!r}")
-    n = int(n)
+    n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
     if not isinstance(order, CaputoOrder) and float(order) == 0.0:
         eye = np.eye(n + 1)
         eye.flags.writeable = False

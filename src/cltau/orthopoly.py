@@ -1,9 +1,8 @@
-"""Shifted Legendre and shifted Chebyshev polynomials on [0, 1].
+"""Shifted Legendre polynomials on [0, 1].
 
-Both families are the classical ones composed with t = 2x - 1.  Evaluation
-goes through the stable three-term recurrences.  MonomialSeries carries
-finite sums of real powers of x, which the fractional calculus needs
-explicitly.
+L_{1,k}(x) = P_k(2x - 1).  Evaluation goes through the stable three-term
+recurrence.  MonomialSeries carries finite sums of real powers of x, which
+the fractional calculus needs explicitly.
 """
 
 from dataclasses import dataclass, field
@@ -12,10 +11,8 @@ import numpy as np
 
 __all__ = [
     "LegendreSeries",
-    "ChebyshevSeries",
     "MonomialSeries",
     "shifted_legendre_table",
-    "shifted_chebyshev_table",
     "eval_series",
 ]
 
@@ -28,15 +25,20 @@ def _check_domain(x):
     return x
 
 
-def _check_degree(i: int) -> int:
-    if i != int(i) or i < 0:
-        raise ValueError(f"polynomial degree must be a non-negative integer, got {i!r}")
-    return int(i)
+def _check_integer(value, minimum: int, message: str) -> int:
+    """value as a Python int: an int or numpy integer, never a bool, >= minimum.
+
+    The one rule for every size, degree and order the package takes.  Run it
+    before any lru_cache lookup: the cache treats True and 1 as one key.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{message}, got {value!r}")
+    return int(value)
 
 
 def shifted_legendre_table(n: int, x) -> np.ndarray:
     """Values of L_{1,0}..L_{1,n} at x in [0, 1]; row k holds degree k."""
-    n = _check_degree(n)
+    n = _check_integer(n, 0, "polynomial degree must be a non-negative integer")
     x = _check_domain(x)
     t = 2.0 * x - 1.0
     table = np.zeros((n + 1,) + t.shape)
@@ -45,20 +47,6 @@ def shifted_legendre_table(n: int, x) -> np.ndarray:
         table[1] = t
     for k in range(1, n):
         table[k + 1] = ((2 * k + 1) * t * table[k] - k * table[k - 1]) / (k + 1)
-    return table
-
-
-def shifted_chebyshev_table(n: int, x) -> np.ndarray:
-    """Values of T_{1,0}..T_{1,n} at x in [0, 1]; row k holds degree k."""
-    n = _check_degree(n)
-    x = _check_domain(x)
-    t = 2.0 * x - 1.0
-    table = np.zeros((n + 1,) + t.shape)
-    table[0] = 1.0
-    if n >= 1:
-        table[1] = t
-    for k in range(1, n):
-        table[k + 1] = 2.0 * t * table[k] - table[k - 1]
     return table
 
 
@@ -122,23 +110,6 @@ class LegendreSeries:
         return eval_series(self, x)
 
 
-@dataclass(frozen=True)
-class ChebyshevSeries:
-    """u(x) = sum_j coeffs[j] T_{1,j}(x) on [0, 1]."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _check_coeffs(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, x):
-        return eval_series(self, x)
-
-
 def _clenshaw_legendre(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
     n = coeffs.size - 1
     b1 = np.zeros(t.shape)
@@ -148,25 +119,9 @@ def _clenshaw_legendre(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return b1
 
 
-def _clenshaw_chebyshev(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    n = coeffs.size - 1
-    if n == 0:
-        return np.full(t.shape, coeffs[0])
-    b1 = np.zeros(t.shape)
-    b2 = np.zeros(t.shape)
-    for k in range(n, 0, -1):
-        b1, b2 = coeffs[k] + 2.0 * t * b1 - b2, b1
-    return coeffs[0] + t * b1 - b2
-
-
 def eval_series(series, x):
-    """Evaluate a LegendreSeries or ChebyshevSeries by Clenshaw recursion."""
-    x = _check_domain(x)
-    t = 2.0 * x - 1.0
-    if isinstance(series, LegendreSeries):
-        out = _clenshaw_legendre(series.coeffs, t)
-    elif isinstance(series, ChebyshevSeries):
-        out = _clenshaw_chebyshev(series.coeffs, t)
-    else:
-        raise TypeError(f"expected LegendreSeries or ChebyshevSeries, got {type(series).__name__}")
+    """Evaluate a LegendreSeries by Clenshaw recursion."""
+    if not isinstance(series, LegendreSeries):
+        raise TypeError(f"expected LegendreSeries, got {type(series).__name__}")
+    out = _clenshaw_legendre(series.coeffs, 2.0 * _check_domain(x) - 1.0)
     return float(out) if out.ndim == 0 else out

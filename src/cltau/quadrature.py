@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .orthopoly import _check_integer
+
 __all__ = [
     "QuadratureRule",
     "chebyshev_gauss_rule",
@@ -54,20 +56,22 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def _check_rule_index(n: int) -> int:
-    if n != int(n) or n < 0:
-        raise ValueError(f"rule index must be a non-negative integer, got {n!r}")
-    return int(n)
+def _check_rule_index(n) -> int:
+    return _check_integer(n, 0, "rule index must be a non-negative integer")
 
 
-@lru_cache(maxsize=_RULE_CACHE)
 def chebyshev_gauss_rule(n: int) -> QuadratureRule:
     """(n+1)-point Chebyshev-Gauss rule on (0, 1) for the weight (x - x^2)^(-1/2).
 
     Nodes (y_j + 1)/2 with y_j = -cos((2j+1)pi/(2n+2)), constant weights
     pi/(n+1); exact for polynomials of degree <= 2n+1 against the weight.
+    Cached per n; n is checked before the cache lookup.
     """
-    n = _check_rule_index(n)
+    return _chebyshev_gauss_rule(_check_rule_index(n))
+
+
+@lru_cache(maxsize=_RULE_CACHE)
+def _chebyshev_gauss_rule(n: int) -> QuadratureRule:
     j = np.arange(n + 1)
     nodes = -np.cos((2 * j + 1) * np.pi / (2 * n + 2))
     nodes = (nodes - nodes[::-1]) / 2.0  # enforce exact antisymmetry (exact 0 mid-node)
@@ -78,7 +82,6 @@ def chebyshev_gauss_rule(n: int) -> QuadratureRule:
     return rule
 
 
-@lru_cache(maxsize=_RULE_CACHE)
 def legendre_gauss_rule(n: int) -> QuadratureRule:
     """(n+1)-point Legendre-Gauss rule on (0, 1): nodes are the roots of L_{1,n+1}.
 
@@ -96,9 +99,14 @@ def legendre_gauss_rule(n: int) -> QuadratureRule:
     and mirrored; the middle node of an odd rule is 0.  Weights are
     2/(dP_m/dtheta)^2, free of the 1 - x^2 factor.  The rule is then
     mapped to (0, 1): nodes (x + 1)/2, weights halved.  Exact for
-    polynomials of degree <= 2n+1.
+    polynomials of degree <= 2n+1.  Cached per n; n is checked before the
+    cache lookup.
     """
-    n = _check_rule_index(n)
+    return _legendre_gauss_rule(_check_rule_index(n))
+
+
+@lru_cache(maxsize=_RULE_CACHE)
+def _legendre_gauss_rule(n: int) -> QuadratureRule:
     m = n + 1
     k = np.arange(m // 2 + 1)
     freq = m - 2.0 * k

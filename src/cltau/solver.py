@@ -3,14 +3,15 @@ equations on [0, 1].
 
 The problem is sum_i a_i y^(i)(t) = f(t) + integral_0^1 k(t, s) D^alpha y(s) ds
 with initial values y^(i)(0) = d_i.  The unknown is stored as a shifted
-Legendre series.  Known functions enter through Chebyshev interpolation at
-Gauss points and are carried into the Legendre frame by the transform pair,
-so the assembled system is entirely a statement about Legendre coefficients:
-the first truncation - n + 1 rows test the equation against basis
-polynomials, the remaining n rows pin the initial values.  The kernel term
-integrates k against the exact D^alpha of each basis polynomial (not its
-projection onto degree <= truncation) by a Jacobi-Gauss rule that absorbs
-the s^(ceil(alpha) - alpha) factor of that derivative; see fredholm_block.
+Legendre series.  The forcing is sampled at Chebyshev-Gauss points, and one
+cached map of cltransform carries the samples to the Legendre projections
+of their interpolant, so the assembled system is entirely a statement about
+Legendre coefficients: the first truncation - n + 1 rows test the equation
+against basis polynomials, the remaining n rows pin the initial values.  The
+kernel term integrates k against the exact D^alpha of each basis polynomial
+(not its projection onto degree <= truncation) by a Jacobi-Gauss rule that
+absorbs the s^(ceil(alpha) - alpha) factor of that derivative; see
+fredholm_block.
 
 The system is solved by one LAPACK gesv through numpy.linalg.solve (LU with
 partial pivoting) behind two gates: every LU pivot must reach 1e-14 times the
@@ -30,10 +31,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cltransform import chebyshev_interpolate, transform_pair
+from .cltransform import _KERNEL_EXTRA_POINTS, _legendre_projection, chebyshev_interpolate
 from .fracderiv import (CaputoOrder, _as_order, caputo_apply, caputo_legendre_factors, gamma,
                         operational_matrix)
-from .orthopoly import LegendreSeries, MonomialSeries, shifted_legendre_table
+from .orthopoly import LegendreSeries, MonomialSeries, _check_integer
 from .quadrature import jacobi_gauss_rule, legendre_gauss_rule
 
 __all__ = [
@@ -63,7 +64,6 @@ __all__ = [
 _PIVOT_RTOL = 1e-14
 _RESIDUAL_RTOL = 1e-10
 _ERROR_RULE_POINTS = 128
-_KERNEL_EXTRA_POINTS = 16
 _MMS_QUAD_POINTS = 64
 _MAX_ERROR_POINTS = 101
 _ERROR_FLOOR = 1e-12
@@ -186,13 +186,6 @@ class ConvergenceReport:
             raise ValueError("truncations must be strictly increasing")
 
 
-def _check_integer(value, minimum: int, message: str) -> int:
-    """value as a Python int: an int or numpy integer, never a bool, >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{message}, got {value!r}")
-    return int(value)
-
-
 def _check_truncation(truncation) -> int:
     return _check_integer(truncation, 0, "truncation must be a non-negative integer")
 
@@ -232,19 +225,6 @@ def _kernel_grid(kernel: Callable, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite kernel sample on the quadrature grid")
     return values
-
-
-@lru_cache(maxsize=_TABLE_CACHE)
-def _outer_projection(truncation: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x, weighted table w_x L_{1,r}(x) (indexed [x, r]) and the scale
-    2r + 1 of the (truncation + 16)-point shifted Legendre-Gauss projection
-    onto degrees 0..truncation; cached, read-only."""
-    rule = legendre_gauss_rule(truncation + _KERNEL_EXTRA_POINTS - 1)
-    weighted = rule.weights[:, None] * shifted_legendre_table(truncation, rule.nodes).T
-    scale = 2.0 * np.arange(truncation + 1) + 1.0
-    weighted.flags.writeable = False
-    scale.flags.writeable = False
-    return rule.nodes, weighted, scale
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -288,30 +268,21 @@ def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -
     """
     truncation = _check_truncation(truncation)
     s, table = _caputo_quadrature(_as_order(order).alpha, s_power, truncation)
-    x, weighted, scale = _outer_projection(truncation)
+    x, weighted, scale = _legendre_projection(truncation)
     inner = _kernel_grid(kernel, x, s) @ table.T
     block = (inner.T @ weighted) * scale[None, :]
     block.flags.writeable = False
     return block
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def _forcing_projection(truncation: int) -> np.ndarray:
-    """transform_pair(truncation).b with row k divided by 2k + 1; cached, read-only."""
-    table = transform_pair(truncation).b / (2.0 * np.arange(truncation + 1) + 1.0)[:, None]
-    table.flags.writeable = False
-    return table
-
-
 def forcing_coeffs(forcing: Callable, truncation: int) -> np.ndarray:
     """Weighted Legendre projections f_k = (interpolant of f, L_{1,k}).
 
-    The forcing is interpolated at the truncation + 1 shifted Chebyshev-Gauss
-    points; one product with the cached _forcing_projection converts to
-    Legendre coefficients and divides by the Legendre norms 2k + 1.
+    The forcing is sampled once at the truncation + 1 shifted Chebyshev-Gauss
+    points; one product with the cached map of chebyshev_interpolate gives
+    the projections of its interpolant.
     """
-    truncation = _check_truncation(truncation)
-    return _forcing_projection(truncation) @ chebyshev_interpolate(forcing, truncation).coeffs
+    return chebyshev_interpolate(forcing, truncation)
 
 
 @lru_cache(maxsize=_TABLE_CACHE)

@@ -26,12 +26,13 @@ import time
 
 import numpy as np
 
-from test_cltransform import chebyshev_to_legendre
+from test_cltransform import chebyshev_dct, projection_40_digits, transform_pair
 from test_fracderiv import _oracle_matrix
 
-from cltau.cltransform import chebyshev_interpolate, transform_pair
+from cltau import cltransform
+from cltau.cltransform import chebyshev_interpolate
 from cltau.fracderiv import operational_matrix
-from cltau.orthopoly import MonomialSeries
+from cltau.orthopoly import LegendreSeries, MonomialSeries
 from cltau.quadrature import legendre_gauss_rule
 from cltau.solver import (
     FIDEProblem,
@@ -201,7 +202,11 @@ def test_07_operational_matrix_oracle_equivalence():
 def test_08_transform_inverse_and_round_trip():
     # The Chebyshev<->Legendre coefficient transforms must be exact
     # inverses to 1e-12, carry the exact structural zero pattern, and
-    # round-trip polynomial samples to 1e-10.
+    # round-trip polynomial samples to 1e-10.  The pair is built in the
+    # tests; the package carries samples straight to Legendre projections
+    # with one cached map, which must be diag(1/(2k+1)) B (Chebyshev DCT)
+    # to 1e-15 beyond that product's own distance from the exact map
+    # (float64 B and DCT drift from it by up to 6.2e-15 at n = 32).
     for n in (4, 8, 16, 32):
         pair = transform_pair(n)
         identity = np.eye(n + 1)
@@ -213,10 +218,18 @@ def test_08_transform_inverse_and_round_trip():
                     assert pair.a[i, j] == 0.0 and pair.b[i, j] == 0.0, (
                         f"structural zero violated at ({i}, {j}) for n={n}")
 
+        norms = 2.0 * np.arange(n + 1) + 1.0
+        product = (pair.b / norms[:, None]) @ chebyshev_dct(n)
+        scale = float(np.max(np.abs(product)))
+        drift = float(np.max(np.abs(product - projection_40_digits(identity, n)))) / scale
+        deviation = float(np.max(np.abs(cltransform._forcing_map(n)[1] - product))) / scale
+        assert deviation <= 1e-15 + drift, (
+            f"n={n}: map deviation {deviation:.3e}, product drift {drift:.3e}")
+
         degree = min(n, 6)
         coeffs = [1.0, -3.0, 0.5, 2.0, -1.0, 0.25, 1.5][: degree + 1]
         poly = np.polynomial.Polynomial(coeffs)
-        legendre = chebyshev_to_legendre(chebyshev_interpolate(poly, n))
+        legendre = LegendreSeries(norms * chebyshev_interpolate(poly, n))
         grid = np.linspace(0.0, 1.0, 41)
         round_trip = float(np.max(np.abs(legendre(grid) - poly(grid))))
         assert round_trip <= 1e-10, f"n={n}: round-trip error {round_trip:.3e}"

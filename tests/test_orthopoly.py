@@ -1,8 +1,9 @@
 """Shifted Legendre/Chebyshev tables and series evaluation, checked against
 hand-expanded low-degree polynomials, exact closed monomial forms, endpoint
-identities, and quadrature orthogonality.  The closed monomial forms are
-test oracles (the fracderiv and solver tests use them too); the package
-itself never expands a basis polynomial in monomials."""
+identities, and quadrature orthogonality.  The closed monomial forms and
+the shifted Chebyshev table are test oracles (the fracderiv, cltransform
+and solver tests use them too); the package itself never expands a basis
+polynomial in monomials and never tabulates T_{1,k}."""
 
 from fractions import Fraction
 from math import factorial
@@ -10,14 +11,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from cltau.orthopoly import (
-    ChebyshevSeries,
-    LegendreSeries,
-    MonomialSeries,
-    eval_series,
-    shifted_chebyshev_table,
-    shifted_legendre_table,
-)
+from cltau.orthopoly import LegendreSeries, MonomialSeries, eval_series, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
 
 # Hand-expanded shifted polynomials on [0, 1] (degree: monomial coefficients,
@@ -35,6 +29,13 @@ _CHEBYSHEV_LOW = {
     2: (1, -8, 8),
     3: (-1, 18, -48, 32),
 }
+
+
+def shifted_chebyshev_table(n: int, x) -> np.ndarray:
+    """Values of T_{1,0}..T_{1,n} at x in [0, 1]; row k holds degree k (numpy's
+    Chebyshev Vandermonde matrix, the three-term recurrence, at t = 2x - 1)."""
+    t = 2.0 * np.asarray(x, dtype=float) - 1.0
+    return np.moveaxis(np.polynomial.chebyshev.chebvander(t, n), -1, 0)
 
 
 def _poly(coeffs, x):
@@ -168,13 +169,12 @@ def test_series_evaluation_matches_explicit_sum():
     x = rng.uniform(0.0, 1.0, size=33)
     coeffs = rng.uniform(-2.0, 2.0, size=11)
     leg_table = shifted_legendre_table(10, x)
-    cheb_table = shifted_chebyshev_table(10, x)
     leg = LegendreSeries(coeffs)
-    cheb = ChebyshevSeries(coeffs)
     assert np.allclose(leg(x), coeffs @ leg_table, rtol=1e-13, atol=1e-13)
-    assert np.allclose(cheb(x), coeffs @ cheb_table, rtol=1e-13, atol=1e-13)
     # scalar in, scalar out
     assert isinstance(eval_series(leg, 0.3), float)
+    with pytest.raises(TypeError, match="expected LegendreSeries"):
+        eval_series(MonomialSeries(((1.0, 1.0),)), 0.3)
 
 
 def test_monomial_series_fractional_exponents():
@@ -229,7 +229,7 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         shifted_legendre_table(4, np.array([-0.1]))
     with pytest.raises(ValueError):
-        shifted_chebyshev_table(4, np.array([1.1]))
+        eval_series(LegendreSeries([1.0, 2.0]), np.array([1.1]))
     with pytest.raises(ValueError):
         shifted_legendre_table(-1, np.array([0.5]))
     for bad in (np.nan, np.inf, -np.inf):

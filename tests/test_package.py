@@ -10,7 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cltau
+from cltau import cltransform, fracderiv, orthopoly, quadrature
 
 _MODULES = ("cli", "cltransform", "exprlang", "fracderiv", "orthopoly", "quadrature", "solver")
 
@@ -22,14 +26,38 @@ def test_every_lru_cache_is_bounded():
         for attr, value in vars(module).items():
             if callable(getattr(value, "cache_info", None)):
                 cached[f"{name}.{attr}"] = value.cache_info().maxsize
-    assert {"fracderiv._operational_entries", "quadrature.legendre_gauss_rule",
-            "quadrature.chebyshev_gauss_rule", "cltransform.transform_pair",
-            "solver._caputo_quadrature", "solver._outer_projection",
-            "solver._initial_condition_rows", "cltransform._interpolation_table",
-            "solver._singular_rule", "solver._forcing_projection",
+    assert {"fracderiv._operational_entries", "quadrature._legendre_gauss_rule",
+            "quadrature._chebyshev_gauss_rule", "cltransform._legendre_projection",
+            "cltransform._forcing_map", "solver._caputo_quadrature",
+            "solver._initial_condition_rows", "solver._singular_rule",
             "solver._error_grid"} <= set(cached)
     unbounded = [name for name, maxsize in cached.items() if maxsize is None]
     assert not unbounded
+
+
+# Every entry point that takes a size or degree, reduced to an array.
+_SIZED = {
+    "chebyshev_gauss_rule": lambda n: quadrature.chebyshev_gauss_rule(n).nodes,
+    "legendre_gauss_rule": lambda n: quadrature.legendre_gauss_rule(n).nodes,
+    "jacobi_gauss_rule": lambda n: quadrature.jacobi_gauss_rule(n, 0.5).nodes,
+    "shifted_legendre_table": lambda n: orthopoly.shifted_legendre_table(n, [0.25, 0.5]),
+    "operational_matrix": lambda n: fracderiv.operational_matrix(1, n).entries,
+    "caputo_legendre_factors": lambda n: fracderiv.caputo_legendre_factors(0.5, n, [0.25]),
+    "chebyshev_interpolate": lambda n: cltransform.chebyshev_interpolate(np.exp, n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SIZED))
+def test_sizes_and_degrees_are_integers_never_bools(entry):
+    # One rule everywhere: an int or numpy integer, never a bool.  The
+    # check runs before any cache lookup, and the call with 1 comes first
+    # so that a cache keyed on 1 would hand back its entry for True.
+    call = _SIZED[entry]
+    reference = call(1)
+    np.testing.assert_array_equal(call(np.int64(1)), reference)
+    for bad in (True, False, 1.0, -1):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            call(bad)
 
 
 def test_every_exported_name_is_used_outside_the_tests():

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from test_cltransform import projection_40_digits
 from test_orthopoly import monomial_form_legendre
 
 from cltau import cltransform, orthopoly, solver
 from cltau.fracderiv import caputo_apply, gamma, operational_matrix
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
-from cltau.quadrature import legendre_gauss_rule
+from cltau.quadrature import chebyshev_gauss_rule, legendre_gauss_rule
 from cltau.solver import (
     DecayFit,
     FIDEProblem,
@@ -188,13 +189,15 @@ def test_forcing_coeffs_closed_forms():
 
 @pytest.mark.parametrize("truncation", [1, 4, 16, 64])
 def test_forcing_coeffs_is_the_legendre_transform_of_the_interpolant(truncation):
-    # The cached table folds the division by 2k + 1 into transform_pair's b;
-    # only the rounding of that product may move.
+    # forcing_coeffs is chebyshev_interpolate, bit for bit, and both are the
+    # projections of the interpolant of the float samples, which a 40-digit
+    # computation of the same interpolant pins to 1e-15.
     forcing = builtin_example("5.4").problem.forcing
-    reference = (cltransform.transform_pair(truncation).b
-                 @ cltransform.chebyshev_interpolate(forcing, truncation).coeffs
-                 / (2.0 * np.arange(truncation + 1) + 1.0))
-    deviation = np.max(np.abs(forcing_coeffs(forcing, truncation) - reference))
+    coeffs = forcing_coeffs(forcing, truncation)
+    np.testing.assert_array_equal(coeffs, cltransform.chebyshev_interpolate(forcing, truncation))
+    samples = forcing(chebyshev_gauss_rule(truncation).nodes)
+    reference = projection_40_digits(samples, truncation)
+    deviation = np.max(np.abs(coeffs - reference))
     assert deviation <= 1e-15 * np.max(np.abs(reference))
 
 
@@ -812,40 +815,44 @@ def test_overflowing_coefficient_is_named_without_a_warning():
 
 
 def _count_table_calls(monkeypatch):
-    """Count calls of the two orthopoly tables through every cltau binding."""
-    calls = {"shifted_legendre_table": 0, "shifted_chebyshev_table": 0}
-    for name in calls:
-        original = getattr(orthopoly, name)
+    """Count calls of shifted_legendre_table through every cltau binding."""
+    calls = {"shifted_legendre_table": 0}
+    original = orthopoly.shifted_legendre_table
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted(*args):
+        calls["shifted_legendre_table"] += 1
+        return original(*args)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("cltau") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cltau") and getattr(module, "shifted_legendre_table",
+                                                       None) is original:
+            monkeypatch.setattr(module, "shifted_legendre_table", counted)
     return calls
 
 
 def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
+    # The package tabulates no Chebyshev polynomial: the forcing is sampled
+    # at the Chebyshev nodes and mapped straight to Legendre projections.
+    # A cold solve builds Legendre tables, a warm one none.
     problem = builtin_example("5.4").problem
-    for cache in (solver._outer_projection, solver._caputo_quadrature,
-                  solver._initial_condition_rows, solver._forcing_projection,
-                  cltransform._interpolation_table):
+    for cache in (cltransform._legendre_projection, cltransform._forcing_map,
+                  solver._caputo_quadrature, solver._initial_condition_rows):
         cache.cache_clear()
+    assert not [name for name, module in sys.modules.items()
+                if name.startswith("cltau") and hasattr(module, "shifted_chebyshev_table")]
     calls = _count_table_calls(monkeypatch)
     cold = solve_fide(problem, 24)
-    assert calls["shifted_legendre_table"] > 0 and calls["shifted_chebyshev_table"] > 0
-    calls.update(dict.fromkeys(calls, 0))
+    assert calls["shifted_legendre_table"] > 0
+    calls["shifted_legendre_table"] = 0
     warm = solve_fide(problem, 24)
-    assert calls == {"shifted_legendre_table": 0, "shifted_chebyshev_table": 0}
+    assert calls == {"shifted_legendre_table": 0}
     np.testing.assert_array_equal(warm.coeffs.coeffs, cold.coeffs.coeffs)
 
 
 def test_cached_tables_are_read_only():
-    arrays = (list(solver._outer_projection(12)) + list(solver._caputo_quadrature(0.5, 1, 12))
-              + [solver._initial_condition_rows(3, 12), solver._forcing_projection(12)]
-              + list(cltransform._interpolation_table(12)) + list(solver._error_grid()))
+    arrays = (list(cltransform._legendre_projection(12)) + list(cltransform._forcing_map(12))
+              + list(solver._caputo_quadrature(0.5, 1, 12))
+              + [solver._initial_condition_rows(3, 12)] + list(solver._error_grid()))
     for array in arrays:
         with pytest.raises(ValueError):
             array.flat[0] = 1.0
