@@ -161,11 +161,12 @@ def _operational_entries(alpha: float, n: int) -> np.ndarray:
     """S(i,j) = (2j+1) int_0^1 D^alpha L_{1,i} L_{1,j} dx in float64.
 
     Integer alpha = m: the m-th power of the first-derivative matrix of
-    _legendre_derivative_coeffs.  Its entries are non-negative integers, so
-    every partial sum of the power is an integer no larger than the final
-    entry and the result is exact while the largest entry is below 2^53:
-    m <= 4 up to n = 128 (largest entry 9.2e13) and m = 5 up to n = 64.
-    Beyond that the rounding is relative, about m * n * eps.
+    _legendre_derivative_coeffs (m = 0: exactly the identity).  Its entries
+    are non-negative integers, so every partial sum of the power is an
+    integer no larger than the final entry and the result is exact while
+    the largest entry is below 2^53: m <= 4 up to n = 128 (largest entry
+    9.2e13) and m = 5 up to n = 64.  Beyond that the rounding is relative,
+    about m * n * eps.
 
     Fractional alpha: D^alpha L_{1,i}(x) = x^(m-alpha) g_i(x) with g_i a
     polynomial of degree i - m (caputo_legendre_factors), so
@@ -199,9 +200,7 @@ def operational_matrix(order, n: int) -> OperationalMatrix:
     """
     n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
     if not isinstance(order, CaputoOrder) and float(order) == 0.0:
-        eye = np.eye(n + 1)
-        eye.flags.writeable = False
-        return OperationalMatrix(alpha=0.0, m=0, n=n, entries=eye)
+        return OperationalMatrix(alpha=0.0, m=0, n=n, entries=_operational_entries(0.0, n))
     order = _as_order(order)
     return OperationalMatrix(alpha=order.alpha, m=order.m, n=n,
                              entries=_operational_entries(order.alpha, n))

@@ -295,25 +295,20 @@ def _initial_condition_rows(n: int, truncation: int) -> np.ndarray:
     return rows
 
 
-def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense tau system (matrix, rhs) for the given truncation.
+@lru_cache(maxsize=_TABLE_CACHE)
+def _derivative_operator(a: tuple[float, ...], truncation: int) -> np.ndarray:
+    """sum_i a_i D^i over the nonzero a_i, through integer operational
+    matrices; cached per (a, truncation), read-only.
 
-    Rows 0..truncation - n test the equation against L_{1,k} (each divided
-    by the norm 2k + 1): the derivative terms enter through integer
-    operational matrices, the kernel term through fredholm_block (the
-    kernel against the exact D^alpha L_{1,l}, not its projection onto
-    degree <= truncation).  The last n rows evaluate y^(i)(0) through
-    integer operational matrices and L_{1,l}(0) = (-1)^l; they depend only
-    on (n, truncation) and are cached.  Raises ValueError naming the first
-    a_i whose derivative term makes the sum non-finite (checked once).
+    a is FIDEProblem.a (floats, n = len(a) - 1), so the key fixes the
+    operator.  The terms are summed in order with one finiteness check;
+    only when the sum is non-finite are they re-summed one at a time to
+    raise ValueError naming the first a_i that makes it so.  lru_cache keeps
+    no exception, so that error is raised on every call.
     """
-    truncation = _check_truncation(truncation)
-    if truncation < problem.n:
-        raise ValueError(
-            f"truncation {truncation} leaves no room for {problem.n} initial conditions")
     size = truncation + 1
     terms = [(i, coeff, operational_matrix(i, truncation).entries)
-             for i, coeff in enumerate(problem.a) if coeff != 0.0]
+             for i, coeff in enumerate(a) if coeff != 0.0]
     core = np.zeros((size, size))
     with np.errstate(over="ignore", invalid="ignore"):
         for _, coeff, entries in terms:
@@ -326,8 +321,32 @@ def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, 
                     raise ValueError(
                         f"derivative coefficient a_{i} = {coeff!r} makes the tau system "
                         f"non-finite at truncation {truncation}")
-    core = core - fredholm_block(problem.kernel, problem.order, truncation,
-                                 problem.kernel_s_power)
+    core.flags.writeable = False
+    return core
+
+
+def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense tau system (matrix, rhs) for the given truncation.
+
+    Rows 0..truncation - n test the equation against L_{1,k} (each divided
+    by the norm 2k + 1): the derivative terms enter through
+    _derivative_operator, the sum of a_i times the integer operational
+    matrices, cached per (a, truncation); the kernel term through
+    fredholm_block (the kernel against the exact D^alpha L_{1,l}, not its
+    projection onto degree <= truncation).  The last n rows evaluate
+    y^(i)(0) through integer operational matrices and L_{1,l}(0) = (-1)^l;
+    they depend only on (n, truncation) and are cached.  A repeated call
+    with the same a and truncation therefore evaluates only the kernel and
+    the forcing.  Raises ValueError naming the first a_i whose derivative
+    term makes the sum non-finite.
+    """
+    truncation = _check_truncation(truncation)
+    if truncation < problem.n:
+        raise ValueError(
+            f"truncation {truncation} leaves no room for {problem.n} initial conditions")
+    size = truncation + 1
+    core = _derivative_operator(problem.a, truncation) - fredholm_block(
+        problem.kernel, problem.order, truncation, problem.kernel_s_power)
     norms = 2.0 * np.arange(size) + 1.0
     galerkin_rows = truncation - problem.n + 1
     matrix = np.zeros((size, size))

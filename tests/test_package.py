@@ -30,7 +30,7 @@ def test_every_lru_cache_is_bounded():
             "quadrature._chebyshev_gauss_rule", "cltransform._legendre_projection",
             "cltransform._forcing_map", "solver._caputo_quadrature",
             "solver._initial_condition_rows", "solver._singular_rule",
-            "solver._error_grid"} <= set(cached)
+            "solver._error_grid", "solver._derivative_operator"} <= set(cached)
     unbounded = [name for name, maxsize in cached.items() if maxsize is None]
     assert not unbounded
 

@@ -812,21 +812,24 @@ def test_overflowing_coefficient_is_named_without_a_warning():
         assemble_system(problem, 8)
     with pytest.raises(ValueError, match="a_1"):
         solve_fide(problem, 8)
+    # The derivative operator is cached, but a failed build is not: the
+    # repeat raises the same error, again without a warning.
+    with pytest.raises(ValueError, match=r"a_1 = 1e\+308 .* non-finite"):
+        assemble_system(problem, 8)
 
 
-def _count_table_calls(monkeypatch):
-    """Count calls of shifted_legendre_table through every cltau binding."""
-    calls = {"shifted_legendre_table": 0}
-    original = orthopoly.shifted_legendre_table
+def _count_calls(monkeypatch, original):
+    """Count calls of a package function through every cltau binding of its name."""
+    name = original.__name__
+    calls = {name: 0}
 
     def counted(*args):
-        calls["shifted_legendre_table"] += 1
+        calls[name] += 1
         return original(*args)
 
     for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("cltau") and getattr(module, "shifted_legendre_table",
-                                                       None) is original:
-            monkeypatch.setattr(module, "shifted_legendre_table", counted)
+        if module_name.startswith("cltau") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -840,7 +843,7 @@ def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
         cache.cache_clear()
     assert not [name for name, module in sys.modules.items()
                 if name.startswith("cltau") and hasattr(module, "shifted_chebyshev_table")]
-    calls = _count_table_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, orthopoly.shifted_legendre_table)
     cold = solve_fide(problem, 24)
     assert calls["shifted_legendre_table"] > 0
     calls["shifted_legendre_table"] = 0
@@ -849,10 +852,40 @@ def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
     np.testing.assert_array_equal(warm.coeffs.coeffs, cold.coeffs.coeffs)
 
 
+def test_warm_solve_sums_no_operational_matrix(monkeypatch):
+    # Sum_i a_i D^i depends only on (a, N): a warm repeat of the solve
+    # takes it from the cache and builds no operational matrix.
+    problem = builtin_example("5.4").problem
+    solver._derivative_operator.cache_clear()
+    solver._initial_condition_rows.cache_clear()
+    calls = _count_calls(monkeypatch, operational_matrix)
+    cold = solve_fide(problem, 24)
+    assert calls["operational_matrix"] > 0
+    calls["operational_matrix"] = 0
+    warm = solve_fide(problem, 24)
+    assert calls == {"operational_matrix": 0}
+    assert warm.coeffs.coeffs.tobytes() == cold.coeffs.coeffs.tobytes()
+
+
+def test_cached_derivative_operator_serves_another_problem_with_the_same_a():
+    # 5.1 and 5.2 share a = (0, 1) but differ in order, kernel and forcing:
+    # the second assembly reuses the first one's operator and must equal an
+    # assembly from an empty cache bit for bit.
+    first, second = builtin_example("5.1").problem, builtin_example("5.2").problem
+    assert first.a == second.a
+    assemble_system(first, 16)
+    warm = assemble_system(second, 16)
+    solver._derivative_operator.cache_clear()
+    fresh = assemble_system(second, 16)
+    for got, expected in zip(warm, fresh):
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_cached_tables_are_read_only():
     arrays = (list(cltransform._legendre_projection(12)) + list(cltransform._forcing_map(12))
               + list(solver._caputo_quadrature(0.5, 1, 12))
-              + [solver._initial_condition_rows(3, 12)] + list(solver._error_grid()))
+              + [solver._initial_condition_rows(3, 12)] + list(solver._error_grid())
+              + [solver._derivative_operator((1.0, 0.0, -1.0, 3.0), 12)])
     for array in arrays:
         with pytest.raises(ValueError):
             array.flat[0] = 1.0
