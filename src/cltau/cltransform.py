@@ -34,8 +34,8 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rule = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
     weighted = rule.weights[:, None] * shifted_legendre_table(n, rule.nodes).T
     scale = 2.0 * np.arange(n + 1) + 1.0
-    weighted.flags.writeable = False
-    scale.flags.writeable = False
+    for array in (rule.nodes, weighted, scale):
+        array.flags.writeable = False
     return rule.nodes, weighted, scale
 
 
@@ -55,6 +55,7 @@ def _forcing_map(n: int) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(n + 1)
     terms = ((-1.0) ** j * np.sin((2 * j + 1) * np.pi / (2 * n + 2))) / (x[:, None] - nodes)
     matrix = weighted.T @ (terms / terms.sum(axis=1, keepdims=True))
+    nodes.flags.writeable = False
     matrix.flags.writeable = False
     return nodes, matrix
 

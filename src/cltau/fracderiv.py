@@ -13,7 +13,7 @@ the x^(m-a) weight and is exact for them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +54,7 @@ class CaputoOrder:
     """Fractional order alpha > 0 with m = ceil(alpha), so m - 1 < alpha <= m."""
 
     alpha: float
-    m: int = 0  # derived; any passed value is overwritten
+    m: int = field(init=False)
 
     def __post_init__(self):
         alpha = float(self.alpha)

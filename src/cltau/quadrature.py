@@ -11,7 +11,6 @@ x = 0, come from the eigenvalues of the Jacobi matrix (Golub-Welsch).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "jacobi_gauss_rule",
 ]
 
-_RULE_CACHE = 128
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITERS = 100
 
@@ -65,21 +63,13 @@ def chebyshev_gauss_rule(n: int) -> QuadratureRule:
 
     Nodes (y_j + 1)/2 with y_j = -cos((2j+1)pi/(2n+2)), constant weights
     pi/(n+1); exact for polynomials of degree <= 2n+1 against the weight.
-    Cached per n; n is checked before the cache lookup.
     """
-    return _chebyshev_gauss_rule(_check_rule_index(n))
-
-
-@lru_cache(maxsize=_RULE_CACHE)
-def _chebyshev_gauss_rule(n: int) -> QuadratureRule:
+    n = _check_rule_index(n)
     j = np.arange(n + 1)
     nodes = -np.cos((2 * j + 1) * np.pi / (2 * n + 2))
     nodes = (nodes - nodes[::-1]) / 2.0  # enforce exact antisymmetry (exact 0 mid-node)
     weights = np.full(n + 1, np.pi / (n + 1))
-    rule = QuadratureRule((nodes + 1.0) / 2.0, weights)
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
+    return QuadratureRule((nodes + 1.0) / 2.0, weights)
 
 
 def legendre_gauss_rule(n: int) -> QuadratureRule:
@@ -99,14 +89,9 @@ def legendre_gauss_rule(n: int) -> QuadratureRule:
     and mirrored; the middle node of an odd rule is 0.  Weights are
     2/(dP_m/dtheta)^2, free of the 1 - x^2 factor.  The rule is then
     mapped to (0, 1): nodes (x + 1)/2, weights halved.  Exact for
-    polynomials of degree <= 2n+1.  Cached per n; n is checked before the
-    cache lookup.
+    polynomials of degree <= 2n+1.
     """
-    return _legendre_gauss_rule(_check_rule_index(n))
-
-
-@lru_cache(maxsize=_RULE_CACHE)
-def _legendre_gauss_rule(n: int) -> QuadratureRule:
+    n = _check_rule_index(n)
     m = n + 1
     k = np.arange(m // 2 + 1)
     freq = m - 2.0 * k
@@ -139,10 +124,7 @@ def _legendre_gauss_rule(n: int) -> QuadratureRule:
     w = 1.0 / series(theta)[1] ** 2
     x = np.concatenate((-x, x[::-1][m % 2:]))
     w = np.concatenate((w, w[::-1][m % 2:]))
-    rule = QuadratureRule((x + 1.0) / 2.0, w)
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
+    return QuadratureRule((x + 1.0) / 2.0, w)
 
 
 def jacobi_gauss_rule(n: int, exponent: float) -> QuadratureRule:

@@ -286,56 +286,48 @@ def forcing_coeffs(forcing: Callable, truncation: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def _initial_condition_rows(n: int, truncation: int) -> np.ndarray:
-    """rows[i, l] = (d/dx)^i L_{1,l} at x = 0 for i < n, through integer
-    operational matrices and L_{1,l}(0) = (-1)^l; cached, read-only."""
-    signs = (-1.0) ** np.arange(truncation + 1)
-    rows = np.array([operational_matrix(i, truncation).entries @ signs for i in range(n)])
-    rows.flags.writeable = False
-    return rows
+def _classical_rows(a: tuple[float, ...], truncation: int) -> np.ndarray:
+    """The tau matrix without its kernel term, before the Galerkin rows are
+    divided by 2k + 1; cached per (a, truncation), read-only.
 
-
-@lru_cache(maxsize=_TABLE_CACHE)
-def _derivative_operator(a: tuple[float, ...], truncation: int) -> np.ndarray:
-    """sum_i a_i D^i over the nonzero a_i, through integer operational
-    matrices; cached per (a, truncation), read-only.
-
-    a is FIDEProblem.a (floats, n = len(a) - 1), so the key fixes the
-    operator.  The terms are summed in order with one finiteness check;
-    only when the sum is non-finite are they re-summed one at a time to
-    raise ValueError naming the first a_i that makes it so.  lru_cache keeps
-    no exception, so that error is raised on every call.
+    Row k < truncation - n + 1 is column k of sum_i a_i D^i over the nonzero
+    a_i (a is FIDEProblem.a, n = len(a) - 1), summed in order; row
+    truncation - n + 1 + i is y^(i)(0), D^i applied to L_{1,l}(0) = (-1)^l.
+    D^i is matrix_power of the integer first-derivative matrix, exact below
+    2^53 where a chain of products is not.  The sum is checked after each
+    term, so the ValueError names the first a_i that makes it non-finite;
+    lru_cache keeps no exception, so it is raised on every call.
     """
+    n = len(a) - 1
     size = truncation + 1
-    terms = [(i, coeff, operational_matrix(i, truncation).entries)
-             for i, coeff in enumerate(a) if coeff != 0.0]
+    first = operational_matrix(1, truncation).entries
+    signs = (-1.0) ** np.arange(size)
     core = np.zeros((size, size))
+    rows = np.empty((size, size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, coeff, entries in terms:
-            core += coeff * entries
-        if not np.isfinite(core).all():
-            core[:] = 0.0
-            for i, coeff, entries in terms:
-                core += coeff * entries
+        for i, coeff in enumerate(a):
+            power = np.linalg.matrix_power(first, i)
+            if i < n:
+                rows[size - n + i] = power @ signs
+            if coeff != 0.0:
+                core += coeff * power
                 if not np.isfinite(core).all():
                     raise ValueError(
                         f"derivative coefficient a_{i} = {coeff!r} makes the tau system "
                         f"non-finite at truncation {truncation}")
-    core.flags.writeable = False
-    return core
+    rows[:size - n] = core[:, :size - n].T
+    rows.flags.writeable = False
+    return rows
 
 
 def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense tau system (matrix, rhs) for the given truncation.
 
-    Rows 0..truncation - n test the equation against L_{1,k} (each divided
-    by the norm 2k + 1): the derivative terms enter through
-    _derivative_operator, the sum of a_i times the integer operational
-    matrices, cached per (a, truncation); the kernel term through
-    fredholm_block (the kernel against the exact D^alpha L_{1,l}, not its
-    projection onto degree <= truncation).  The last n rows evaluate
-    y^(i)(0) through integer operational matrices and L_{1,l}(0) = (-1)^l;
-    they depend only on (n, truncation) and are cached.  A repeated call
+    Rows 0..truncation - n test the equation against L_{1,k}, each divided
+    by the norm 2k + 1; the last n rows pin y^(i)(0).  Both come from the
+    cached _classical_rows(a, truncation), less, in the Galerkin rows, the
+    kernel term of fredholm_block (the kernel against the exact D^alpha
+    L_{1,l}, not its projection onto degree <= truncation).  A repeated call
     with the same a and truncation therefore evaluates only the kernel and
     the forcing.  Raises ValueError naming the first a_i whose derivative
     term makes the sum non-finite.
@@ -344,15 +336,13 @@ def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, 
     if truncation < problem.n:
         raise ValueError(
             f"truncation {truncation} leaves no room for {problem.n} initial conditions")
-    size = truncation + 1
-    core = _derivative_operator(problem.a, truncation) - fredholm_block(
-        problem.kernel, problem.order, truncation, problem.kernel_s_power)
-    norms = 2.0 * np.arange(size) + 1.0
     galerkin_rows = truncation - problem.n + 1
-    matrix = np.zeros((size, size))
-    matrix[:galerkin_rows, :] = (core[:, :galerkin_rows] / norms[:galerkin_rows]).T
-    matrix[galerkin_rows:, :] = _initial_condition_rows(problem.n, truncation)
-    rhs = np.zeros(size)
+    matrix = np.array(_classical_rows(problem.a, truncation))
+    kernel_term = fredholm_block(problem.kernel, problem.order, truncation,
+                                 problem.kernel_s_power)
+    matrix[:galerkin_rows] -= kernel_term[:, :galerkin_rows].T
+    matrix[:galerkin_rows] /= (2.0 * np.arange(galerkin_rows) + 1.0)[:, None]
+    rhs = np.zeros(truncation + 1)
     rhs[:galerkin_rows] = forcing_coeffs(problem.forcing, truncation)[:galerkin_rows]
     rhs[galerkin_rows:] = problem.ics
     return matrix, rhs
@@ -691,6 +681,7 @@ def _error_grid() -> tuple[np.ndarray, np.ndarray]:
     rule = legendre_gauss_rule(_ERROR_RULE_POINTS - 1)
     grid = np.concatenate((rule.nodes, np.linspace(0.0, 1.0, _MAX_ERROR_POINTS)))
     grid.flags.writeable = False
+    rule.weights.flags.writeable = False
     return grid, rule.weights
 
 

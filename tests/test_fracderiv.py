@@ -53,6 +53,16 @@ def test_caputo_order_normalization():
             CaputoOrder(bad)
 
 
+def test_caputo_order_m_is_derived_not_passed():
+    with pytest.raises(TypeError):
+        CaputoOrder(0.5, 7)
+    with pytest.raises(TypeError):
+        CaputoOrder(alpha=0.5, m=1)
+    assert CaputoOrder(0.5) == CaputoOrder(0.5)
+    assert hash(CaputoOrder(0.5)) == hash(CaputoOrder(0.5))
+    assert CaputoOrder(0.5) != CaputoOrder(1.5)
+
+
 def test_power_rule_classical_values():
     # D^(1/2) x = 2 sqrt(x / pi), the textbook half-derivative.
     coeff, expo = caputo_power_rule(1.0, 0.5)

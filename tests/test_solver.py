@@ -16,7 +16,7 @@ import scipy.linalg
 from test_cltransform import projection_40_digits
 from test_orthopoly import monomial_form_legendre
 
-from cltau import cltransform, orthopoly, solver
+from cltau import cltransform, fracderiv, orthopoly, solver
 from cltau.fracderiv import caputo_apply, gamma, operational_matrix
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
 from cltau.quadrature import chebyshev_gauss_rule, legendre_gauss_rule
@@ -227,6 +227,15 @@ def test_assembly_shapes_and_condition_rows():
     signs = (-1.0) ** np.arange(7)
     assert np.allclose(matrix[4], signs, rtol=0, atol=1e-15)
     assert np.allclose(rhs[4:], [0.0, 1.0, 2.0], rtol=0, atol=0)
+    # Every condition row against the closed form
+    # d^i L_{1,j}(0) = (-1)^(j-i) (j+i)! / (i! (j-i)!), exact integers here.
+    for truncation in (6, 64):
+        matrix, _ = assemble_system(problem, truncation)
+        for i in range(problem.n):
+            expected = [(-1) ** (j - i) * (math.perm(j + i, 2 * i) // math.factorial(i))
+                        for j in range(truncation + 1)]
+            row = matrix[truncation - problem.n + 1 + i]
+            np.testing.assert_array_equal(row, np.array(expected, dtype=float))
 
 
 # ---------------------------------------------------------------- catalog
@@ -839,7 +848,7 @@ def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
     # A cold solve builds Legendre tables, a warm one none.
     problem = builtin_example("5.4").problem
     for cache in (cltransform._legendre_projection, cltransform._forcing_map,
-                  solver._caputo_quadrature, solver._initial_condition_rows):
+                  solver._caputo_quadrature, solver._classical_rows):
         cache.cache_clear()
     assert not [name for name, module in sys.modules.items()
                 if name.startswith("cltau") and hasattr(module, "shifted_chebyshev_table")]
@@ -856,8 +865,7 @@ def test_warm_solve_sums_no_operational_matrix(monkeypatch):
     # Sum_i a_i D^i depends only on (a, N): a warm repeat of the solve
     # takes it from the cache and builds no operational matrix.
     problem = builtin_example("5.4").problem
-    solver._derivative_operator.cache_clear()
-    solver._initial_condition_rows.cache_clear()
+    solver._classical_rows.cache_clear()
     calls = _count_calls(monkeypatch, operational_matrix)
     cold = solve_fide(problem, 24)
     assert calls["operational_matrix"] > 0
@@ -867,15 +875,29 @@ def test_warm_solve_sums_no_operational_matrix(monkeypatch):
     assert warm.coeffs.coeffs.tobytes() == cold.coeffs.coeffs.tobytes()
 
 
-def test_cached_derivative_operator_serves_another_problem_with_the_same_a():
+def test_cold_solve_builds_only_the_first_derivative_matrix(monkeypatch):
+    # Every classical row of 5.4 (orders 0..3) is a power of the order-1
+    # operational matrix, which the Caputo factors of its kernel term share,
+    # so a cold solve builds that one matrix and no other.
+    problem = builtin_example("5.4").problem
+    for cache in (fracderiv._operational_entries, solver._classical_rows,
+                  solver._caputo_quadrature):
+        cache.cache_clear()
+    calls = _count_calls(monkeypatch, operational_matrix)
+    solve_fide(problem, 24)
+    assert calls == {"operational_matrix": 1}
+    assert fracderiv._operational_entries.cache_info().currsize == 1
+
+
+def test_cached_classical_rows_serve_another_problem_with_the_same_a():
     # 5.1 and 5.2 share a = (0, 1) but differ in order, kernel and forcing:
-    # the second assembly reuses the first one's operator and must equal an
+    # the second assembly reuses the first one's rows and must equal an
     # assembly from an empty cache bit for bit.
     first, second = builtin_example("5.1").problem, builtin_example("5.2").problem
     assert first.a == second.a
     assemble_system(first, 16)
     warm = assemble_system(second, 16)
-    solver._derivative_operator.cache_clear()
+    solver._classical_rows.cache_clear()
     fresh = assemble_system(second, 16)
     for got, expected in zip(warm, fresh):
         assert got.tobytes() == expected.tobytes()
@@ -884,8 +906,8 @@ def test_cached_derivative_operator_serves_another_problem_with_the_same_a():
 def test_cached_tables_are_read_only():
     arrays = (list(cltransform._legendre_projection(12)) + list(cltransform._forcing_map(12))
               + list(solver._caputo_quadrature(0.5, 1, 12))
-              + [solver._initial_condition_rows(3, 12)] + list(solver._error_grid())
-              + [solver._derivative_operator((1.0, 0.0, -1.0, 3.0), 12)])
+              + list(solver._error_grid())
+              + [solver._classical_rows((1.0, 0.0, -1.0, 3.0), 12)])
     for array in arrays:
         with pytest.raises(ValueError):
             array.flat[0] = 1.0
