@@ -95,8 +95,12 @@ def _require(condition: bool, message: str):
 def _as_real(value, what: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{what} must be a number, got {value!r}")
-    _require(math.isfinite(float(value)), f"{what} must be finite, got {value!r}")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an integer beyond the float64 range
+        real = math.inf
+    _require(math.isfinite(real), f"{what} must be finite, got {value!r}")
+    return real
 
 
 def _as_int(value, what: str) -> int:
@@ -232,6 +236,8 @@ def _load_config_file(path: str) -> ProblemConfig:
         raise _ConfigError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise _ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise _ConfigError(f"config {path!r} cannot be read: {exc}") from None
     return ProblemConfig.from_dict(raw)
 
 

@@ -7,8 +7,9 @@ Numer. Anal. 31, 1994).  I_n f is evaluated by barycentric interpolation
 (Berrut & Trefethen, SIAM Rev. 46, 2004) at the nodes of the
 (n + 16)-point shifted Legendre-Gauss rule that also projects the kernel
 term, and integrated against L_{1,k} there; (I_n f) L_{1,k} has degree
-<= 2n, so the rule is exact.  The sampling-to-projection map depends on n
-alone and is cached.
+<= 2n, so the rule is exact.  That rule, its weighted Legendre table and
+the sampling-to-projection map depend on n alone and share one cache,
+_legendre_projection, which the solver's kernel term reads too.
 """
 
 from functools import lru_cache
@@ -27,37 +28,32 @@ _KERNEL_EXTRA_POINTS = 16
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def _legendre_projection(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x, weighted table w_x L_{1,r}(x) (indexed [x, r]) and the scale
-    2r + 1 of the (n + 16)-point shifted Legendre-Gauss projection onto
-    degrees 0..n; cached, read-only."""
-    rule = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
-    weighted = rule.weights[:, None] * shifted_legendre_table(n, rule.nodes).T
-    scale = 2.0 * np.arange(n + 1) + 1.0
-    for array in (rule.nodes, weighted, scale):
-        array.flags.writeable = False
-    return rule.nodes, weighted, scale
+def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
+    """The per-n tables of the projection onto degrees 0..n; cached, read-only.
 
-
-@lru_cache(maxsize=_TABLE_CACHE)
-def _forcing_map(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted Chebyshev-Gauss nodes y_j and the matrix M with
-    M @ f(y) = ((I_n f, L_{1,k}))_k; cached, read-only.
+    Returns the nodes x of the (n + 16)-point shifted Legendre-Gauss rule,
+    the weighted table w_x L_{1,r}(x) (indexed [x, r]), the scale 2r + 1,
+    the shifted Chebyshev-Gauss nodes y_j and the forcing map M with
+    M @ f(y) = ((I_n f, L_{1,k}))_k.
 
     M = weighted^T P, where P[q, j] is the barycentric interpolation matrix
-    from the y_j to the projection nodes x_q, with the closed-form weights
+    from the y_j to the x_q, with the closed-form weights
     (-1)^j sin((2j + 1) pi / (2n + 2)) of Chebyshev points of the first
     kind.  No x_q equals a y_j: both rules hold an exact 0.5 midpoint, the
     Chebyshev one for even n and the Legendre one for odd n.
     """
+    rule = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
+    x = rule.nodes
+    weighted = rule.weights[:, None] * shifted_legendre_table(n, x).T
+    scale = 2.0 * np.arange(n + 1) + 1.0
     nodes = chebyshev_gauss_rule(n).nodes
-    x, weighted, _ = _legendre_projection(n)
     j = np.arange(n + 1)
     terms = ((-1.0) ** j * np.sin((2 * j + 1) * np.pi / (2 * n + 2))) / (x[:, None] - nodes)
     matrix = weighted.T @ (terms / terms.sum(axis=1, keepdims=True))
-    nodes.flags.writeable = False
-    matrix.flags.writeable = False
-    return nodes, matrix
+    tables = (x, weighted, scale, nodes, matrix)
+    for array in tables:
+        array.flags.writeable = False
+    return tables
 
 
 def chebyshev_interpolate(f, n: int) -> np.ndarray:
@@ -70,7 +66,8 @@ def chebyshev_interpolate(f, n: int) -> np.ndarray:
     and come from a bounded cache, so a repeated call evaluates only f and
     one matrix-vector product.
     """
-    nodes, matrix = _forcing_map(_check_integer(n, 0, "truncation must be a non-negative integer"))
+    *_, nodes, matrix = _legendre_projection(
+        _check_integer(n, 0, "truncation must be a non-negative integer"))
     values = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
     if not np.all(np.isfinite(values)):
         raise ValueError("function is not finite at the interpolation nodes")

@@ -9,12 +9,12 @@ each shifted Legendre polynomial back onto the basis, in float64 and
 without monomial expansions: integer orders are powers of the exact
 integer first-derivative matrix, and fractional orders integrate those
 polynomial factors against the basis with a Jacobi-Gauss rule that carries
-the x^(m-a) weight and is exact for them.
+the x^(m-a) weight and is exact for them.  Nothing here is cached: the
+solver keeps the per-truncation tables it builds from these.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +30,6 @@ __all__ = [
     "OperationalMatrix",
     "operational_matrix",
 ]
-
-_MATRIX_CACHE = 128
 
 
 def gamma(x: float) -> float:
@@ -118,8 +116,8 @@ def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
 
     Row j holds g_j at the points x in [0, 1]; g_j has degree j - m and
     vanishes for j < m.  D^alpha = I^(m-alpha) D^m: the m-th derivative is
-    expanded in L_{1,k} by the cached integer operational matrix, and the
-    Riemann-Liouville integral of order mu = m - alpha maps
+    expanded in L_{1,k} by the integer matrix of _legendre_derivative_coeffs,
+    and the Riemann-Liouville integral of order mu = m - alpha maps
     L_{1,k} to k!/Gamma(k+mu+1) x^mu P_k^(-mu,mu)(2x-1), with the Jacobi
     polynomials taken from their three-term recurrence.  Nothing is
     expanded in monomials, so the values stay accurate at high degree.
@@ -137,7 +135,7 @@ def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
         jacobi[1] = (t - mu) / gamma(mu + 2.0)
     for k in range(2, n + 1):
         jacobi[k] = ((2 * k - 1) * t * jacobi[k - 1] - (k - 1 - mu) * jacobi[k - 2]) / (k + mu)
-    return np.tensordot(_operational_entries(float(order.m), n), jacobi, axes=1)
+    return np.tensordot(_legendre_derivative_coeffs(n, order.m), jacobi, axes=1)
 
 
 @dataclass(frozen=True)
@@ -156,9 +154,16 @@ class OperationalMatrix:
     entries: np.ndarray
 
 
-@lru_cache(maxsize=_MATRIX_CACHE)
-def _operational_entries(alpha: float, n: int) -> np.ndarray:
-    """S(i,j) = (2j+1) int_0^1 D^alpha L_{1,i} L_{1,j} dx in float64.
+def operational_matrix(order, n: int) -> OperationalMatrix:
+    """Operational matrix of D^alpha on shifted Legendre coefficients, degree <= n:
+    S(i,j) = (2j+1) int_0^1 D^alpha L_{1,i} L_{1,j} dx in float64.
+
+    `order` is a CaputoOrder, a positive real, or a non-negative integer;
+    order 0 is the identity by convention.  The projection does not depend
+    on n, so the matrix for a smaller n is the leading block of the one for
+    a larger n: bit for bit at integer orders, to rounding at fractional
+    ones.  Built afresh on every call; the solver caches the tables it
+    derives from it.
 
     Integer alpha = m: the m-th power of the first-derivative matrix of
     _legendre_derivative_coeffs (m = 0: exactly the identity).  Its entries
@@ -174,33 +179,18 @@ def _operational_entries(alpha: float, n: int) -> np.ndarray:
     Jacobi-Gauss rule for the weight x^(m-alpha), which is exact because
     g_i L_{1,j} has degree at most 2n.  Rows below m are exact zeros.
     """
-    m = math.ceil(alpha)
+    n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
+    if not isinstance(order, CaputoOrder) and float(order) == 0.0:
+        alpha, m = 0.0, 0
+    else:
+        order = _as_order(order)
+        alpha, m = order.alpha, order.m
     if alpha == m:
         entries = _legendre_derivative_coeffs(n, m)
     else:
         rule = jacobi_gauss_rule(n + 1, m - alpha)
-        factors = caputo_legendre_factors(alpha, n, rule.nodes) * rule.weights
+        factors = caputo_legendre_factors(order, n, rule.nodes) * rule.weights
         basis = shifted_legendre_table(n, rule.nodes)
         entries = (factors @ basis.T) * (2.0 * np.arange(n + 1) + 1.0)
         entries[:m] = 0.0
-    entries.flags.writeable = False
-    return entries
-
-
-def operational_matrix(order, n: int) -> OperationalMatrix:
-    """Operational matrix of D^alpha on shifted Legendre coefficients, degree <= n.
-
-    `order` is a CaputoOrder, a positive real, or a non-negative integer;
-    integer orders give the exact differentiation matrices (exact integers
-    while they stay below 2^53, see _operational_entries) and order 0 is
-    the identity by convention.  The projection does not depend on n, so
-    the matrix for a smaller n is the leading block of the one for a larger
-    n: bit for bit at integer orders, to rounding at fractional ones.  Built
-    in float64 and cached per (alpha, n) in a bounded cache.
-    """
-    n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
-    if not isinstance(order, CaputoOrder) and float(order) == 0.0:
-        return OperationalMatrix(alpha=0.0, m=0, n=n, entries=_operational_entries(0.0, n))
-    order = _as_order(order)
-    return OperationalMatrix(alpha=order.alpha, m=order.m, n=n,
-                             entries=_operational_entries(order.alpha, n))
+    return OperationalMatrix(alpha=alpha, m=m, n=n, entries=entries)

@@ -25,14 +25,15 @@ callables in numpy.vectorize if needed).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from . import exprlang
 from .cltransform import _KERNEL_EXTRA_POINTS, _legendre_projection, chebyshev_interpolate
-from .fracderiv import (CaputoOrder, _as_order, caputo_apply, caputo_legendre_factors, gamma,
+from .fracderiv import (CaputoOrder, _as_order, caputo_apply, caputo_legendre_factors,
                         operational_matrix)
 from .orthopoly import LegendreSeries, MonomialSeries, _check_integer
 from .quadrature import jacobi_gauss_rule, legendre_gauss_rule
@@ -268,7 +269,7 @@ def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -
     """
     truncation = _check_truncation(truncation)
     s, table = _caputo_quadrature(_as_order(order).alpha, s_power, truncation)
-    x, weighted, scale = _legendre_projection(truncation)
+    x, weighted, scale, *_ = _legendre_projection(truncation)
     inner = _kernel_grid(kernel, x, s) @ table.T
     block = (inner.T @ weighted) * scale[None, :]
     block.flags.writeable = False
@@ -479,13 +480,16 @@ class _CatalogEntry:
     ics: tuple[float, ...]
     kernel: Callable
     kernel_expr: str
-    forcing: Callable
     forcing_expr: str
     mms_exact: MonomialSeries
     exact: Callable
-    exact_label: str
     kernel_s_power: int
     note: str | None
+    forcing: Callable = field(init=False)  # the printed forcing, compiled once
+
+    def __post_init__(self):
+        tree = exprlang.parse(self.forcing_expr)
+        object.__setattr__(self, "forcing", lambda t: exprlang.evaluate(tree, t=t))
 
 
 @dataclass(frozen=True)
@@ -507,8 +511,6 @@ class BuiltinExample:
 
 
 def _catalog() -> dict[str, _CatalogEntry]:
-    g = gamma
-    sqrt_pi = math.sqrt(math.pi)
     entries = [
         _CatalogEntry(
             example_id="5.1",
@@ -519,11 +521,9 @@ def _catalog() -> dict[str, _CatalogEntry]:
             ics=(0.0,),
             kernel=lambda t, s: t * s,
             kernel_expr="t*s",
-            forcing=lambda t: 14.0 * (1.0 - t / (2.5 * g(1.5))),
             forcing_expr="14*(1 - t/(2.5*gamma(1.5)))",
             mms_exact=MonomialSeries(((14.0, 1.0),)),
             exact=lambda t: 14.0 * np.asarray(t, dtype=float),
-            exact_label="14*t",
             kernel_s_power=1,
             note=None,
         ),
@@ -536,14 +536,10 @@ def _catalog() -> dict[str, _CatalogEntry]:
             ics=(0.0,),
             kernel=lambda t, s: t**2 * s**2,
             kernel_expr="t^2*s^2",
-            forcing=lambda t: (8.0 * t**3 - 1.5 * np.sqrt(t)
-                               - (48.0 / (6.75 * g(4.75))
-                                  - g(2.75) / (4.25 * g(2.25))) * t**2),
             forcing_expr=("8*t^3 - 1.5*sqrt(t) - (48/(6.75*gamma(4.75)) "
                           "- gamma(2.75)/(4.25*gamma(2.25)))*t^2"),
             mms_exact=MonomialSeries(((2.0, 4.0), (-1.0, 1.5))),
             exact=lambda t: 2.0 * np.asarray(t, dtype=float)**4 - np.asarray(t, dtype=float)**1.5,
-            exact_label="2*t^4 - t^1.5",
             kernel_s_power=1,
             note=("the transcribed forcing's t^2 coefficient carries gamma(2.75) "
                   "where the fractional power rule applied to t^1.5 gives "
@@ -560,11 +556,9 @@ def _catalog() -> dict[str, _CatalogEntry]:
             ics=(0.0, 8.0),
             kernel=lambda t, s: t**2 * np.sqrt(s),
             kernel_expr="t^2*sqrt(s)",
-            forcing=lambda t: ((9.0 * sqrt_pi - 12.0) / sqrt_pi) * t**2 + 36.0 * t + 8.0,
             forcing_expr="((9*sqrt(pi) - 12)/sqrt(pi))*t^2 + 36*t + 8",
             mms_exact=MonomialSeries(((8.0, 1.0), (3.0, 3.0))),
             exact=lambda t: 8.0 * np.asarray(t, dtype=float) + 3.0 * np.asarray(t, dtype=float)**3,
-            exact_label="8*t + 3*t^3",
             kernel_s_power=2,
             note=("the transcribed forcing's t^2 coefficient is 9 - 12/sqrt(pi) "
                   "where re-deriving from the stated exact solution gives "
@@ -580,14 +574,11 @@ def _catalog() -> dict[str, _CatalogEntry]:
             ics=(0.0, 1.0, 2.0),
             kernel=lambda t, s: np.exp(t - s),
             kernel_expr="exp(t - s)",
-            forcing=lambda t: ((7.0 - 32.0 / (15.0 * sqrt_pi)) * np.exp(t)
-                               + 3.0 * t * np.exp(t)),
             forcing_expr="(7 - 32/(15*sqrt(pi)))*exp(t) + 3*t*exp(t)",
             # exp tail: 1/21! < 2e-20, far below the solver's error floor.
             mms_exact=MonomialSeries(tuple(
                 (1.0 / math.factorial(k), float(k + 1)) for k in range(21))),
             exact=lambda t: np.asarray(t, dtype=float) * np.exp(np.asarray(t, dtype=float)),
-            exact_label="t*exp(t)",
             kernel_s_power=1,
             note=("the transcribed forcing folds in 32/(15*sqrt(pi)) = 1.2036... "
                   "for the moment integral of exp(-s) times the order-1/2 "

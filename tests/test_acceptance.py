@@ -222,7 +222,7 @@ def test_08_transform_inverse_and_round_trip():
         product = (pair.b / norms[:, None]) @ chebyshev_dct(n)
         scale = float(np.max(np.abs(product)))
         drift = float(np.max(np.abs(product - projection_40_digits(identity, n)))) / scale
-        deviation = float(np.max(np.abs(cltransform._forcing_map(n)[1] - product))) / scale
+        deviation = float(np.max(np.abs(cltransform._legendre_projection(n)[4] - product))) / scale
         assert deviation <= 1e-15 + drift, (
             f"n={n}: map deviation {deviation:.3e}, product drift {drift:.3e}")
 

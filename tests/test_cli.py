@@ -241,6 +241,34 @@ def test_expression_error_is_config_error(capsys, tmp_path, command, base, key, 
     assert f"in {named!r}" in stderr
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mms_exact", [[10**400, 1]]),
+    ("a", [0, 10**400]),
+    ("alpha", 10**400),
+    ("ics", [10**400]),
+], ids=("mms_exact", "a", "alpha", "ics"))
+def test_integer_beyond_float64_is_config_error(capsys, tmp_path, key, value):
+    # JSON integers are unbounded; one that no float64 holds is rejected
+    # like any other non-finite number, not raised as OverflowError.
+    path = _write_config(tmp_path, dict(_MMS_CONFIG, **{key: value}))
+    code, stdout, stderr = _run(capsys, ["solve", "--config", path, "--N", "4"])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "must be finite" in stderr
+
+
+def test_integer_past_the_digit_limit_is_config_error(capsys, tmp_path):
+    # Python refuses to read integer literals of more than 4300 digits;
+    # json.load raises a plain ValueError for them, not a JSONDecodeError.
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_MMS_CONFIG).replace('"ics": [0]', '"ics": [' + "9" * 5000 + "]"),
+                    encoding="utf-8")
+    code, stdout, stderr = _run(capsys, ["solve", "--config", str(path), "--N", "4"])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "cannot be read" in stderr
+
+
 # ------------------------------------------------------------- convergence
 
 

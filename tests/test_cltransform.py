@@ -219,9 +219,9 @@ def test_interpolate_rejects_non_finite_values():
 def test_forcing_map_validation_and_caching():
     with pytest.raises(ValueError):
         chebyshev_interpolate(np.exp, -1)
-    assert cltransform._forcing_map(8) is cltransform._forcing_map(8)
+    assert cltransform._legendre_projection(8) is cltransform._legendre_projection(8)
     with pytest.raises(ValueError):
-        cltransform._forcing_map(8)[1][0, 0] = 2.0  # frozen buffers
+        cltransform._legendre_projection(8)[4][0, 0] = 2.0  # frozen buffers
 
 
 @pytest.mark.parametrize("n", [16, 48, 96])
@@ -235,7 +235,7 @@ def test_forcing_map_matches_a_40_digit_projection(n):
     for example_id in ("5.1", "5.2", "5.3", "5.4"):
         samples = builtin_example(example_id).problem.forcing(nodes)
         reference = projection_40_digits(samples, n)
-        deviation = np.max(np.abs(cltransform._forcing_map(n)[1] @ samples - reference))
+        deviation = np.max(np.abs(cltransform._legendre_projection(n)[4] @ samples - reference))
         assert deviation <= 1e-15 * np.max(np.abs(samples)), f"{example_id}: {deviation:.3e}"
 
 
@@ -243,6 +243,6 @@ def test_forcing_map_is_finite_and_read_only_for_every_size():
     # The barycentric denominators x_q - y_j never vanish: the Chebyshev
     # rule holds an exact 0.5 for even n, the Legendre rule for odd n.
     for n in range(257):
-        nodes, matrix = cltransform._forcing_map(n)
+        *_, nodes, matrix = cltransform._legendre_projection(n)
         assert matrix.shape == (n + 1, n + 1) and np.all(np.isfinite(matrix)), f"n={n}"
         assert not nodes.flags.writeable and not matrix.flags.writeable

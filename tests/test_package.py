@@ -27,8 +27,7 @@ def test_every_lru_cache_is_bounded():
             # Counted where defined, not again where imported.
             if callable(getattr(value, "cache_info", None)) and value.__module__ == module.__name__:
                 cached[f"{name}.{attr}"] = value.cache_info().maxsize
-    assert {"fracderiv._operational_entries", "cltransform._legendre_projection",
-            "cltransform._forcing_map", "solver._caputo_quadrature",
+    assert {"cltransform._legendre_projection", "solver._caputo_quadrature",
             "solver._singular_rule", "solver._error_grid",
             "solver._classical_rows"} == set(cached)
     unbounded = [name for name, maxsize in cached.items() if maxsize is None]

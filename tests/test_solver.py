@@ -16,7 +16,7 @@ import scipy.linalg
 from test_cltransform import projection_40_digits
 from test_orthopoly import monomial_form_legendre
 
-from cltau import cltransform, fracderiv, orthopoly, solver
+from cltau import cltransform, exprlang, orthopoly, solver
 from cltau.fracderiv import caputo_apply, gamma, operational_matrix
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
 from cltau.quadrature import chebyshev_gauss_rule, legendre_gauss_rule
@@ -266,6 +266,28 @@ def test_example_config_shapes():
     assert printed["kernel_s_power"] == 2
     assert corrected["ics"] == [0.0, 8.0]
     assert sorted(corrected["mms_exact"]) == [[3.0, 3.0], [8.0, 1.0]]
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.2", "5.3", "5.4"])
+def test_catalog_callables_match_their_sources(example_id):
+    # The catalog keeps a numpy kernel beside kernel_expr (an exprlang
+    # kernel call costs more, and a warm solve makes two) and a numpy exact
+    # solution beside mms_exact.  Neither pair may drift apart: the kernels
+    # agree bit for bit, and so do the exact solutions except for the
+    # truncated exponential series of 5.4, which stays within 1e-15.
+    entry = solver._catalog_entry(example_id)
+    grid = np.linspace(0.0, 1.0, 41)
+    t, s = grid[:, None], grid[None, :]
+    kernel = np.broadcast_to(entry.kernel(t, s), (41, 41))
+    source = np.broadcast_to(exprlang.evaluate(exprlang.parse(entry.kernel_expr), t=t, s=s),
+                             (41, 41))
+    assert kernel.tobytes() == source.tobytes()
+    points = np.linspace(0.0, 1.0, 6001)
+    exact, series = entry.exact(points), entry.mms_exact(points)
+    if example_id == "5.4":
+        assert np.all(np.abs(exact - series) <= 1e-15 * np.abs(exact))
+    else:
+        assert exact.tobytes() == series.tobytes()
 
 
 def test_first_problem_is_solved_exactly():
@@ -847,8 +869,8 @@ def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
     # at the Chebyshev nodes and mapped straight to Legendre projections.
     # A cold solve builds Legendre tables, a warm one none.
     problem = builtin_example("5.4").problem
-    for cache in (cltransform._legendre_projection, cltransform._forcing_map,
-                  solver._caputo_quadrature, solver._classical_rows):
+    for cache in (cltransform._legendre_projection, solver._caputo_quadrature,
+                  solver._classical_rows):
         cache.cache_clear()
     assert not [name for name, module in sys.modules.items()
                 if name.startswith("cltau") and hasattr(module, "shifted_chebyshev_table")]
@@ -877,16 +899,15 @@ def test_warm_solve_sums_no_operational_matrix(monkeypatch):
 
 def test_cold_solve_builds_only_the_first_derivative_matrix(monkeypatch):
     # Every classical row of 5.4 (orders 0..3) is a power of the order-1
-    # operational matrix, which the Caputo factors of its kernel term share,
-    # so a cold solve builds that one matrix and no other.
+    # operational matrix, so a cold solve builds that one matrix and no
+    # other; the Caputo factors of its kernel term take D^1 straight from
+    # the integer derivative coefficients.
     problem = builtin_example("5.4").problem
-    for cache in (fracderiv._operational_entries, solver._classical_rows,
-                  solver._caputo_quadrature):
+    for cache in (solver._classical_rows, solver._caputo_quadrature):
         cache.cache_clear()
     calls = _count_calls(monkeypatch, operational_matrix)
     solve_fide(problem, 24)
     assert calls == {"operational_matrix": 1}
-    assert fracderiv._operational_entries.cache_info().currsize == 1
 
 
 def test_cached_classical_rows_serve_another_problem_with_the_same_a():
@@ -904,7 +925,7 @@ def test_cached_classical_rows_serve_another_problem_with_the_same_a():
 
 
 def test_cached_tables_are_read_only():
-    arrays = (list(cltransform._legendre_projection(12)) + list(cltransform._forcing_map(12))
+    arrays = (list(cltransform._legendre_projection(12))
               + list(solver._caputo_quadrature(0.5, 1, 12))
               + list(solver._error_grid())
               + [solver._classical_rows((1.0, 0.0, -1.0, 3.0), 12)])
