@@ -56,19 +56,38 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def _real_samples(raw, shape: tuple[int, ...], name: str, where: str) -> np.ndarray:
+    """The samples raw of a problem function as float64, broadcast to shape.
+
+    Raises ValueError naming the function (name) when they are complex
+    (float64 would keep only the real part), do not broadcast to shape, or
+    are not finite.
+    """
+    values = np.asarray(raw)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} returned complex samples {where}")
+    try:
+        values = np.broadcast_to(values.astype(float, copy=False), shape)
+    except ValueError:
+        raise ValueError(
+            f"{name} returned shape {values.shape}, not broadcastable to {shape}") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite {name} sample {where}")
+    return values
+
+
 def chebyshev_interpolate(f, n: int) -> np.ndarray:
     """Weighted Legendre projections f_k = (I_n f, L_{1,k}), k = 0..n, of the
     interpolant I_n f of f at the n+1 shifted Chebyshev-Gauss points.
 
     f is called once, on the array of nodes, and must broadcast; a result
     that does not depend on its argument (a constant) is broadcast to the
-    nodes.  The nodes and the sampling-to-projection map depend only on n
-    and come from a bounded cache, so a repeated call evaluates only f and
-    one matrix-vector product.
+    nodes.  The solver interpolates its forcing here, so complex or
+    non-finite samples raise ValueError naming f the forcing.  The nodes
+    and the sampling-to-projection map depend only on n and come from a
+    bounded cache, so a repeated call evaluates only f and one
+    matrix-vector product.
     """
     *_, nodes, matrix = _legendre_projection(
         _check_integer(n, 0, "truncation must be a non-negative integer"))
-    values = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("function is not finite at the interpolation nodes")
-    return matrix @ values
+    return matrix @ _real_samples(f(nodes), nodes.shape, "forcing", "at the interpolation nodes")

@@ -10,8 +10,11 @@ Legendre coefficients: the first truncation - n + 1 rows test the equation
 against basis polynomials, the remaining n rows pin the initial values.  The
 kernel term integrates k against the exact D^alpha of each basis polynomial
 (not its projection onto degree <= truncation) by a Jacobi-Gauss rule that
-absorbs the s^(ceil(alpha) - alpha) factor of that derivative; see
-fredholm_block.
+absorbs the s^(ceil(alpha) - alpha) factor of that derivative.  That rule
+and its table of derivatives are built once per rung R = 16 * ceil(N / 16)
+of the truncation N, with R + 16 points, and every N of the rung reads its
+first N + 1 rows; the outer Legendre-Gauss rule keeps N + 16 points per N.
+See fredholm_block.
 
 The system is solved by one LAPACK gesv through numpy.linalg.solve (LU with
 partial pivoting) behind two gates: every LU pivot must reach 1e-14 times the
@@ -20,8 +23,9 @@ The pivot gate is certified from the inverse that the 1-norm condition
 estimate computes anyway, from the same factorization, and decided by explicit
 elimination only when that bound is inconclusive; see solve_fide.
 
-Kernels and forcings must accept numpy arrays and broadcast (wrap scalar
-callables in numpy.vectorize if needed).
+Kernels, forcings and exact solutions must accept numpy arrays, broadcast
+(wrap scalar callables in numpy.vectorize if needed) and return real, finite
+samples; anything else raises ValueError naming the function.
 """
 
 import math
@@ -32,7 +36,8 @@ from typing import Callable
 import numpy as np
 
 from . import exprlang
-from .cltransform import _KERNEL_EXTRA_POINTS, _legendre_projection, chebyshev_interpolate
+from .cltransform import (_KERNEL_EXTRA_POINTS, _legendre_projection, _real_samples,
+                          chebyshev_interpolate)
 from .fracderiv import (CaputoOrder, _as_order, caputo_apply, caputo_legendre_factors,
                         operational_matrix)
 from .orthopoly import LegendreSeries, MonomialSeries, _check_integer
@@ -217,15 +222,8 @@ def _singular_rule(points: int, phi: float, s_power: int) -> tuple[np.ndarray, n
 
 
 def _kernel_grid(kernel: Callable, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    raw = np.asarray(kernel(x[:, None], s[None, :]), dtype=float)
-    try:
-        values = np.broadcast_to(raw, (x.size, s.size))
-    except ValueError:
-        raise ValueError(
-            f"kernel returned shape {raw.shape}, not broadcastable to {(x.size, s.size)}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite kernel sample on the quadrature grid")
-    return values
+    return _real_samples(kernel(x[:, None], s[None, :]), (x.size, s.size), "kernel",
+                         "on the quadrature grid")
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -235,10 +233,12 @@ def _caputo_quadrature(alpha: float, s_power: int,
     integral_0^1 h(s) D^alpha L_{1,j}(s) ds.
 
     D^alpha L_{1,j}(s) = s^mu g_j(s) with mu = m - alpha and g_j a
-    polynomial, so the table is the weights of the (truncation + 16)-point
-    _singular_rule for phi = mu times g_j: exact whenever h(v**s_power) is
-    polynomial in v = s**(1/s_power) of degree
-    <= 2 (truncation + 16) - 1 - s_power (truncation - m).
+    polynomial of degree j - m, so the table is the weights of the
+    (truncation + 16)-point _singular_rule for phi = mu times g_j: row j is
+    exact whenever h(v**s_power) is polynomial in v = s**(1/s_power) of
+    degree <= 2 (truncation + 16) - 1 - s_power (j - m).  fredholm_block
+    asks only for truncations R that are multiples of 16 and reads the
+    leading rows, so there is one entry per (alpha, s_power, R).
     """
     order = CaputoOrder(alpha)
     s, weights = _singular_rule(truncation + _KERNEL_EXTRA_POINTS, order.m - order.alpha,
@@ -254,23 +254,31 @@ def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -
 
     block[j, r] = (2r+1) * double integral of k(x, s) D^alpha L_{1,j}(s)
     L_{1,r}(x), with D^alpha L_{1,j} itself (not its projection onto
-    degree <= truncation) under the integral.  Both integrals take
-    truncation + 16 points: the inner one a Jacobi-Gauss rule whose weight
-    carries the s^(m - alpha) factor of D^alpha L_{1,j} and the
-    substitution s = v**s_power, the outer one a shifted Legendre-Gauss
-    rule.  Exact for kernels polynomial in x and in v = s**(1/s_power).
+    degree <= truncation) under the integral.  The inner integral is a
+    Jacobi-Gauss rule whose weight carries the s^(m - alpha) factor of
+    D^alpha L_{1,j} and the substitution s = v**s_power; it is read from
+    the table of the rung R = 16 * ceil(truncation / 16), whose first
+    truncation + 1 rows are the D^alpha L_{1,j} needed here, so it takes
+    R + 16 >= truncation + 16 points and every truncation of one rung
+    shares one rule and one table.  The outer integral is the
+    (truncation + 16)-point shifted Legendre-Gauss rule of this truncation.
+    Exact for kernels polynomial in x of degree <= truncation + 31 and
+    polynomial in v = s**(1/s_power) of degree
+    <= 2 (R + 16) - 1 - s_power (truncation - m).
     Where the kernel is polynomial of degree <= truncation in s, this
     equals the operational matrix times the Legendre kernel moments, since
     projecting D^alpha L_{1,j} onto degree <= truncation is then free.
-    The weighted basis table is cached per (alpha, s_power, truncation),
-    and the outer nodes and weighted Legendre table per truncation, in
-    bounded caches of read-only arrays, so a repeated call evaluates only
-    the kernel.
+    At a truncation that is a multiple of 16, R is the truncation itself.
+    The weighted basis table is cached per (alpha, s_power, R), and the
+    outer nodes and weighted Legendre table per truncation, in bounded
+    caches of read-only arrays, so a repeated call evaluates only the
+    kernel.
     """
     truncation = _check_truncation(truncation)
-    s, table = _caputo_quadrature(_as_order(order).alpha, s_power, truncation)
+    rung = -(-truncation // _KERNEL_EXTRA_POINTS) * _KERNEL_EXTRA_POINTS
+    s, table = _caputo_quadrature(_as_order(order).alpha, s_power, rung)
     x, weighted, scale, *_ = _legendre_projection(truncation)
-    inner = _kernel_grid(kernel, x, s) @ table.T
+    inner = _kernel_grid(kernel, x, s) @ table[:truncation + 1].T
     block = (inner.T @ weighted) * scale[None, :]
     block.flags.writeable = False
     return block
@@ -680,10 +688,12 @@ def error_norms(solution, exact: Callable) -> tuple[float, float]:
     """(l2, max) distance between the solution and `exact` on [0, 1] from
     one evaluation of each on _error_grid: the weighted L2 norm by the
     128-point shifted Legendre-Gauss rule, the largest absolute deviation
-    over the 101 equispaced points."""
+    over the 101 equispaced points.  Complex or non-finite samples of
+    `exact` raise ValueError."""
     series = _as_series(solution)
     grid, weights = _error_grid()
-    diff = series(grid) - np.asarray(exact(grid), dtype=float)
+    diff = series(grid) - _real_samples(exact(grid), grid.shape, "exact solution",
+                                        "on the error grid")
     gauss = diff[:_ERROR_RULE_POINTS]
     l2 = math.sqrt(max(float(np.sum(weights * gauss * gauss)), 0.0))
     return l2, float(np.max(np.abs(diff[_ERROR_RULE_POINTS:])))

@@ -212,8 +212,18 @@ def test_chebyshev_interpolate_spectral_decay():
 
 
 def test_interpolate_rejects_non_finite_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite forcing sample"):
         chebyshev_interpolate(lambda x: float("nan"), 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_interpolate_rejects_complex_values():
+    # float64 would keep only the real part, so the imaginary one would
+    # vanish without an error.
+    with pytest.raises(ValueError, match="forcing returned complex samples"):
+        chebyshev_interpolate(lambda x: x + 0.5j, 4)
+    with pytest.raises(ValueError, match="forcing returned shape"):
+        chebyshev_interpolate(lambda x: np.ones(3), 4)
 
 
 def test_forcing_map_validation_and_caching():

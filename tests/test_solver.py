@@ -17,7 +17,8 @@ from test_cltransform import projection_40_digits
 from test_orthopoly import monomial_form_legendre
 
 from cltau import cltransform, exprlang, orthopoly, solver
-from cltau.fracderiv import caputo_apply, gamma, operational_matrix
+from cltau.fracderiv import (CaputoOrder, caputo_apply, caputo_legendre_factors, gamma,
+                             operational_matrix)
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
 from cltau.quadrature import chebyshev_gauss_rule, legendre_gauss_rule
 from cltau.solver import (
@@ -124,6 +125,46 @@ def test_fredholm_block_rejects_non_finite_kernel():
         fredholm_block(lambda t, s: np.full(np.broadcast(t, s).shape, np.nan), 0.5, 2)
 
 
+@pytest.mark.filterwarnings("error")
+def test_complex_kernel_is_rejected_not_cut_to_its_real_part():
+    problem = FIDEProblem(n=1, a=(0.0, 1.0), order=0.5, kernel=lambda t, s: t * s * (1 + 1j),
+                          forcing=lambda t: t, ics=(0.0,))
+    with pytest.raises(ValueError, match="kernel returned complex samples"):
+        solve_fide(problem, 8)
+
+
+def _per_truncation_block(kernel, alpha, truncation, s_power):
+    """fredholm_block with its own (truncation + 16)-point inner rule and
+    Caputo table, in the operations and order of fredholm_block."""
+    order = CaputoOrder(alpha)
+    s, weights = solver._singular_rule(truncation + 16, order.m - order.alpha, s_power)
+    table = caputo_legendre_factors(order, truncation, s) * weights
+    x, weighted, scale, *_ = cltransform._legendre_projection(truncation)
+    samples = np.broadcast_to(kernel(x[:, None], s[None, :]), (x.size, s.size))
+    return ((samples @ table.T).T @ weighted) * scale[None, :]
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.2", "5.3", "5.4"])
+def test_fredholm_block_matches_the_per_truncation_table(example_id):
+    # A truncation N reads the leading rows of the table built for its rung
+    # R = 16 ceil(N / 16).  At a multiple of 16 that table is the one built
+    # for N itself, so the block is the same bit for bit.  Elsewhere the
+    # inner rule has R + 16 > N + 16 points; both rules are exact for the
+    # catalog kernels (to round-off for exp(t - s)), so the blocks agree to
+    # round-off: at most 3.8e-14 of the largest entry measured at these N.
+    entry = solver._CATALOG[example_id]
+    args = (entry.kernel, entry.alpha)
+    for truncation in (0, 16, 32, 48, 64):
+        block = fredholm_block(*args, truncation, entry.kernel_s_power)
+        reference = _per_truncation_block(*args, truncation, entry.kernel_s_power)
+        assert block.tobytes() == reference.tobytes(), truncation
+    for truncation in (1, 5, 17, 20, 31, 47):
+        block = fredholm_block(*args, truncation, entry.kernel_s_power)
+        reference = _per_truncation_block(*args, truncation, entry.kernel_s_power)
+        assert block.shape == reference.shape
+        assert np.max(np.abs(block - reference)) <= 1e-13 * np.max(np.abs(reference)), truncation
+
+
 @pytest.mark.parametrize("truncation", [4, 8, 16])
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.5, 2.7])
 def test_fredholm_block_equals_projected_product_for_polynomial_kernels(alpha, truncation):
@@ -199,6 +240,14 @@ def test_forcing_coeffs_is_the_legendre_transform_of_the_interpolant(truncation)
     reference = projection_40_digits(samples, truncation)
     deviation = np.max(np.abs(coeffs - reference))
     assert deviation <= 1e-15 * np.max(np.abs(reference))
+
+
+@pytest.mark.filterwarnings("error")
+def test_complex_forcing_is_rejected_not_cut_to_its_real_part():
+    problem = FIDEProblem(n=1, a=(0.0, 1.0), order=0.5, kernel=lambda t, s: t * s,
+                          forcing=lambda t: t + 0.5j, ics=(0.0,))
+    with pytest.raises(ValueError, match="forcing returned complex samples"):
+        solve_fide(problem, 8)
 
 
 # ---------------------------------------------------------------- assembly
@@ -541,6 +590,24 @@ def test_error_norms_is_both_norms_from_one_evaluation(eid):
         assert l2 == math.sqrt(float(np.sum(rule.weights * diff * diff)))
         grid = np.linspace(0.0, 1.0, 101)
         assert largest == float(np.max(np.abs(solution(grid) - ex.exact(grid))))
+
+
+@pytest.mark.filterwarnings("error")
+def test_error_norms_rejects_a_complex_exact_solution():
+    solution = solve_fide(builtin_example("5.1").problem, 4)
+    with pytest.raises(ValueError, match="exact solution returned complex samples"):
+        error_norms(solution, lambda t: 14.0 * t + 1e-3j)
+
+
+def test_error_norms_rejects_a_non_finite_exact_solution():
+    # A NaN on the error grid used to come back as (nan, nan), which
+    # convergence_study then passed to ConvergenceEntry.
+    ex = builtin_example("5.1")
+    exact = lambda t: np.where(t == 1.0, np.nan, ex.exact(t))
+    with pytest.raises(ValueError, match="non-finite exact solution sample"):
+        error_norms(solve_fide(ex.problem, 4), exact)
+    with pytest.raises(ValueError, match="non-finite exact solution sample"):
+        convergence_study(ex.problem, exact, [4, 8])
 
 
 # ----------------------------------------------------------- convergence
@@ -908,6 +975,23 @@ def test_cold_solve_builds_only_the_first_derivative_matrix(monkeypatch):
     calls = _count_calls(monkeypatch, operational_matrix)
     solve_fide(problem, 24)
     assert calls == {"operational_matrix": 1}
+
+
+def test_one_caputo_table_per_rung():
+    # N = 4..16 share the rung 16 and N = 20..32 the rung 32, so a sweep
+    # over N = 4..32 step 4 builds two Caputo tables, not eight, and a
+    # later solve at N = 20 finds its table in the cache.
+    problem = builtin_example("5.4").problem
+    solver._caputo_quadrature.cache_clear()
+    solver._singular_rule.cache_clear()
+    for truncation in range(4, 33, 4):
+        solve_fide(problem, truncation)
+    assert solver._caputo_quadrature.cache_info().currsize == 2
+    assert solver._singular_rule.cache_info().currsize == 2
+    before = solver._caputo_quadrature.cache_info()
+    solve_fide(problem, 20)
+    after = solver._caputo_quadrature.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_cached_classical_rows_serve_another_problem_with_the_same_a():
