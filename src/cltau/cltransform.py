@@ -61,13 +61,14 @@ def _real_samples(raw, shape: tuple[int, ...], name: str, where: str) -> np.ndar
 
     Raises ValueError naming the function (name) when they are complex
     (float64 would keep only the real part), do not broadcast to shape, or
-    are not finite.
+    are not finite.  Float64 samples of that shape come back uncopied.
     """
     values = np.asarray(raw)
     if np.iscomplexobj(values):
         raise ValueError(f"{name} returned complex samples {where}")
+    values = values.astype(float, copy=False)
     try:
-        values = np.broadcast_to(values.astype(float, copy=False), shape)
+        values = values if values.shape == shape else np.broadcast_to(values, shape)
     except ValueError:
         raise ValueError(
             f"{name} returned shape {values.shape}, not broadcastable to {shape}") from None

@@ -111,6 +111,21 @@ def _legendre_derivative_coeffs(n: int, m: int) -> np.ndarray:
     return np.linalg.matrix_power(first, m)
 
 
+def _integral_factors(mu: float, n: int, x) -> np.ndarray:
+    """Row k: k!/Gamma(k+mu+1) P_k^(-mu,mu)(2x-1), so that I^mu L_{1,k} is
+    x^mu times row k for any mu >= 0, from the Jacobi recurrence
+    k P_k = (2k-1) t P_{k-1} - ((k-1)^2 - mu^2)/(k-1) P_{k-2} with the scale
+    folded in."""
+    t = 2.0 * np.asarray(x, dtype=float) - 1.0
+    jacobi = np.empty((n + 1,) + t.shape)
+    jacobi[0] = 1.0 / gamma(mu + 1.0)
+    if n >= 1:
+        jacobi[1] = (t - mu) / gamma(mu + 2.0)
+    for k in range(2, n + 1):
+        jacobi[k] = ((2 * k - 1) * t * jacobi[k - 1] - (k - 1 - mu) * jacobi[k - 2]) / (k + mu)
+    return jacobi
+
+
 def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
     """Polynomial factors g_0..g_n of D^alpha L_{1,j}(x) = x^(m-alpha) g_j(x).
 
@@ -124,18 +139,8 @@ def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
     """
     order = _as_order(order)
     n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
-    mu = order.m - order.alpha
-    t = 2.0 * np.asarray(x, dtype=float) - 1.0
-    jacobi = np.empty((n + 1,) + t.shape)
-    # Row k holds k!/Gamma(k+mu+1) P_k^(-mu,mu)(t); the Jacobi recurrence
-    # k P_k = (2k-1) t P_{k-1} - ((k-1)^2 - mu^2)/(k-1) P_{k-2} with that
-    # scale folded in.
-    jacobi[0] = 1.0 / gamma(mu + 1.0)
-    if n >= 1:
-        jacobi[1] = (t - mu) / gamma(mu + 2.0)
-    for k in range(2, n + 1):
-        jacobi[k] = ((2 * k - 1) * t * jacobi[k - 1] - (k - 1 - mu) * jacobi[k - 2]) / (k + mu)
-    return np.tensordot(_legendre_derivative_coeffs(n, order.m), jacobi, axes=1)
+    return np.tensordot(_legendre_derivative_coeffs(n, order.m),
+                        _integral_factors(order.m - order.alpha, n, x), axes=1)
 
 
 @dataclass(frozen=True)

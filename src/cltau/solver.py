@@ -2,19 +2,18 @@
 equations on [0, 1].
 
 The problem is sum_i a_i y^(i)(t) = f(t) + integral_0^1 k(t, s) D^alpha y(s) ds
-with initial values y^(i)(0) = d_i.  The unknown is stored as a shifted
-Legendre series.  The forcing is sampled at Chebyshev-Gauss points, and one
-cached map of cltransform carries the samples to the Legendre projections
-of their interpolant, so the assembled system is entirely a statement about
-Legendre coefficients: the first truncation - n + 1 rows test the equation
-against basis polynomials, the remaining n rows pin the initial values.  The
-kernel term integrates k against the exact D^alpha of each basis polynomial
-(not its projection onto degree <= truncation) by a Jacobi-Gauss rule that
-absorbs the s^(ceil(alpha) - alpha) factor of that derivative.  That rule
-and its table of derivatives are built once per rung R = 16 * ceil(N / 16)
-of the truncation N, with R + 16 points, and every N of the rung reads its
-first N + 1 rows; the outer Legendre-Gauss rule keeps N + 16 points per N.
-See fredholm_block.
+with initial values y^(i)(0) = d_i.  The solution of degree N is y = p + I^n v:
+p = sum_l d_l t^l/l! carries the initial values, I integrates from 0, and the
+shifted Legendre series v of degree N - n solves the equation's first N - n + 1
+Legendre coefficients (Greengard, SIAM J. Numer. Anal. 28, 1991; Olver &
+Townsend, SIAM Rev. 55, 2013).  That is the classical tau solution, without
+rows for the initial values; for alpha <= n the matrix is a_n I plus compact
+terms, so its condition does not grow with N.  The forcing is sampled at
+Chebyshev-Gauss points, and one cached map of cltransform gives the Legendre
+projections of its interpolant.  The kernel term integrates k against the
+exact D^alpha of I^n L_{1,j} and t^l/l! by a Jacobi-Gauss rule that absorbs
+the s^(ceil(alpha) - alpha) factor, one per rung R = 16 * ceil(N / 16) of N,
+and an (N + 16)-point Legendre-Gauss rule; see _kernel_rows.
 
 The system is solved by one LAPACK gesv through numpy.linalg.solve (LU with
 partial pivoting) behind two gates: every LU pivot must reach 1e-14 times the
@@ -38,8 +37,8 @@ import numpy as np
 from . import exprlang
 from .cltransform import (_KERNEL_EXTRA_POINTS, _legendre_projection, _real_samples,
                           chebyshev_interpolate)
-from .fracderiv import (CaputoOrder, _as_order, caputo_apply, caputo_legendre_factors,
-                        operational_matrix)
+from .fracderiv import (CaputoOrder, _as_order, _integral_factors,
+                        _legendre_derivative_coeffs, caputo_apply, gamma, operational_matrix)
 from .orthopoly import LegendreSeries, MonomialSeries, _check_integer
 from .quadrature import jacobi_gauss_rule, legendre_gauss_rule
 
@@ -51,7 +50,6 @@ __all__ = [
     "DecayFit",
     "ConvergenceReport",
     "fredholm_block",
-    "forcing_coeffs",
     "assemble_system",
     "solve_fide",
     "mms_forcing",
@@ -227,134 +225,119 @@ def _kernel_grid(kernel: Callable, x: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def _caputo_quadrature(alpha: float, s_power: int,
-                       truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s_q and table[j, q] with sum_q h(s_q) table[j, q] =
-    integral_0^1 h(s) D^alpha L_{1,j}(s) ds.
+def _caputo_quadrature(alpha: float, s_power: int, truncation: int,
+                       n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s_q and table[j, q] with sum_q h(s_q) table[j, q] = integral_0^1
+    h(s) D^alpha u_j(s) ds: u_j = t^l/l! for l = m..n-1 (m = ceil(alpha)),
+    then u_j = I^n L_{1,j} for j = 0..truncation - n (D^alpha L_{1,j} if n = 0).
 
-    D^alpha L_{1,j}(s) = s^mu g_j(s) with mu = m - alpha and g_j a
-    polynomial of degree j - m, so the table is the weights of the
-    (truncation + 16)-point _singular_rule for phi = mu times g_j: row j is
-    exact whenever h(v**s_power) is polynomial in v = s**(1/s_power) of
-    degree <= 2 (truncation + 16) - 1 - s_power (j - m).  fredholm_block
-    asks only for truncations R that are multiples of 16 and reads the
-    leading rows, so there is one entry per (alpha, s_power, R).
+    With lift = max(m - n, 0), D^alpha I^n L_{1,j} = I^mu D^lift L_{1,j} is
+    s^(m - alpha) s^(n + lift - m) times D^lift of the factors of
+    fracderiv._integral_factors(mu = lift + n - alpha), and D^alpha t^l/l! is
+    s^(m - alpha) s^(l - m) / Gamma(l - alpha + 1).  So the table is the
+    weights of the (truncation + 16)-point _singular_rule for phi = m - alpha
+    times polynomials of degree <= truncation - m: exact whenever
+    h(v**s_power) is polynomial in v = s**(1/s_power) of degree
+    <= 2 (truncation + 16) - 1 - s_power (truncation - m).
     """
-    order = CaputoOrder(alpha)
-    s, weights = _singular_rule(truncation + _KERNEL_EXTRA_POINTS, order.m - order.alpha,
-                                s_power)
-    table = caputo_legendre_factors(order, truncation, s) * weights
+    m = CaputoOrder(alpha).m
+    lift = max(m - n, 0)
+    s, weights = _singular_rule(truncation + _KERNEL_EXTRA_POINTS, m - alpha, s_power)
+    factors = _integral_factors(lift + n - alpha, truncation - n, s)
+    if lift:
+        factors = np.tensordot(_legendre_derivative_coeffs(truncation - n, lift), factors, axes=1)
+    taylor = np.reshape([s ** (l - m) / gamma(l - alpha + 1.0) for l in range(m, n)], (-1, s.size))
+    table = np.concatenate((taylor, factors * s ** (n + lift - m))) * weights
     table.flags.writeable = False
     return s, table
 
 
-def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -> np.ndarray:
-    """Kernel term of the tau system: the Legendre projection of
-    x -> integral_0^1 k(x, s) D^alpha L_{1,j}(s) ds.
-
-    block[j, r] = (2r+1) * double integral of k(x, s) D^alpha L_{1,j}(s)
-    L_{1,r}(x), with D^alpha L_{1,j} itself (not its projection onto
-    degree <= truncation) under the integral.  The inner integral is a
-    Jacobi-Gauss rule whose weight carries the s^(m - alpha) factor of
-    D^alpha L_{1,j} and the substitution s = v**s_power; it is read from
-    the table of the rung R = 16 * ceil(truncation / 16), whose first
-    truncation + 1 rows are the D^alpha L_{1,j} needed here, so it takes
-    R + 16 >= truncation + 16 points and every truncation of one rung
-    shares one rule and one table.  The outer integral is the
-    (truncation + 16)-point shifted Legendre-Gauss rule of this truncation.
-    Exact for kernels polynomial in x of degree <= truncation + 31 and
-    polynomial in v = s**(1/s_power) of degree
+def _kernel_rows(kernel: Callable, order: CaputoOrder, truncation: int, s_power: int,
+                 n: int) -> np.ndarray:
+    """block[j, r] = (2r+1) * double integral of k(x, s) D^alpha u_j(s)
+    L_{1,r}(x), r <= truncation - n, for the u_j of _caputo_quadrature: the
+    L_{1,r}-coefficient of the kernel term of u_j, with D^alpha u_j itself
+    (not its projection onto degree <= truncation) under the integral.
+    The inner rule is the table of the rung R = 16 * ceil(truncation / 16)
+    (R + 16 points, one per rung), the outer one the (truncation + 16)-point
+    rule of _legendre_projection; both are cached, so a repeat evaluates only
+    the kernel.  Exact for kernels polynomial in x of degree
+    <= truncation + 31 and in v = s**(1/s_power) of degree
     <= 2 (R + 16) - 1 - s_power (truncation - m).
-    Where the kernel is polynomial of degree <= truncation in s, this
-    equals the operational matrix times the Legendre kernel moments, since
-    projecting D^alpha L_{1,j} onto degree <= truncation is then free.
-    At a truncation that is a multiple of 16, R is the truncation itself.
-    The weighted basis table is cached per (alpha, s_power, R), and the
-    outer nodes and weighted Legendre table per truncation, in bounded
-    caches of read-only arrays, so a repeated call evaluates only the
-    kernel.
     """
-    truncation = _check_truncation(truncation)
     rung = -(-truncation // _KERNEL_EXTRA_POINTS) * _KERNEL_EXTRA_POINTS
-    s, table = _caputo_quadrature(_as_order(order).alpha, s_power, rung)
+    s, table = _caputo_quadrature(order.alpha, s_power, rung, n)
     x, weighted, scale, *_ = _legendre_projection(truncation)
-    inner = _kernel_grid(kernel, x, s) @ table[:truncation + 1].T
-    block = (inner.T @ weighted) * scale[None, :]
+    inner = _kernel_grid(kernel, x, s) @ table[:truncation + 1 - min(order.m, n)].T
+    return (inner.T @ weighted[:, :truncation - n + 1]) * scale[:truncation - n + 1]
+
+
+def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -> np.ndarray:
+    """Kernel term of the classical tau system, _kernel_rows for n = 0,
+    read-only: the Legendre projection of x -> integral_0^1 k(x, s)
+    D^alpha L_{1,j}(s) ds, which tau_residuals checks solutions against.
+    Where the kernel is polynomial of degree <= truncation in s, it equals
+    the operational matrix times the Legendre kernel moments, since
+    projecting D^alpha L_{1,j} onto degree <= truncation is then free.
+    """
+    block = _kernel_rows(kernel, _as_order(order), _check_truncation(truncation), s_power, 0)
     block.flags.writeable = False
     return block
 
 
-def forcing_coeffs(forcing: Callable, truncation: int) -> np.ndarray:
-    """Weighted Legendre projections f_k = (interpolant of f, L_{1,k}).
-
-    The forcing is sampled once at the truncation + 1 shifted Chebyshev-Gauss
-    points; one product with the cached map of chebyshev_interpolate gives
-    the projections of its interpolant.
-    """
-    return chebyshev_interpolate(forcing, truncation)
+def _integrate(coeffs: np.ndarray) -> np.ndarray:
+    """Legendre coefficients (axis 0) of the integral from 0 of the series
+    coeffs, by I L_{1,0} = (L_{1,0} + L_{1,1})/2 and I L_{1,j} =
+    (L_{1,j+1} - L_{1,j-1}) / (2 (2j + 1)); the last coefficient must be 0."""
+    half = (coeffs.T / (4.0 * np.arange(len(coeffs)) + 2.0)).T
+    return (np.concatenate((half[:1], half[:-1]))
+            - np.concatenate((half[1:], np.zeros_like(half[:1]))))
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def _classical_rows(a: tuple[float, ...], truncation: int) -> np.ndarray:
-    """The tau matrix without its kernel term, before the Galerkin rows are
-    divided by 2k + 1; cached per (a, truncation), read-only.
-
-    Row k < truncation - n + 1 is column k of sum_i a_i D^i over the nonzero
-    a_i (a is FIDEProblem.a, n = len(a) - 1), summed in order; row
-    truncation - n + 1 + i is y^(i)(0), D^i applied to L_{1,l}(0) = (-1)^l.
-    D^i is matrix_power of the integer first-derivative matrix, exact below
-    2^53 where a chain of products is not.  The sum is checked after each
-    term, so the ValueError names the first a_i that makes it non-finite;
-    lru_cache keeps no exception, so it is raised on every call.
+def _integral_rows(a: tuple[float, ...], truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel-free tables of assemble_system, cached per (a, truncation),
+    read-only; n = len(a) - 1, M = truncation - n and k, j <= M:
+    classical[k, j] is the L_{1,k}-coefficient of sum_i a_i I^(n-i) L_{1,j},
+    lower[k, l] that of sum_i a_i (t^l/l!)^(i), with t^l/l! = I^l L_{1,0}.
+    Each I^q is _integrate applied q times to identity columns of degree
+    <= M, so no degree exceeds the truncation.  A sum that overflows stays
+    in the table as inf, and solve_fide rejects the non-finite system.
     """
     n = len(a) - 1
-    size = truncation + 1
-    first = operational_matrix(1, truncation).entries
-    signs = (-1.0) ** np.arange(size)
-    core = np.zeros((size, size))
-    rows = np.empty((size, size))
+    cols = truncation - n + 1
+    current = np.eye(truncation + 1, cols)
+    classical, lower = np.zeros((cols, cols)), np.zeros((cols, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, coeff in enumerate(a):
-            power = np.linalg.matrix_power(first, i)
-            if i < n:
-                rows[size - n + i] = power @ signs
-            if coeff != 0.0:
-                core += coeff * power
-                if not np.isfinite(core).all():
-                    raise ValueError(
-                        f"derivative coefficient a_{i} = {coeff!r} makes the tau system "
-                        f"non-finite at truncation {truncation}")
-    rows[:size - n] = core[:, :size - n].T
-    rows.flags.writeable = False
-    return rows
+        for q in range(n + 1):
+            classical += a[n - q] * current[:cols]
+            lower[:, q:] += np.outer(current[:cols, 0], a[:n - q])
+            current = _integrate(current)
+    classical.flags.writeable = lower.flags.writeable = False
+    return classical, lower
 
 
 def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense tau system (matrix, rhs) for the given truncation.
-
-    Rows 0..truncation - n test the equation against L_{1,k}, each divided
-    by the norm 2k + 1; the last n rows pin y^(i)(0).  Both come from the
-    cached _classical_rows(a, truncation), less, in the Galerkin rows, the
-    kernel term of fredholm_block (the kernel against the exact D^alpha
-    L_{1,l}, not its projection onto degree <= truncation).  A repeated call
-    with the same a and truncation therefore evaluates only the kernel and
-    the forcing.  Raises ValueError naming the first a_i whose derivative
-    term makes the sum non-finite.
+    """Dense tau system (matrix, rhs) for v of y = p + I^n v: row k,
+    k <= truncation - n, is the L_{1,k}-coefficient (not divided by 2k + 1) of
+    sum_i a_i I^(n-i) v - K D^alpha I^n v = f - sum_i a_i p^(i) + K D^alpha p,
+    K the kernel operator.  The forcing enters as (2k+1) f_k from
+    chebyshev_interpolate, the rest from the cached _integral_rows(a,
+    truncation) and _kernel_rows, so a repeat evaluates only k and f.
     """
     truncation = _check_truncation(truncation)
     if truncation < problem.n:
         raise ValueError(
             f"truncation {truncation} leaves no room for {problem.n} initial conditions")
-    galerkin_rows = truncation - problem.n + 1
-    matrix = np.array(_classical_rows(problem.a, truncation))
-    kernel_term = fredholm_block(problem.kernel, problem.order, truncation,
-                                 problem.kernel_s_power)
-    matrix[:galerkin_rows] -= kernel_term[:, :galerkin_rows].T
-    matrix[:galerkin_rows] /= (2.0 * np.arange(galerkin_rows) + 1.0)[:, None]
-    rhs = np.zeros(truncation + 1)
-    rhs[:galerkin_rows] = forcing_coeffs(problem.forcing, truncation)[:galerkin_rows]
-    rhs[galerkin_rows:] = problem.ics
-    return matrix, rhs
+    cols = truncation - problem.n + 1
+    classical, lower = _integral_rows(problem.a, truncation)
+    kernel_term = _kernel_rows(problem.kernel, problem.order, truncation,
+                               problem.kernel_s_power, problem.n)
+    forcing = chebyshev_interpolate(problem.forcing, truncation)[:cols]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = (2.0 * np.arange(cols) + 1.0) * forcing - lower @ problem.ics
+        rhs += kernel_term[:-cols].T @ problem.ics[problem.order.m:]  # t^l/l!, l = m..n-1
+    return classical - kernel_term[-cols:].T, rhs
 
 
 def _smallest_pivot(matrix: np.ndarray) -> float:
@@ -376,7 +359,8 @@ def _smallest_pivot(matrix: np.ndarray) -> float:
 def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
     """Assemble and solve the tau system by dense LU with partial pivoting:
     one LAPACK gesv through numpy.linalg.solve against [I | rhs] yields A^-1
-    (the first size columns, as numpy.linalg.inv) and the coefficients.
+    (the first size columns, as numpy.linalg.inv) and v; the solution's
+    coefficients are I^n v plus those of p = sum_l d_l t^l/l!.
 
     Raises SolverError when a pivot of that LU falls below 1e-14 times the
     largest matrix entry, or when the solved system's residual exceeds
@@ -414,7 +398,7 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
         pivot_min = _smallest_pivot(matrix)
         if joint is None or scale == 0.0 or pivot_min < _PIVOT_RTOL * scale:
             raise singular(pivot_min)
-    coeffs = joint[:, size].copy()
+    coeffs = joint[:, size]
     residual = float(np.max(np.abs(matrix @ coeffs - rhs)))
     tolerance = _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(rhs))))
     if residual > tolerance:
@@ -422,7 +406,11 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
             f"solve residual {residual:.3e} exceeds {tolerance:.3e} at "
             f"truncation {truncation}")
     condition = float(absolute.sum(axis=0).max()) * inverse_norm
-    return SpectralSolution(truncation, LegendreSeries(coeffs), condition)
+    series = np.concatenate((coeffs, np.zeros(problem.n)))
+    for d in reversed(problem.ics):  # y = d_0 + I(d_1 + I(... + I(d_(n-1) + I v)))
+        series = _integrate(series)
+        series[0] += d
+    return SpectralSolution(truncation, LegendreSeries(series), condition)
 
 
 def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
@@ -723,12 +711,18 @@ def initial_condition_residuals(problem: FIDEProblem, solution) -> np.ndarray:
 
 
 def tau_residuals(problem: FIDEProblem, solution) -> np.ndarray:
-    """Absolute Galerkin-row residuals of the solution, re-assembled from
-    scratch (independent of any factorization used to compute it)."""
+    """Absolute Galerkin-row residuals of the classical tau system, from the
+    operational matrices and fredholm_block, rows divided by 2k + 1: an
+    oracle independent of the system and factorization solve_fide uses."""
     series = _as_series(solution)
-    matrix, rhs = assemble_system(problem, series.degree)
-    rows = series.degree - problem.n + 1
-    return np.abs(matrix[:rows, :] @ series.coeffs - rhs[:rows])
+    degree, rows = series.degree, series.degree - problem.n + 1
+    if rows < 1:
+        raise ValueError(f"degree {degree} is below the derivative order {problem.n}")
+    operator = sum(coeff * operational_matrix(i, degree).entries
+                   for i, coeff in enumerate(problem.a) if coeff != 0.0) - fredholm_block(
+        problem.kernel, problem.order, degree, problem.kernel_s_power)
+    applied = (operator.T @ series.coeffs)[:rows] / (2.0 * np.arange(rows) + 1.0)
+    return np.abs(applied - chebyshev_interpolate(problem.forcing, degree)[:rows])
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -226,6 +226,22 @@ def test_interpolate_rejects_complex_values():
         chebyshev_interpolate(lambda x: np.ones(3), 4)
 
 
+def test_real_samples_broadcast_only_when_shapes_differ():
+    # Float64 samples of the right shape come back as the same array (no
+    # copy, no broadcast view); a constant is still broadcast, and a shape
+    # that does not broadcast still raises.
+    samples = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    assert cltransform._real_samples(samples, (3, 4), "kernel", "here") is samples
+    constant = cltransform._real_samples(2.5, (3, 4), "forcing", "here")
+    assert constant.shape == (3, 4) and np.all(constant == 2.5)
+    with pytest.raises(ValueError, match="kernel returned shape"):
+        cltransform._real_samples(np.ones(3), (3, 4), "kernel", "here")
+    with pytest.raises(ValueError, match="kernel returned complex samples here"):
+        cltransform._real_samples(samples + 1j, (3, 4), "kernel", "here")
+    with pytest.raises(ValueError, match="non-finite kernel sample here"):
+        cltransform._real_samples(np.full((3, 4), np.inf), (3, 4), "kernel", "here")
+
+
 def test_forcing_map_validation_and_caching():
     with pytest.raises(ValueError):
         chebyshev_interpolate(np.exp, -1)

@@ -29,7 +29,7 @@ def test_every_lru_cache_is_bounded():
                 cached[f"{name}.{attr}"] = value.cache_info().maxsize
     assert {"cltransform._legendre_projection", "solver._caputo_quadrature",
             "solver._singular_rule", "solver._error_grid",
-            "solver._classical_rows"} == set(cached)
+            "solver._integral_rows"} == set(cached)
     unbounded = [name for name, maxsize in cached.items() if maxsize is None]
     assert not unbounded
 
@@ -107,3 +107,17 @@ def test_cli_import_loads_no_scipy():
                         "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+_DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", _DEMOS, ids=[path.stem for path in _DEMOS])
+def test_demo_runs_without_a_runtime_warning(demo):
+    # The demos print condition estimates, errors and residuals of the solve
+    # path; a RuntimeWarning (overflow, invalid value) fails them.
+    env = dict(os.environ, PYTHONPATH=str(Path(cltau.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout

@@ -16,7 +16,8 @@ import scipy.linalg
 from test_cltransform import projection_40_digits
 from test_orthopoly import monomial_form_legendre
 
-from cltau import cltransform, exprlang, orthopoly, solver
+from cltau import cli, cltransform, exprlang, fracderiv, orthopoly, solver
+from cltau.cltransform import chebyshev_interpolate
 from cltau.fracderiv import (CaputoOrder, caputo_apply, caputo_legendre_factors, gamma,
                              operational_matrix)
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
@@ -31,7 +32,6 @@ from cltau.solver import (
     convergence_study,
     error_norms,
     example_config,
-    forcing_coeffs,
     fredholm_block,
     initial_condition_residuals,
     l2_error,
@@ -218,24 +218,24 @@ def test_singular_rule_integrates_weighted_powers(phi, s_power):
 # ---------------------------------------------------------------- forcing
 
 def test_forcing_coeffs_closed_forms():
-    # f_k = int_0^1 f L_{1,k}: constants project to (c, 0, ...), f = t to
+    # The solver's forcing coefficients f_k = int_0^1 f L_{1,k} come from
+    # chebyshev_interpolate: constants project to (c, 0, ...), f = t to
     # (1/2, 1/6, 0), and f = L_{1,2} to (0, 0, 1/5).
-    const = forcing_coeffs(lambda t: np.full_like(np.asarray(t, dtype=float), 14.0), 2)
+    const = chebyshev_interpolate(lambda t: np.full_like(np.asarray(t, dtype=float), 14.0), 2)
     assert np.allclose(const, [14.0, 0.0, 0.0], rtol=0, atol=1e-14)
-    linear = forcing_coeffs(lambda t: np.asarray(t, dtype=float), 2)
+    linear = chebyshev_interpolate(lambda t: np.asarray(t, dtype=float), 2)
     assert np.allclose(linear, [0.5, 1.0 / 6.0, 0.0], rtol=0, atol=1e-14)
-    basis2 = forcing_coeffs(lambda t: shifted_legendre_table(2, np.asarray(t))[2], 3)
+    basis2 = chebyshev_interpolate(lambda t: shifted_legendre_table(2, np.asarray(t))[2], 3)
     assert np.allclose(basis2, [0.0, 0.0, 0.2, 0.0], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("truncation", [1, 4, 16, 64])
 def test_forcing_coeffs_is_the_legendre_transform_of_the_interpolant(truncation):
-    # forcing_coeffs is chebyshev_interpolate, bit for bit, and both are the
-    # projections of the interpolant of the float samples, which a 40-digit
-    # computation of the same interpolant pins to 1e-15.
+    # The forcing coefficients of the solver are the projections of the
+    # interpolant of the float samples, which a 40-digit computation of the
+    # same interpolant pins to 1e-15.
     forcing = builtin_example("5.4").problem.forcing
-    coeffs = forcing_coeffs(forcing, truncation)
-    np.testing.assert_array_equal(coeffs, cltransform.chebyshev_interpolate(forcing, truncation))
+    coeffs = chebyshev_interpolate(forcing, truncation)
     samples = forcing(chebyshev_gauss_rule(truncation).nodes)
     reference = projection_40_digits(samples, truncation)
     deviation = np.max(np.abs(coeffs - reference))
@@ -253,38 +253,47 @@ def test_complex_forcing_is_rejected_not_cut_to_its_real_part():
 # ---------------------------------------------------------------- assembly
 
 def test_assembly_hand_checked_two_by_two():
-    # First catalog problem at N = 1.  Galerkin row (k = 0): the derivative
-    # contributes S_1(1,0) c_1 = 2 c_1; the Fredholm term contributes
-    # [S_(1/2)(1,0) b_00 + S_(1/2)(1,1) b_10] c_1 = (8/(3 sqrt pi) * 1/4
-    # + 8/(5 sqrt pi) * 1/12) c_1 = 4/(5 sqrt pi) c_1; the right side is
-    # int f = 14 (1 - 1/(5 Gamma(3/2))).  Condition row: y(0) = c_0 - c_1.
+    # First catalog problem at N = 2, unknown v = y' in span{L_0, L_1}, so
+    # y = I v (y(0) = 0).  With a = (0, 1) the classical part is v itself.
+    # The kernel term of L_{1,j} is x -> x int_0^1 s I^(1/2) L_{1,j}(s) ds,
+    # and x has the coefficients c = (1/2, 1/2); the moments are
+    # int s I^(1/2) L_0 = (2/5)/Gamma(3/2) = 4/(5 sqrt pi) and
+    # int s I^(1/2) L_1 = 2 (2/7)/Gamma(5/2) - (2/5)/Gamma(3/2)
+    # = -4/(105 sqrt pi), so the matrix is I - c m^T.  The right side holds
+    # the coefficients of f = 14 - (11.2/sqrt pi) t: (14 - 5.6/sqrt pi,
+    # -5.6/sqrt pi).  At N = 1 the system is its leading 1x1 block.
     problem = builtin_example("5.1").problem
-    matrix, rhs = assemble_system(problem, 1)
-    assert matrix[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert matrix[0, 1] == pytest.approx(2.0 - 4.0 / (5.0 * _SQRT_PI), rel=1e-13)
-    assert np.allclose(matrix[1], [1.0, -1.0], rtol=0, atol=1e-15)
-    assert rhs[0] == pytest.approx(14.0 * (1.0 - 1.0 / (5.0 * gamma(1.5))), rel=1e-13)
-    assert rhs[1] == 0.0
+    moments = np.array([4.0 / (5.0 * _SQRT_PI), -4.0 / (105.0 * _SQRT_PI)])
+    expected = np.eye(2) - 0.5 * moments[None, :]
+    expected_rhs = np.array([14.0 - 5.6 / _SQRT_PI, -5.6 / _SQRT_PI])
+    for truncation in (1, 2):
+        matrix, rhs = assemble_system(problem, truncation)
+        assert matrix.shape == (truncation, truncation) and rhs.shape == (truncation,)
+        np.testing.assert_allclose(matrix, expected[:truncation, :truncation], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rhs, expected_rhs[:truncation], rtol=0, atol=1e-14)
+    assert rhs[0] == pytest.approx(14.0 * (1.0 - 1.0 / (5.0 * gamma(1.5))), rel=1e-14)
+    np.testing.assert_allclose(np.linalg.solve(matrix, rhs), [14.0, 0.0], rtol=0, atol=1e-14)
 
 
 def test_assembly_shapes_and_condition_rows():
+    # The system has one row per unknown of v, truncation - n + 1, and no
+    # initial-condition row: y = p + I^n v meets y^(i)(0) = d_i by
+    # construction.  The condition rows d^i L_{1,j}(0) =
+    # (-1)^(j-i) (j+i)! / (i! (j-i)!), exact integers here, applied to the
+    # solved series give the initial values, and initial_condition_residuals
+    # (through the operational matrices) agrees.
     problem = builtin_example("5.4").problem
     matrix, rhs = assemble_system(problem, 6)
-    assert matrix.shape == (7, 7) and rhs.shape == (7,)
-    # The last n rows enforce y(0), y'(0), y''(0); with all coefficients
-    # equal they must evaluate the derivative tables at 0.
-    signs = (-1.0) ** np.arange(7)
-    assert np.allclose(matrix[4], signs, rtol=0, atol=1e-15)
-    assert np.allclose(rhs[4:], [0.0, 1.0, 2.0], rtol=0, atol=0)
-    # Every condition row against the closed form
-    # d^i L_{1,j}(0) = (-1)^(j-i) (j+i)! / (i! (j-i)!), exact integers here.
+    assert matrix.shape == (4, 4) and rhs.shape == (4,)
     for truncation in (6, 64):
-        matrix, _ = assemble_system(problem, truncation)
+        solution = solve_fide(problem, truncation)
+        coeffs = solution.coeffs.coeffs
         for i in range(problem.n):
-            expected = [(-1) ** (j - i) * (math.perm(j + i, 2 * i) // math.factorial(i))
-                        for j in range(truncation + 1)]
-            row = matrix[truncation - problem.n + 1 + i]
-            np.testing.assert_array_equal(row, np.array(expected, dtype=float))
+            row = np.array([(-1) ** (j - i) * (math.perm(j + i, 2 * i) // math.factorial(i))
+                            for j in range(truncation + 1)], dtype=float)
+            scale = np.abs(row) @ np.abs(coeffs)
+            assert abs(row @ coeffs - problem.ics[i]) <= 1e-14 * scale, (truncation, i)
+        assert np.max(initial_condition_residuals(problem, solution)) <= 1e-12, truncation
 
 
 # ---------------------------------------------------------------- catalog
@@ -561,6 +570,8 @@ def test_tau_residuals_are_orthogonality_violations():
     coeffs[2] += 0.1
     wrong = SpectralSolution(8, LegendreSeries(coeffs), solution.condition_estimate)
     assert np.max(tau_residuals(ex.problem, wrong)) > 1e-3
+    with pytest.raises(ValueError, match="below the derivative order"):
+        tau_residuals(builtin_example("5.4").problem, LegendreSeries(coeffs[:3]))
 
 
 # ------------------------------------------------------------ error norms
@@ -766,6 +777,86 @@ def test_solver_error_paths():
     assert "threshold 1e-14*max|A| = " in str(err.value)
 
 
+def _edge_problem(n, alpha):
+    """Exact t e^t (a 25-term series), kernel e^(t - s), a = (1, 0, .., 0, 1)."""
+    exact = MonomialSeries(tuple((1.0 / math.factorial(k), float(k + 1)) for k in range(25)))
+    kernel = lambda t, s: np.exp(t - s)
+    a = (1.0,) + (0.0,) * (n - 1) + (1.0,)
+    return FIDEProblem(n=n, a=a, order=alpha, kernel=kernel,
+                       forcing=mms_forcing(exact, n, a, alpha, kernel),
+                       ics=tuple(float(i) for i in range(n)))
+
+
+@pytest.mark.parametrize("n, truncation", [(5, 96), (5, 128), (6, 64), (6, 128)])
+def test_high_order_edge_cases_solve(n, truncation):
+    # Exact t e^t, kernel e^(t - s), alpha = 1/2, a = (1, 0, .., 0, 1): the
+    # classical tau system of these cases is conditioned at 1e16 and beyond,
+    # and its pivot gate rejected them.  In the unknown v of y = p + I^n v
+    # the matrix is the identity plus compact terms.
+    problem = _edge_problem(n, 0.5)
+    solution = solve_fide(problem, truncation)
+    assert solution.condition_estimate <= 10.0
+    assert l2_error(solution, lambda t: t * np.exp(t)) <= 1e-14
+
+
+@pytest.mark.parametrize("truncation", [8, 64, 256])
+def test_catalog_condition_does_not_grow_with_truncation(truncation):
+    for eid in builtin_example_ids():
+        solution = solve_fide(builtin_example(eid).problem, truncation)
+        assert 1.0 <= solution.condition_estimate <= 10.0, eid
+
+
+def _classical_tau_coeffs(problem, truncation):
+    """The coefficients of the classical tau system: Galerkin rows of
+    sum_i a_i D^i - K D^alpha from the operational matrices and
+    fredholm_block, divided by 2k + 1, then n initial-condition rows
+    d^i L_{1,j}(0) = (-1)^(j-i) (j+i)! / (i! (j-i)!) in closed form."""
+    rows = truncation - problem.n + 1
+    operator = sum(coeff * operational_matrix(i, truncation).entries
+                   for i, coeff in enumerate(problem.a))
+    operator = operator - fredholm_block(problem.kernel, problem.order, truncation,
+                                         problem.kernel_s_power)
+    matrix = np.empty((truncation + 1, truncation + 1))
+    matrix[:rows] = operator[:, :rows].T / (2.0 * np.arange(rows) + 1.0)[:, None]
+    for i in range(problem.n):
+        matrix[rows + i] = [(-1) ** (j - i) * (math.perm(j + i, 2 * i) // math.factorial(i))
+                            for j in range(truncation + 1)]
+    rhs = np.concatenate((chebyshev_interpolate(problem.forcing, truncation)[:rows],
+                          problem.ics))
+    return np.linalg.solve(matrix, rhs)
+
+
+_CLASSICAL_TRUNCATIONS = (4, 17, 33, 64, 128)
+
+
+@pytest.mark.parametrize("variant", ["printed", "corrected"])
+@pytest.mark.parametrize("eid", ["5.1", "5.2", "5.3", "5.4"])
+def test_catalog_matches_the_classical_tau_system(eid, variant):
+    # Same trial space, same test functions, same quadrature: the two
+    # systems have one solution, up to the rounding of the classical one.
+    problem = builtin_example(eid, variant).problem
+    for truncation in _CLASSICAL_TRUNCATIONS:
+        reference = _classical_tau_coeffs(problem, truncation)
+        coeffs = solve_fide(problem, truncation).coeffs.coeffs
+        deviation = np.max(np.abs(coeffs - reference)) / np.max(np.abs(reference))
+        assert deviation <= 1e-14, (truncation, deviation)
+
+
+@pytest.mark.parametrize("n, alpha", [(1, 1.0), (1, 1.5), (2, 2.5), (3, 3.0), (3, 2.7),
+                                      (4, 0.5)])
+def test_orders_match_the_classical_tau_system(n, alpha):
+    # Both branches of the kernel table: alpha <= n (I^(n - alpha) L_j, with
+    # the t^l/l! rows for l = ceil(alpha)..n-1) and alpha > n (D^(alpha - n)).
+    problem = _edge_problem(n, alpha)
+    for truncation in _CLASSICAL_TRUNCATIONS:
+        if truncation < n:
+            continue
+        reference = _classical_tau_coeffs(problem, truncation)
+        coeffs = solve_fide(problem, truncation).coeffs.coeffs
+        deviation = np.max(np.abs(coeffs - reference)) / np.max(np.abs(reference))
+        assert deviation <= 1e-14, (truncation, deviation)
+
+
 def _lapack_smallest_pivot(matrix):
     return float(np.min(np.abs(np.diag(scipy.linalg.lu_factor(matrix)[0]))))
 
@@ -806,8 +897,12 @@ def _counting_smallest_pivot(monkeypatch):
 
 
 def test_well_conditioned_solve_skips_elimination(monkeypatch):
+    # alpha > n puts the highest derivative under the integral, so the
+    # condition grows with N (9e7 at N = 64), yet the bound from the
+    # inverse still certifies every pivot without elimination.
+    problem = _edge_problem(1, 2.5)
     calls = _counting_smallest_pivot(monkeypatch)
-    solution = solve_fide(builtin_example("5.4").problem, 32)
+    solution = solve_fide(problem, 64)
     assert solution.condition_estimate > 1e7
     assert calls == []
 
@@ -837,14 +932,15 @@ def test_pivot_gate_decided_by_elimination_near_the_edge(monkeypatch):
     calls = _counting_smallest_pivot(monkeypatch)
     problem = builtin_example("5.1").problem
     exact = np.linspace(1.0, 2.0, 8)
+    # 5.1 has n = 1, so at N = 8 its system has M + 1 = 8 unknowns.
     for relative_pivot, matrix in matrices.items():
         monkeypatch.setattr(solver, "assemble_system",
                             lambda *args, m=matrix: (m, m @ exact))
         if relative_pivot < 1e-14:
-            with pytest.raises(SolverError, match=r"truncation 7 \(smallest pivot"):
-                solve_fide(problem, 7)
+            with pytest.raises(SolverError, match=r"truncation 8 \(smallest pivot"):
+                solve_fide(problem, 8)
         else:
-            assert solve_fide(problem, 7).condition_estimate > 1e12
+            assert solve_fide(problem, 8).condition_estimate > 1e12
     assert len(calls) == 2
 
 
@@ -863,57 +959,74 @@ def test_one_factorization_per_solve(monkeypatch):
     # The inverse for the condition estimate and the pivot gate and the
     # coefficients come from one gesv; an exactly zero pivot (LAPACK's
     # LinAlgError) is decided by elimination and raises the pivot message.
-    problem = builtin_example("5.4").problem
     calls = _count_linalg(monkeypatch)
-    solve_fide(problem, 32)
+    solve_fide(builtin_example("5.4").problem, 32)
     assert calls == {"solve": 1, "inv": 0}
+    # 5.1 has n = 1, so at N = 8 its system has M + 1 = 8 unknowns.
+    problem = builtin_example("5.1").problem
     for relative_pivot in (1e-13, 0.0):
         matrix = _matrix_with_pivot(relative_pivot)
         monkeypatch.setattr(solver, "assemble_system",
                             lambda *args, m=matrix: (m, m @ np.linspace(1.0, 2.0, 8)))
         calls.update(solve=0, inv=0)
         if relative_pivot:
-            assert solve_fide(problem, 7).condition_estimate > 1e12
+            assert solve_fide(problem, 8).condition_estimate > 1e12
         else:
             with pytest.raises(SolverError, match=r"smallest pivot 0\.000e\+00, threshold"):
-                solve_fide(problem, 7)
+                solve_fide(problem, 8)
         assert calls == {"solve": 1, "inv": 0}
 
 
 @pytest.mark.parametrize("eid", ["5.1", "5.2", "5.3", "5.4"])
 @pytest.mark.parametrize("truncation", [8, 16, 32, 64, 128])
 def test_solve_matches_scipy_lu_reference(eid, truncation):
+    # The LU solution v of the assembled system maps to y = I^n v + p, with
+    # I^n and the Taylor polynomial p = sum_l d_l t^l/l! = sum_l d_l I^l 1
+    # taken from numpy's Legendre integration (on [-1, 1], hence scl=0.5).
     problem = builtin_example(eid).problem
     matrix, rhs = assemble_system(problem, truncation)
-    reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(matrix), rhs)
+    v = scipy.linalg.lu_solve(scipy.linalg.lu_factor(matrix), rhs)
+    integrate = lambda c, times: np.polynomial.legendre.legint(c, m=times, lbnd=-1, scl=0.5)
+    reference = integrate(v, problem.n)
+    for l, d in enumerate(problem.ics):
+        taylor = integrate([1.0], l)
+        reference[:taylor.size] += d * taylor
     solution = solve_fide(problem, truncation)
+    assert solution.coeffs.coeffs.shape == reference.shape
     deviation = np.max(np.abs(solution.coeffs.coeffs - reference))
     assert deviation <= 1e-14 * np.max(np.abs(reference))
     assert solution.condition_estimate == float(np.linalg.cond(matrix, 1))
 
 
+_OVERFLOWING = dict(n=1, a=(1.7e308, 1.7e308), order=0.5, kernel=lambda t, s: t * s,
+                   forcing=_zero_forcing, ics=(0.0,))
+
+
 def test_overflowing_system_is_rejected():
-    # Without the check the overflowed system would solve to NaN
-    # coefficients that slip past the residual gate (NaN > tol is False).
-    problem = FIDEProblem(n=1, a=(1e308, 1e308), order=0.5, kernel=lambda t, s: t * s,
-                          forcing=_zero_forcing, ics=(0.0,))
+    # a_1 + a_0 / 2 (the L_0 part of I L_0 is 1/2) overflows.  Without the
+    # check the overflowed system would solve to NaN coefficients that slip
+    # past the residual gate (NaN > tol is False).
+    problem = FIDEProblem(**_OVERFLOWING)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         solve_fide(problem, 8)
 
 
-def test_overflowing_coefficient_is_named_without_a_warning():
+def test_overflowing_coefficient_is_rejected_without_a_warning(tmp_path, capsys):
     # No errstate here: the RuntimeWarning filter of the suite turns an
-    # overflow warning from the assembly into a failure.
-    problem = FIDEProblem(n=1, a=(1e308, 1e308), order=0.5, kernel=lambda t, s: t * s,
-                          forcing=_zero_forcing, ics=(0.0,))
-    with pytest.raises(ValueError, match=r"a_1 = 1e\+308 .* non-finite"):
-        assemble_system(problem, 8)
-    with pytest.raises(ValueError, match="a_1"):
-        solve_fide(problem, 8)
-    # The derivative operator is cached, but a failed build is not: the
-    # repeat raises the same error, again without a warning.
-    with pytest.raises(ValueError, match=r"a_1 = 1e\+308 .* non-finite"):
-        assemble_system(problem, 8)
+    # overflow warning from the assembly into a failure.  The kernel-free
+    # table is cached with its inf, so the repeat raises the same error,
+    # again without a warning, and the CLI exits with the config code 2.
+    problem = FIDEProblem(**_OVERFLOWING)
+    matrix, _ = assemble_system(problem, 8)
+    assert not np.isfinite(matrix).all()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-finite entries at truncation 8"):
+            solve_fide(problem, 8)
+    config = tmp_path / "overflow.json"
+    config.write_text('{"n": 1, "a": [1.7e308, 1.7e308], "alpha": 0.5, "kernel": "t*s", '
+                      '"forcing": "0", "ics": [0]}', encoding="utf-8")
+    assert cli.main(["solve", "--config", str(config), "--N", "8"]) == 2
+    assert "non-finite entries" in capsys.readouterr().err
 
 
 def _count_calls(monkeypatch, original):
@@ -937,7 +1050,7 @@ def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
     # A cold solve builds Legendre tables, a warm one none.
     problem = builtin_example("5.4").problem
     for cache in (cltransform._legendre_projection, solver._caputo_quadrature,
-                  solver._classical_rows):
+                  solver._integral_rows):
         cache.cache_clear()
     assert not [name for name, module in sys.modules.items()
                 if name.startswith("cltau") and hasattr(module, "shifted_chebyshev_table")]
@@ -951,30 +1064,30 @@ def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
 
 
 def test_warm_solve_sums_no_operational_matrix(monkeypatch):
-    # Sum_i a_i D^i depends only on (a, N): a warm repeat of the solve
-    # takes it from the cache and builds no operational matrix.
+    # The kernel-free rows depend only on (a, N) and come from the banded
+    # integration recurrence: neither a cold nor a warm solve builds an
+    # operational matrix, and the warm repeat is the same bit for bit.
     problem = builtin_example("5.4").problem
-    solver._classical_rows.cache_clear()
+    solver._integral_rows.cache_clear()
     calls = _count_calls(monkeypatch, operational_matrix)
     cold = solve_fide(problem, 24)
-    assert calls["operational_matrix"] > 0
-    calls["operational_matrix"] = 0
     warm = solve_fide(problem, 24)
     assert calls == {"operational_matrix": 0}
     assert warm.coeffs.coeffs.tobytes() == cold.coeffs.coeffs.tobytes()
 
 
-def test_cold_solve_builds_only_the_first_derivative_matrix(monkeypatch):
-    # Every classical row of 5.4 (orders 0..3) is a power of the order-1
-    # operational matrix, so a cold solve builds that one matrix and no
-    # other; the Caputo factors of its kernel term take D^1 straight from
-    # the integer derivative coefficients.
+def test_cold_solve_builds_no_operational_matrix(monkeypatch):
+    # Every classical row of 5.4 (orders 0..3) is a power of the banded
+    # integral I, and its kernel term needs I^(n - alpha) L_j only, so a cold
+    # solve builds no operational matrix and no derivative matrix.
     problem = builtin_example("5.4").problem
-    for cache in (solver._classical_rows, solver._caputo_quadrature):
+    for cache in (solver._integral_rows, solver._caputo_quadrature):
         cache.cache_clear()
     calls = _count_calls(monkeypatch, operational_matrix)
+    derivative = _count_calls(monkeypatch, fracderiv._legendre_derivative_coeffs)
     solve_fide(problem, 24)
-    assert calls == {"operational_matrix": 1}
+    assert calls == {"operational_matrix": 0}
+    assert derivative == {"_legendre_derivative_coeffs": 0}
 
 
 def test_one_caputo_table_per_rung():
@@ -1002,7 +1115,7 @@ def test_cached_classical_rows_serve_another_problem_with_the_same_a():
     assert first.a == second.a
     assemble_system(first, 16)
     warm = assemble_system(second, 16)
-    solver._classical_rows.cache_clear()
+    solver._integral_rows.cache_clear()
     fresh = assemble_system(second, 16)
     for got, expected in zip(warm, fresh):
         assert got.tobytes() == expected.tobytes()
@@ -1010,9 +1123,9 @@ def test_cached_classical_rows_serve_another_problem_with_the_same_a():
 
 def test_cached_tables_are_read_only():
     arrays = (list(cltransform._legendre_projection(12))
-              + list(solver._caputo_quadrature(0.5, 1, 12))
+              + list(solver._caputo_quadrature(0.5, 1, 12, 3))
               + list(solver._error_grid())
-              + [solver._classical_rows((1.0, 0.0, -1.0, 3.0), 12)])
+              + list(solver._integral_rows((1.0, 0.0, -1.0, 3.0), 12)))
     for array in arrays:
         with pytest.raises(ValueError):
             array.flat[0] = 1.0
