@@ -9,7 +9,9 @@ Numer. Anal. 31, 1994).  I_n f is evaluated by barycentric interpolation
 term, and integrated against L_{1,k} there; (I_n f) L_{1,k} has degree
 <= 2n, so the rule is exact.  That rule, its weighted Legendre table and
 the sampling-to-projection map depend on n alone and share one cache,
-_legendre_projection, which the solver's kernel term reads too.
+_legendre_projection, which the solver's kernel term reads too.  The rule
+of any larger n' is exact as well, so a convergence sweep projects every
+truncation's interpolant on the rule of its largest one (_interpolate_on).
 """
 
 from functools import lru_cache
@@ -36,24 +38,39 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
     the shifted Chebyshev-Gauss nodes y_j and the forcing map M with
     M @ f(y) = ((I_n f, L_{1,k}))_k.
 
-    M = weighted^T P, where P[q, j] is the barycentric interpolation matrix
-    from the y_j to the x_q, with the closed-form weights
-    (-1)^j sin((2j + 1) pi / (2n + 2)) of Chebyshev points of the first
-    kind.  No x_q equals a y_j: both rules hold an exact 0.5 midpoint, the
-    Chebyshev one for even n and the Legendre one for odd n.
+    M = weighted^T P with P = _barycentric_matrix(n, x).  No x_q equals a
+    y_j here: both rules hold an exact 0.5 midpoint, the Chebyshev one for
+    even n and the Legendre one for odd n.
     """
     rule = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
     x = rule.nodes
     weighted = rule.weights[:, None] * shifted_legendre_table(n, x).T
     scale = 2.0 * np.arange(n + 1) + 1.0
-    nodes = chebyshev_gauss_rule(n).nodes
-    j = np.arange(n + 1)
-    terms = ((-1.0) ** j * np.sin((2 * j + 1) * np.pi / (2 * n + 2))) / (x[:, None] - nodes)
-    matrix = weighted.T @ (terms / terms.sum(axis=1, keepdims=True))
+    nodes, interpolation = _barycentric_matrix(n, x)
+    matrix = weighted.T @ interpolation
     tables = (x, weighted, scale, nodes, matrix)
     for array in tables:
         array.flags.writeable = False
     return tables
+
+
+def _barycentric_matrix(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shifted Chebyshev-Gauss nodes y_j, j = 0..n, and the matrix
+    P[q, j] of barycentric interpolation from them to the points x_q, with
+    the closed-form weights (-1)^j sin((2j + 1) pi / (2n + 2)) of Chebyshev
+    points of the first kind.  A point x_q equal to a node y_j gets the
+    unit row e_j: the Legendre rule of an odd size and the Chebyshev rule
+    of an even n both hold the node 0.5.
+    """
+    nodes = chebyshev_gauss_rule(n).nodes
+    j = np.arange(n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = ((-1.0) ** j * np.sin((2 * j + 1) * np.pi / (2 * n + 2))) / (x[:, None] - nodes)
+        matrix = terms / terms.sum(axis=1, keepdims=True)
+    hit, node = np.nonzero(x[:, None] == nodes)
+    matrix[hit] = 0.0
+    matrix[hit, node] = 1.0
+    return nodes, matrix
 
 
 def _real_samples(raw, shape: tuple[int, ...], name: str, where: str) -> np.ndarray:
@@ -91,4 +108,23 @@ def chebyshev_interpolate(f, n: int) -> np.ndarray:
     """
     *_, nodes, matrix = _legendre_projection(
         _check_integer(n, 0, "truncation must be a non-negative integer"))
-    return matrix @ _real_samples(f(nodes), nodes.shape, "forcing", "at the interpolation nodes")
+    return matrix @ _forcing_samples(f, nodes)
+
+
+def _forcing_samples(f, nodes: np.ndarray) -> np.ndarray:
+    return _real_samples(f(nodes), nodes.shape, "forcing", "at the interpolation nodes")
+
+
+def _interpolate_on(f, n: int, top: int) -> np.ndarray:
+    """chebyshev_interpolate(f, n) integrated on the rule of
+    _legendre_projection(top), top >= n: f is sampled at its own n + 1
+    nodes, and the barycentric matrix maps the samples onto the top + 16
+    Legendre nodes.  (I_n f) L_{1,k} has degree <= 2n, so the two rules give
+    the same projections up to round-off; at top = n this is
+    chebyshev_interpolate itself, bit for bit.
+    """
+    if n == top:
+        return chebyshev_interpolate(f, n)
+    x, weighted, *_ = _legendre_projection(top)
+    nodes, interpolation = _barycentric_matrix(n, x)
+    return weighted[:, :n + 1].T @ (interpolation @ _forcing_samples(f, nodes))

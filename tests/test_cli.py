@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cltau.cli import ProblemConfig, main
-from cltau.solver import builtin_example, solve_fide
+from cltau.solver import builtin_example, error_norms, solve_fide
 
 # ------------------------------------------------------------------ helpers
 
@@ -286,6 +286,27 @@ def test_convergence_writes_csv_and_fit(capsys, tmp_path):
         [l2[4], l2[8], l2[16]],
         [1.333607e-3, 1.599945e-4, 1.953296e-5], rtol=1e-4)
     assert "fitted decay: algebraic" in stderr
+
+
+def test_convergence_to_an_odd_truncation_prints_the_same_bytes_twice(capsys):
+    # N = 17's Legendre rule and the Chebyshev rules of the even N share the
+    # node 0.5.  The first sweep runs from empty caches, the second from
+    # full ones.
+    from cltau import cltransform, solver
+    for cache in (solver._integral_rows, solver._caputo_quadrature,
+                  cltransform._legendre_projection):
+        cache.cache_clear()
+    argv = ["convergence", "--example", "5.4", "--N-sweep", "4:17:1"]
+    first, second = _run(capsys, argv), _run(capsys, argv)
+    assert first == second
+    code, stdout, _ = first
+    assert code == 0
+    rows = [line.split(",") for line in stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(n) for n in range(4, 18)]
+    example = builtin_example("5.4")
+    for row in rows:
+        alone = error_norms(solve_fide(example.problem, int(row[0])), example.exact)
+        np.testing.assert_allclose([float(row[1]), float(row[2])], alone, rtol=1e-6, atol=1e-14)
 
 
 def test_convergence_reports_resolved_sweep(capsys):

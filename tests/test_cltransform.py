@@ -202,6 +202,29 @@ def test_chebyshev_interpolate_known_coefficients():
     assert np.allclose(projections, [1.0, -0.1, 0.0, 0.8 / 7.0], rtol=0, atol=1e-14)
 
 
+def test_barycentric_matrix_gives_a_unit_row_on_a_node():
+    # The 33-point Legendre rule and the 5 Chebyshev nodes of n = 4 share
+    # the node 0.5: its row is e_2, not 0/0, and every row still reproduces
+    # polynomials of degree <= 4 at the Legendre nodes.
+    x = legendre_gauss_rule(32).nodes
+    nodes, matrix = cltransform._barycentric_matrix(4, x)
+    np.testing.assert_array_equal(nodes, chebyshev_gauss_rule(4).nodes)
+    assert x[16] == nodes[2] == 0.5
+    np.testing.assert_array_equal(matrix[16], [0.0, 0.0, 1.0, 0.0, 0.0])
+    quartic = lambda t: t ** 4 - 3.0 * t ** 3 + t
+    assert np.max(np.abs(matrix @ quartic(nodes) - quartic(x))) <= 1e-14
+
+
+def test_interpolating_on_a_larger_rule_gives_the_same_projections():
+    # (I_n f) L_{1,k} has degree <= 2n, so the rule of any top >= n projects
+    # it exactly; at top = n the path is chebyshev_interpolate's own.
+    for n, top in ((4, 17), (7, 16), (16, 16)):
+        got = cltransform._interpolate_on(np.exp, n, top)
+        expected = chebyshev_interpolate(np.exp, n)
+        assert np.max(np.abs(got - expected)) <= 1e-15
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_chebyshev_interpolate_spectral_decay():
     errors = []
     x = np.linspace(0.0, 1.0, 101)

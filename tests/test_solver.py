@@ -686,14 +686,100 @@ def test_convergence_study_records_failures():
 
 
 def test_convergence_study_evaluates_each_solution_once(monkeypatch):
-    calls = []
-    original = orthopoly.eval_series
-    monkeypatch.setattr(orthopoly, "eval_series",
-                        lambda series, x: calls.append(np.size(x)) or original(series, x))
+    # One sweep samples `exact` once on the 128 + 101 points of the error
+    # grid and builds one Legendre table there, of the largest degree; each
+    # truncation's series is its coefficients times the leading rows of that
+    # table, with no Clenshaw pass per truncation.
+    exact_sizes, table_sizes, series_sizes = [], [], []
     ex = builtin_example("5.4")
-    report = convergence_study(ex.problem, ex.exact, [4, 8, 12, 16])
+    original_table, original_series = orthopoly.shifted_legendre_table, orthopoly.eval_series
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cltau") and hasattr(module, "shifted_legendre_table"):
+            monkeypatch.setattr(module, "shifted_legendre_table", lambda n, x: table_sizes.append(
+                (n, np.size(x))) or original_table(n, x))
+    monkeypatch.setattr(orthopoly, "eval_series",
+                        lambda series, x: series_sizes.append(np.size(x)) or original_series(series, x))
+    report = convergence_study(ex.problem, lambda t: exact_sizes.append(np.size(t)) or ex.exact(t),
+                               [4, 8, 12, 16])
     assert len(report.entries) == 4
-    assert calls == [128 + 101] * 4
+    assert exact_sizes == [128 + 101]
+    assert [size for size in table_sizes if size[1] == 128 + 101] == [(16, 229)]
+    assert series_sizes == []
+    for entry in report.entries:
+        expected = error_norms(solve_fide(ex.problem, entry.truncation), ex.exact)
+        np.testing.assert_allclose((entry.l2_error, entry.max_error), expected,
+                                   rtol=1e-6, atol=1e-14)
+
+
+def _sweep_solutions(monkeypatch, problem, truncations) -> dict:
+    """The SpectralSolution of every truncation of one convergence_study."""
+    solved, original = {}, solver._gated_solve
+
+    def record(problem, truncation, matrix, rhs):
+        solved[truncation] = original(problem, truncation, matrix, rhs)
+        return solved[truncation]
+
+    monkeypatch.setattr(solver, "_gated_solve", record)
+    report = convergence_study(problem, lambda t: np.zeros_like(t), truncations)
+    assert [entry.failure for entry in report.entries] == [None] * len(truncations)
+    return solved
+
+
+def _t_exp_problem(n: int, alpha: float) -> FIDEProblem:
+    # y^(n) + y with kernel exp(t - s) and exact solution t e^t, y^(i)(0) = i.
+    a = (1.0,) + (0.0,) * (n - 1) + (1.0,)
+    kernel = lambda t, s: np.exp(t - s)
+    terms = MonomialSeries(tuple((1.0 / math.factorial(k), float(k + 1)) for k in range(21)))
+    return FIDEProblem(n=n, a=a, order=alpha, kernel=kernel, ics=tuple(map(float, range(n))),
+                       forcing=mms_forcing(terms, n, a, alpha, kernel))
+
+
+@pytest.mark.parametrize("case", [(eid, variant) for eid in ("5.1", "5.2", "5.3", "5.4")
+                                  for variant in ("printed", "corrected")]
+                         + [("t exp t", n) for n in (4, 5, 6)])
+def test_sweep_entries_match_standalone_solves(monkeypatch, case):
+    # Every truncation of a sweep solves the leading block of the system at
+    # the largest one, whose kernel term is integrated on the largest
+    # truncation's rules.  For kernels those rules integrate to round-off
+    # the coefficients match a standalone solve to round-off (measured
+    # <= 1.6e-15); the largest truncation is the standalone solve itself.
+    name, detail = case
+    problem = (_t_exp_problem(detail, 0.5) if name == "t exp t"
+               else builtin_example(name, detail).problem)
+    truncations = [n for n in range(4, 129, 4) if n >= problem.n]
+    solved = _sweep_solutions(monkeypatch, problem, truncations)
+    for truncation in truncations:
+        alone = solve_fide(problem, truncation)
+        got, expected = solved[truncation].coeffs.coeffs, alone.coeffs.coeffs
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert solved[truncation].condition_estimate == pytest.approx(
+            alone.condition_estimate, rel=1e-8)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_sweep_to_an_odd_truncation_through_even_ones(monkeypatch):
+    # The 33-point Legendre rule of N = 17 and the Chebyshev rule of every
+    # even N both hold the node 0.5, where the barycentric formula would
+    # divide by zero (a RuntimeWarning, an error under this suite's config).
+    ex = builtin_example("5.4")
+    truncations = list(range(4, 18))
+    solved = _sweep_solutions(monkeypatch, ex.problem, truncations)
+    for truncation in truncations:
+        expected = solve_fide(ex.problem, truncation).coeffs.coeffs
+        assert np.max(np.abs(solved[truncation].coeffs.coeffs - expected)) <= (
+            1e-14 * np.max(np.abs(expected)))
+
+
+def test_a_sweep_keeps_one_table_per_cache():
+    # Every truncation is a slice of the largest one's tables, so a cold
+    # sweep over N = 4..32 leaves one entry in each cache.
+    ex = builtin_example("5.4")
+    caches = (solver._integral_rows, cltransform._legendre_projection,
+              solver._caputo_quadrature, solver._singular_rule)
+    for cache in caches:
+        cache.cache_clear()
+    convergence_study(ex.problem, ex.exact, range(4, 33, 4))
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1, 1]
 
 
 def test_convergence_study_validation():
