@@ -164,7 +164,10 @@ class DecayFit:
     truncation resolved_at on below it) or "stagnated" (a failed fit: too
     few errors above the floor without a resolved tail, or neither fit
     reaching R^2 >= 0.98 with negative slope).  rate is the positive decay
-    rate of the accepted fit, None for the other two kinds.
+    rate of the accepted fit, None for the other two kinds: the decrease of
+    the natural log of the error per unit truncation (exponential, error ~
+    e^(-rate N), so rate / ln 10 digits per unit N) or per unit log
+    truncation (algebraic, error ~ N^(-rate)).
     """
 
     kind: str
@@ -325,7 +328,8 @@ def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, 
     sum_i a_i I^(n-i) v - K D^alpha I^n v = f - sum_i a_i p^(i) + K D^alpha p,
     K the kernel operator.  The forcing enters as (2k+1) f_k from
     chebyshev_interpolate, the rest from the cached _integral_rows(a,
-    truncation) and _kernel_rows, so a repeat evaluates only k and f.
+    truncation) and _kernel_rows, so a repeat evaluates only k and f.  It is
+    the one-truncation case of _nested_systems.
     """
     truncation = _check_truncation(truncation)
     if truncation < problem.n:

@@ -692,13 +692,13 @@ def test_convergence_study_evaluates_each_solution_once(monkeypatch):
     # table, with no Clenshaw pass per truncation.
     exact_sizes, table_sizes, series_sizes = [], [], []
     ex = builtin_example("5.4")
-    original_table, original_series = orthopoly.shifted_legendre_table, orthopoly.eval_series
+    table, series = orthopoly.shifted_legendre_table, orthopoly.eval_series
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("cltau") and hasattr(module, "shifted_legendre_table"):
-            monkeypatch.setattr(module, "shifted_legendre_table", lambda n, x: table_sizes.append(
-                (n, np.size(x))) or original_table(n, x))
+            monkeypatch.setattr(module, "shifted_legendre_table",
+                                lambda n, x: table_sizes.append((n, np.size(x))) or table(n, x))
     monkeypatch.setattr(orthopoly, "eval_series",
-                        lambda series, x: series_sizes.append(np.size(x)) or original_series(series, x))
+                        lambda s, x: series_sizes.append(np.size(x)) or series(s, x))
     report = convergence_study(ex.problem, lambda t: exact_sizes.append(np.size(t)) or ex.exact(t),
                                [4, 8, 12, 16])
     assert len(report.entries) == 4
@@ -734,19 +734,28 @@ def _t_exp_problem(n: int, alpha: float) -> FIDEProblem:
                        forcing=mms_forcing(terms, n, a, alpha, kernel))
 
 
-@pytest.mark.parametrize("case", [(eid, variant) for eid in ("5.1", "5.2", "5.3", "5.4")
-                                  for variant in ("printed", "corrected")]
-                         + [("t exp t", n) for n in (4, 5, 6)])
+_EVERY_FOURTH = tuple(range(4, 129, 4))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(eid, variant, _EVERY_FOURTH) for eid in ("5.1", "5.2", "5.3", "5.4")
+     for variant in ("printed", "corrected")]
+    + [("t exp t", n, _EVERY_FOURTH) for n in (4, 5, 6)]
+    # The 33-point Legendre rule of N = 17 and the Chebyshev rule of every
+    # even N share the node 0.5, where the barycentric formula divides by
+    # zero (a RuntimeWarning fails this suite).
+    + [("5.4", "corrected", tuple(range(4, 18)))])
 def test_sweep_entries_match_standalone_solves(monkeypatch, case):
     # Every truncation of a sweep solves the leading block of the system at
     # the largest one, whose kernel term is integrated on the largest
     # truncation's rules.  For kernels those rules integrate to round-off
     # the coefficients match a standalone solve to round-off (measured
     # <= 1.6e-15); the largest truncation is the standalone solve itself.
-    name, detail = case
+    name, detail, truncations = case
     problem = (_t_exp_problem(detail, 0.5) if name == "t exp t"
                else builtin_example(name, detail).problem)
-    truncations = [n for n in range(4, 129, 4) if n >= problem.n]
+    truncations = [n for n in truncations if n >= problem.n]
     solved = _sweep_solutions(monkeypatch, problem, truncations)
     for truncation in truncations:
         alone = solve_fide(problem, truncation)
@@ -755,19 +764,6 @@ def test_sweep_entries_match_standalone_solves(monkeypatch, case):
         assert solved[truncation].condition_estimate == pytest.approx(
             alone.condition_estimate, rel=1e-8)
     assert got.tobytes() == expected.tobytes()
-
-
-def test_sweep_to_an_odd_truncation_through_even_ones(monkeypatch):
-    # The 33-point Legendre rule of N = 17 and the Chebyshev rule of every
-    # even N both hold the node 0.5, where the barycentric formula would
-    # divide by zero (a RuntimeWarning, an error under this suite's config).
-    ex = builtin_example("5.4")
-    truncations = list(range(4, 18))
-    solved = _sweep_solutions(monkeypatch, ex.problem, truncations)
-    for truncation in truncations:
-        expected = solve_fide(ex.problem, truncation).coeffs.coeffs
-        assert np.max(np.abs(solved[truncation].coeffs.coeffs - expected)) <= (
-            1e-14 * np.max(np.abs(expected)))
 
 
 def test_a_sweep_keeps_one_table_per_cache():
