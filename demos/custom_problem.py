@@ -22,9 +22,8 @@ import numpy as np
 from cltau.orthopoly import MonomialSeries
 from cltau.solver import (
     FIDEProblem,
+    error_norms,
     initial_condition_residuals,
-    l2_error,
-    max_error,
     mms_forcing,
     solve_fide,
     tau_residuals,
@@ -42,9 +41,8 @@ def main():
     print("Manufactured problem: exact solution 1 + t^2 - t^5")
     print(f"    {'N':>3}  {'l2_error':>12}  {'max_error':>12}")
     for truncation in (2, 3, 4, 5, 8):
-        solution = solve_fide(problem, truncation)
-        print(f"    {truncation:>3}  {l2_error(solution, exact):12.4e}"
-              f"  {max_error(solution, exact):12.4e}")
+        l2, largest = error_norms(solve_fide(problem, truncation), exact)
+        print(f"    {truncation:>3}  {l2:12.4e}  {largest:12.4e}")
 
     print("\nThe exact solution is a quintic, so N = 5 is the first")
     print("truncation that can represent it — and the error drops to")

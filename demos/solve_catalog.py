@@ -13,8 +13,7 @@ Run with:  python3 demos/solve_catalog.py
 from cltau.solver import (
     builtin_example,
     builtin_example_ids,
-    l2_error,
-    max_error,
+    error_norms,
     solve_fide,
 )
 
@@ -31,16 +30,16 @@ def main():
             print(f"      note: {example.note}")
 
         solution = solve_fide(example.problem, TRUNCATION)
-        print(f"      corrected forcing:  l2_error = {l2_error(solution, example.exact):10.3e}"
-              f"   max_error = {max_error(solution, example.exact):10.3e}"
+        l2, largest = error_norms(solution, example.exact)
+        print(f"      corrected forcing:  l2_error = {l2:10.3e}"
+              f"   max_error = {largest:10.3e}"
               f"   cond ~ {solution.condition_estimate:.2e}")
 
         if example.note is not None:
             printed = builtin_example(example_id, "printed")
-            printed_solution = solve_fide(printed.problem, TRUNCATION)
-            print(f"      transcribed forcing: l2_error = "
-                  f"{l2_error(printed_solution, printed.exact):10.3e}"
-                  f"   max_error = {max_error(printed_solution, printed.exact):10.3e}")
+            l2, largest = error_norms(solve_fide(printed.problem, TRUNCATION), printed.exact)
+            print(f"      transcribed forcing: l2_error = {l2:10.3e}"
+                  f"   max_error = {largest:10.3e}")
 
     print("\nThe transcribed-forcing rows for 5.2 and 5.3 stay stuck at the")
     print("inconsistency level of their source data no matter how large N is;")

@@ -357,6 +357,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_opmatrix(args) -> int:
+    _require(args.alpha > 0, f"derivative order must be > 0, got {args.alpha!r}")
     try:
         matrix = operational_matrix(args.alpha, args.N).entries
     except ValueError as exc:

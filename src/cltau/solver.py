@@ -11,11 +11,13 @@ rows for the initial values; for alpha <= n the matrix is a_n I plus compact
 terms, so its condition does not grow with N.  The forcing is sampled at
 Chebyshev-Gauss points, and one cached map of cltransform gives the Legendre
 projections of its interpolant.  The kernel term integrates k against the
-exact D^alpha of I^n L_{1,j} and t^l/l! by a Jacobi-Gauss rule that absorbs
-the s^(ceil(alpha) - alpha) factor, one per rung R = 16 * ceil(N / 16) of N,
-and an (N + 16)-point Legendre-Gauss rule; see _kernel_rows.  The system at N
-is the leading block of the one at any larger truncation, up to quadrature,
-so convergence_study assembles once, at its largest N (_nested_systems).
+exact D^alpha of I^n L_{1,j} and t^l/l! by an (N + 16)-point Jacobi-Gauss
+rule that absorbs the s^(ceil(alpha) - alpha) factor and an (N + 16)-point
+Legendre-Gauss rule, exact for kernels polynomial in v = s^(1/p) (p the
+kernel_s_power) of degree <= 2 (N + 16) - 1 - p (N - ceil(alpha)); see
+_kernel_rows.  The system at N is the leading block of the one at any larger
+truncation, up to quadrature, so convergence_study assembles once, at its
+largest N (_nested_systems).
 
 The system is solved by one LAPACK gesv through numpy.linalg.solve (LU with
 partial pivoting) behind two gates: every LU pivot must reach 1e-14 times the
@@ -37,8 +39,8 @@ from typing import Callable
 import numpy as np
 
 from . import exprlang
-from .cltransform import (_KERNEL_EXTRA_POINTS, _interpolate_on, _legendre_projection,
-                          _real_samples, chebyshev_interpolate)
+from .cltransform import (_KERNEL_EXTRA_POINTS, _TABLE_CACHE, _interpolate_on,
+                          _legendre_projection, _real_samples, chebyshev_interpolate)
 from .fracderiv import (CaputoOrder, _as_order, _integral_factors,
                         _legendre_derivative_coeffs, caputo_apply, gamma, operational_matrix)
 from .orthopoly import LegendreSeries, MonomialSeries, _check_integer, shifted_legendre_table
@@ -60,8 +62,6 @@ __all__ = [
     "builtin_example_ids",
     "example_config",
     "error_norms",
-    "l2_error",
-    "max_error",
     "initial_condition_residuals",
     "tau_residuals",
     "convergence_study",
@@ -74,7 +74,6 @@ _MMS_QUAD_POINTS = 64
 _MAX_ERROR_POINTS = 101
 _ERROR_FLOOR = 1e-12
 _FIT_R2_MIN = 0.98
-_TABLE_CACHE = 128
 _INTEGER_TOL = 1e-12
 
 
@@ -263,17 +262,15 @@ def _kernel_rows(kernel: Callable, order: CaputoOrder, truncation: int, s_power:
     L_{1,r}(x), r <= truncation - n, for the u_j of _caputo_quadrature: the
     L_{1,r}-coefficient of the kernel term of u_j, with D^alpha u_j itself
     (not its projection onto degree <= truncation) under the integral.
-    The inner rule is the table of the rung R = 16 * ceil(truncation / 16)
-    (R + 16 points, one per rung), the outer one the (truncation + 16)-point
-    rule of _legendre_projection; both are cached, so a repeat evaluates only
-    the kernel.  Exact for kernels polynomial in x of degree
-    <= truncation + 31 and in v = s**(1/s_power) of degree
-    <= 2 (R + 16) - 1 - s_power (truncation - m).
+    Both rules have truncation + 16 points, the inner one the table of
+    _caputo_quadrature, the outer one that of _legendre_projection; both are
+    cached, so a repeat evaluates only the kernel.  Exact for kernels
+    polynomial in x of degree <= truncation + 31 and in v = s**(1/s_power)
+    of degree <= 2 (truncation + 16) - 1 - s_power (truncation - m).
     """
-    rung = -(-truncation // _KERNEL_EXTRA_POINTS) * _KERNEL_EXTRA_POINTS
-    s, table = _caputo_quadrature(order.alpha, s_power, rung, n)
+    s, table = _caputo_quadrature(order.alpha, s_power, truncation, n)
     x, weighted, scale, *_ = _legendre_projection(truncation)
-    inner = _kernel_grid(kernel, x, s) @ table[:truncation + 1 - min(order.m, n)].T
+    inner = _kernel_grid(kernel, x, s) @ table.T
     return (inner.T @ weighted[:, :truncation - n + 1]) * scale[:truncation - n + 1]
 
 
@@ -281,9 +278,11 @@ def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -
     """Kernel term of the classical tau system, _kernel_rows for n = 0,
     read-only: the Legendre projection of x -> integral_0^1 k(x, s)
     D^alpha L_{1,j}(s) ds, which tau_residuals checks solutions against.
-    Where the kernel is polynomial of degree <= truncation in s, it equals
-    the operational matrix times the Legendre kernel moments, since
-    projecting D^alpha L_{1,j} onto degree <= truncation is then free.
+    It is exact for kernels polynomial in v = s**(1/s_power) of degree
+    <= 2 (truncation + 16) - 1 - s_power (truncation - ceil(alpha)).  Where
+    the kernel is polynomial of degree <= truncation in s, it equals the
+    operational matrix times the Legendre kernel moments, since projecting
+    D^alpha L_{1,j} onto degree <= truncation is then free.
     """
     block = _kernel_rows(kernel, _as_order(order), _check_truncation(truncation), s_power, 0)
     block.flags.writeable = False
@@ -508,7 +507,6 @@ class _CatalogEntry:
     kernel_expr: str
     forcing_expr: str
     mms_exact: MonomialSeries
-    exact: Callable
     kernel_s_power: int
     note: str | None
     forcing: Callable = field(init=False)  # the printed forcing, compiled once
@@ -520,7 +518,8 @@ class _CatalogEntry:
 
 @dataclass(frozen=True)
 class BuiltinExample:
-    """A catalog problem plus its exact solution.
+    """A catalog problem plus its exact solution, the MonomialSeries that
+    example_config writes as "mms_exact".
 
     variant "printed" uses the forcing as transcribed in the catalog
     source; "corrected" rebuilds the forcing from the exact solution by
@@ -531,7 +530,7 @@ class BuiltinExample:
     example_id: str
     variant: str
     problem: FIDEProblem
-    exact: Callable
+    exact: MonomialSeries
     description: str
     note: str | None
 
@@ -549,7 +548,6 @@ def _catalog() -> dict[str, _CatalogEntry]:
             kernel_expr="t*s",
             forcing_expr="14*(1 - t/(2.5*gamma(1.5)))",
             mms_exact=MonomialSeries(((14.0, 1.0),)),
-            exact=lambda t: 14.0 * np.asarray(t, dtype=float),
             kernel_s_power=1,
             note=None,
         ),
@@ -565,7 +563,6 @@ def _catalog() -> dict[str, _CatalogEntry]:
             forcing_expr=("8*t^3 - 1.5*sqrt(t) - (48/(6.75*gamma(4.75)) "
                           "- gamma(2.75)/(4.25*gamma(2.25)))*t^2"),
             mms_exact=MonomialSeries(((2.0, 4.0), (-1.0, 1.5))),
-            exact=lambda t: 2.0 * np.asarray(t, dtype=float)**4 - np.asarray(t, dtype=float)**1.5,
             kernel_s_power=1,
             note=("the transcribed forcing's t^2 coefficient carries gamma(2.75) "
                   "where the fractional power rule applied to t^1.5 gives "
@@ -584,7 +581,6 @@ def _catalog() -> dict[str, _CatalogEntry]:
             kernel_expr="t^2*sqrt(s)",
             forcing_expr="((9*sqrt(pi) - 12)/sqrt(pi))*t^2 + 36*t + 8",
             mms_exact=MonomialSeries(((8.0, 1.0), (3.0, 3.0))),
-            exact=lambda t: 8.0 * np.asarray(t, dtype=float) + 3.0 * np.asarray(t, dtype=float)**3,
             kernel_s_power=2,
             note=("the transcribed forcing's t^2 coefficient is 9 - 12/sqrt(pi) "
                   "where re-deriving from the stated exact solution gives "
@@ -604,7 +600,6 @@ def _catalog() -> dict[str, _CatalogEntry]:
             # exp tail: 1/21! < 2e-20, far below the solver's error floor.
             mms_exact=MonomialSeries(tuple(
                 (1.0 / math.factorial(k), float(k + 1)) for k in range(21))),
-            exact=lambda t: np.asarray(t, dtype=float) * np.exp(np.asarray(t, dtype=float)),
             kernel_s_power=1,
             note=("the transcribed forcing folds in 32/(15*sqrt(pi)) = 1.2036... "
                   "for the moment integral of exp(-s) times the order-1/2 "
@@ -651,7 +646,7 @@ def builtin_example(example_id: str, variant: str = "corrected") -> BuiltinExamp
                           kernel=entry.kernel, forcing=forcing, ics=entry.ics,
                           kernel_s_power=entry.kernel_s_power)
     return BuiltinExample(example_id=entry.example_id, variant=variant,
-                          problem=problem, exact=entry.exact,
+                          problem=problem, exact=entry.mms_exact,
                           description=entry.description, note=entry.note)
 
 
@@ -723,16 +718,6 @@ def _distances(values: np.ndarray, exact_values: np.ndarray) -> tuple[float, flo
     gauss = diff[:_ERROR_RULE_POINTS]
     l2 = math.sqrt(max(float(np.sum(_error_grid()[1] * gauss * gauss)), 0.0))
     return l2, float(np.max(np.abs(diff[_ERROR_RULE_POINTS:])))
-
-
-def l2_error(solution, exact: Callable) -> float:
-    """The L2 part of error_norms."""
-    return error_norms(solution, exact)[0]
-
-
-def max_error(solution, exact: Callable) -> float:
-    """The max part of error_norms."""
-    return error_norms(solution, exact)[1]
 
 
 def initial_condition_residuals(problem: FIDEProblem, solution) -> np.ndarray:
@@ -809,8 +794,8 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     t e^t with kernel exp(t - s) for n = 4..6.  For other kernels the sweep
     entry is the more accurate one, off a standalone solve by that solve's
     quadrature error.  For alpha > n the systems are ill-conditioned and the
-    gap grows with the condition: on that t e^t problem 2.9e-13 at n = 1,
-    alpha = 1.5 and up to 3.9e-9 at (1, 2.5) and (2, 3.5), N = 4..128.
+    gap grows with the condition: on that t e^t problem 3.9e-13 at n = 1,
+    alpha = 1.5 and up to 6.0e-9 at (1, 2.5) and (2, 3.5), N = 4..128.
     `exact` is sampled once on _error_grid, and every solution is evaluated
     there from one Legendre table of degree N_max.
 

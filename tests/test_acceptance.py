@@ -38,8 +38,7 @@ from cltau.solver import (
     FIDEProblem,
     builtin_example,
     convergence_study,
-    l2_error,
-    max_error,
+    error_norms,
     mms_forcing,
     solve_fide,
 )
@@ -120,8 +119,8 @@ def test_03_error_ratio_between_truncations():
     # Problem 5.4: the L2 error at N = 8 must undercut 1/100 of the N = 4
     # error (measured ratio is ~4.5e6, far past the requirement).
     example = builtin_example("5.4")
-    err4 = l2_error(solve_fide(example.problem, 4), example.exact)
-    err8 = l2_error(solve_fide(example.problem, 8), example.exact)
+    err4 = error_norms(solve_fide(example.problem, 4), example.exact)[0]
+    err8 = error_norms(solve_fide(example.problem, 8), example.exact)[0]
     assert err8 < err4 / 100.0, f"err(8)={err8:.3e} not < err(4)/100={err4 / 100.0:.3e}"
 
 
@@ -147,7 +146,7 @@ def test_05_corrected_quartic_coefficients():
     # orders of magnitude above solver precision, which is why the
     # corrected forcing exists.
     printed = builtin_example("5.3", "printed")
-    printed_residual = max_error(solve_fide(printed.problem, 4), printed.exact)
+    printed_residual = error_norms(solve_fide(printed.problem, 4), printed.exact)[1]
     assert printed_residual > 1e-3, (
         f"transcribed-forcing residual {printed_residual:.3e} unexpectedly small")
     assert math.isclose(printed_residual, 9.151927e-2, rel_tol=1e-2), (
@@ -170,12 +169,12 @@ def test_06_algebraic_decay_and_reference_bound():
     # pre-registered bound 1.76e-5 against a dense N = 32 reference; the
     # study must classify the decay as algebraic.
     example = builtin_example("5.2")
-    errors = [l2_error(solve_fide(example.problem, n), example.exact)
+    errors = [error_norms(solve_fide(example.problem, n), example.exact)[0]
               for n in (4, 8, 16)]
     assert errors[0] > errors[1] > errors[2], f"not strictly decreasing: {errors}"
 
     reference = solve_fide(example.problem, 32)
-    err16_vs_reference = l2_error(solve_fide(example.problem, 16), reference)
+    err16_vs_reference = error_norms(solve_fide(example.problem, 16), reference)[0]
     assert err16_vs_reference < 1.76e-5, (
         f"N=16 vs N=32 reference: {err16_vs_reference:.6e} >= 1.76e-5")
 
@@ -268,7 +267,6 @@ def test_10_manufactured_solution_suite():
         problem = FIDEProblem(n=n, a=a, order=alpha, kernel=kernel,
                               forcing=forcing, ics=ics)
         solution = solve_fide(problem, 8)
-        assert l2_error(solution, exact) <= 1e-7, f"trial {trial}"
-        assert max_error(solution, exact) <= 1e-7, f"trial {trial}"
+        assert max(error_norms(solution, exact)) <= 1e-7, f"trial {trial}"
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"runtime {elapsed:.3f}s exceeds 30s"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cltau.cli import ProblemConfig, main
-from cltau.solver import builtin_example, error_norms, solve_fide
+from cltau.solver import builtin_example, error_norms, example_config, solve_fide
 
 # ------------------------------------------------------------------ helpers
 
@@ -309,6 +309,19 @@ def test_convergence_to_an_odd_truncation_prints_the_same_bytes_twice(capsys):
         np.testing.assert_allclose([float(row[1]), float(row[2])], alone, rtol=1e-6, atol=1e-14)
 
 
+@pytest.mark.parametrize("example_id", ["5.1", "5.2", "5.3", "5.4"])
+def test_example_and_its_config_print_the_same_bytes(capsys, tmp_path, example_id):
+    # --example ID and --config on example_config(ID) pose the same problem
+    # with the same exact solution, so stdout and the last stderr line (the
+    # solve summary, the fitted decay) match byte for byte.
+    path = _write_config(tmp_path, example_config(example_id))
+    for command in (["solve", "--N", "17"], ["convergence", "--N-sweep", "4:32:4"]):
+        code, stdout, stderr = _run(capsys, [*command, "--example", example_id])
+        assert code == 0
+        assert _run(capsys, [*command, "--config", path]) == (
+            0, stdout, stderr.splitlines(keepends=True)[-1]), command
+
+
 def test_convergence_reports_resolved_sweep(capsys):
     # 5.4 sits below the 1e-12 floor from N = 12 on, with only N = 4 and 8
     # above it: too few errors to fit, and the sweep is resolved.
@@ -361,9 +374,12 @@ def test_opmatrix_integer_order_rows(capsys):
 
 
 def test_opmatrix_rejects_nonpositive_order(capsys):
-    code, _, stderr = _run(capsys, ["opmatrix", "--alpha", "-1", "--N", "2"])
-    assert code == 2
-    assert "error:" in stderr
+    # operational_matrix(0, N) is the identity, but the command asks for a
+    # derivative order > 0.
+    for alpha in ("-1", "0"):
+        code, stdout, stderr = _run(capsys, ["opmatrix", "--alpha", alpha, "--N", "2"])
+        assert code == 2, alpha
+        assert "error:" in stderr and stdout == "", alpha
 
 
 # ---------------------------------------------------------------- examples

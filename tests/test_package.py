@@ -30,8 +30,9 @@ def test_every_lru_cache_is_bounded():
     assert {"cltransform._legendre_projection", "solver._caputo_quadrature",
             "solver._singular_rule", "solver._error_grid",
             "solver._integral_rows"} == set(cached)
-    unbounded = [name for name, maxsize in cached.items() if maxsize is None]
-    assert not unbounded
+    # One bound for every table cache; _error_grid holds its one grid.
+    assert cached.pop("solver._error_grid") == 1
+    assert set(cached.values()) == {cltransform._TABLE_CACHE}
 
 
 # Every entry point that takes a size or degree, reduced to an array.

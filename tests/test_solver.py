@@ -34,8 +34,6 @@ from cltau.solver import (
     example_config,
     fredholm_block,
     initial_condition_residuals,
-    l2_error,
-    max_error,
     mms_forcing,
     solve_fide,
     tau_residuals,
@@ -146,23 +144,14 @@ def _per_truncation_block(kernel, alpha, truncation, s_power):
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.2", "5.3", "5.4"])
 def test_fredholm_block_matches_the_per_truncation_table(example_id):
-    # A truncation N reads the leading rows of the table built for its rung
-    # R = 16 ceil(N / 16).  At a multiple of 16 that table is the one built
-    # for N itself, so the block is the same bit for bit.  Elsewhere the
-    # inner rule has R + 16 > N + 16 points; both rules are exact for the
-    # catalog kernels (to round-off for exp(t - s)), so the blocks agree to
-    # round-off: at most 3.8e-14 of the largest entry measured at these N.
+    # Every truncation N integrates on the (N + 16)-point rules built for N
+    # itself, so the block is that of the per-truncation table bit for bit.
     entry = solver._CATALOG[example_id]
     args = (entry.kernel, entry.alpha)
-    for truncation in (0, 16, 32, 48, 64):
+    for truncation in (0, 1, 5, 16, 17, 20, 31, 32, 47, 48, 64):
         block = fredholm_block(*args, truncation, entry.kernel_s_power)
         reference = _per_truncation_block(*args, truncation, entry.kernel_s_power)
         assert block.tobytes() == reference.tobytes(), truncation
-    for truncation in (1, 5, 17, 20, 31, 47):
-        block = fredholm_block(*args, truncation, entry.kernel_s_power)
-        reference = _per_truncation_block(*args, truncation, entry.kernel_s_power)
-        assert block.shape == reference.shape
-        assert np.max(np.abs(block - reference)) <= 1e-13 * np.max(np.abs(reference)), truncation
 
 
 @pytest.mark.parametrize("truncation", [4, 8, 16])
@@ -329,10 +318,8 @@ def test_example_config_shapes():
 @pytest.mark.parametrize("example_id", ["5.1", "5.2", "5.3", "5.4"])
 def test_catalog_callables_match_their_sources(example_id):
     # The catalog keeps a numpy kernel beside kernel_expr (an exprlang
-    # kernel call costs more, and a warm solve makes two) and a numpy exact
-    # solution beside mms_exact.  Neither pair may drift apart: the kernels
-    # agree bit for bit, and so do the exact solutions except for the
-    # truncated exponential series of 5.4, which stays within 1e-15.
+    # kernel call costs more, and a warm solve makes two).  The pair may not
+    # drift apart: the kernels agree bit for bit.
     entry = solver._catalog_entry(example_id)
     grid = np.linspace(0.0, 1.0, 41)
     t, s = grid[:, None], grid[None, :]
@@ -340,12 +327,6 @@ def test_catalog_callables_match_their_sources(example_id):
     source = np.broadcast_to(exprlang.evaluate(exprlang.parse(entry.kernel_expr), t=t, s=s),
                              (41, 41))
     assert kernel.tobytes() == source.tobytes()
-    points = np.linspace(0.0, 1.0, 6001)
-    exact, series = entry.exact(points), entry.mms_exact(points)
-    if example_id == "5.4":
-        assert np.all(np.abs(exact - series) <= 1e-15 * np.abs(exact))
-    else:
-        assert exact.tobytes() == series.tobytes()
 
 
 def test_first_problem_is_solved_exactly():
@@ -368,7 +349,7 @@ def test_quarter_order_problem_frozen_errors():
     expected = {4: 1.333607e-3, 8: 1.599945e-4, 16: 1.953296e-5}
     for truncation, err in expected.items():
         solution = solve_fide(ex.problem, truncation)
-        assert l2_error(solution, ex.exact) == pytest.approx(err, rel=1e-4)
+        assert error_norms(solution, ex.exact)[0] == pytest.approx(err, rel=1e-4)
 
 
 def test_quarter_order_printed_forcing_is_inconsistent():
@@ -377,7 +358,7 @@ def test_quarter_order_printed_forcing_is_inconsistent():
     # against the stated solution plateaus near 8.0e-3 instead of converging.
     ex = builtin_example("5.2", "printed")
     solution = solve_fide(ex.problem, 8)
-    assert l2_error(solution, ex.exact) == pytest.approx(8.004777e-3, rel=1e-3)
+    assert error_norms(solution, ex.exact)[0] == pytest.approx(8.004777e-3, rel=1e-3)
 
 
 def test_three_halves_order_problem_commitment_error():
@@ -402,7 +383,7 @@ def test_three_halves_order_problem_commitment_error():
 def test_three_halves_order_printed_forcing_residual():
     ex = builtin_example("5.3", "printed")
     solution = solve_fide(ex.problem, 4)
-    assert max_error(solution, ex.exact) == pytest.approx(9.151927e-2, rel=1e-3)
+    assert error_norms(solution, ex.exact)[1] == pytest.approx(9.151927e-2, rel=1e-3)
 
 
 def test_exponential_kernel_problem_frozen_errors():
@@ -410,7 +391,7 @@ def test_exponential_kernel_problem_frozen_errors():
     # exponential; N = 8 reaches 2.0e-9.
     ex = builtin_example("5.4")
     solution = solve_fide(ex.problem, 8)
-    assert l2_error(solution, ex.exact) == pytest.approx(2.012422e-9, rel=1e-3)
+    assert error_norms(solution, ex.exact)[0] == pytest.approx(2.012422e-9, rel=1e-3)
     assert np.max(tau_residuals(ex.problem, solution)) <= 1e-9
     assert np.max(initial_condition_residuals(ex.problem, solution)) <= 1e-9
     # The manufactured exact series is a 21-term exponential tail, accurate
@@ -540,8 +521,7 @@ def test_manufactured_polynomial_round_trips():
         problem = FIDEProblem(n=n, a=a, order=alpha, kernel=kernel,
                               forcing=forcing, ics=ics)
         solution = solve_fide(problem, 8)
-        assert l2_error(solution, exact) <= 1e-7, f"trial {trial}"
-        assert max_error(solution, exact) <= 1e-7, f"trial {trial}"
+        assert max(error_norms(solution, exact)) <= 1e-7, f"trial {trial}"
 
 
 def test_scaling_equivariance():
@@ -579,12 +559,10 @@ def test_tau_residuals_are_orthogonality_violations():
 def test_error_norms_reference_behavior():
     ex = builtin_example("5.1")
     solution = solve_fide(ex.problem, 4)
-    assert l2_error(solution, ex.exact) <= 1e-13
-    assert max_error(solution, ex.exact) <= 1e-13
+    assert max(error_norms(solution, ex.exact)) <= 1e-13
     # A constant offset of 1 must register as exactly 1 in both norms.
     shifted = lambda x: ex.exact(x) + 1.0
-    assert l2_error(solution, shifted) == pytest.approx(1.0, abs=1e-12)
-    assert max_error(solution, shifted) == pytest.approx(1.0, abs=1e-12)
+    assert error_norms(solution, shifted) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("eid", ["5.2", "5.4"])
@@ -593,7 +571,6 @@ def test_error_norms_is_both_norms_from_one_evaluation(eid):
     for truncation in (4, 12, 32):
         solution = solve_fide(ex.problem, truncation)
         l2, largest = error_norms(solution, ex.exact)
-        assert (l2, largest) == (l2_error(solution, ex.exact), max_error(solution, ex.exact))
         # Bitwise the separate evaluations on the 128 Gauss nodes and the
         # 101 equispaced points.
         rule = legendre_gauss_rule(127)
@@ -878,7 +855,7 @@ def test_high_order_edge_cases_solve(n, truncation):
     problem = _edge_problem(n, 0.5)
     solution = solve_fide(problem, truncation)
     assert solution.condition_estimate <= 10.0
-    assert l2_error(solution, lambda t: t * np.exp(t)) <= 1e-14
+    assert error_norms(solution, lambda t: t * np.exp(t))[0] <= 1e-14
 
 
 @pytest.mark.parametrize("truncation", [8, 64, 256])
@@ -1170,23 +1147,6 @@ def test_cold_solve_builds_no_operational_matrix(monkeypatch):
     solve_fide(problem, 24)
     assert calls == {"operational_matrix": 0}
     assert derivative == {"_legendre_derivative_coeffs": 0}
-
-
-def test_one_caputo_table_per_rung():
-    # N = 4..16 share the rung 16 and N = 20..32 the rung 32, so a sweep
-    # over N = 4..32 step 4 builds two Caputo tables, not eight, and a
-    # later solve at N = 20 finds its table in the cache.
-    problem = builtin_example("5.4").problem
-    solver._caputo_quadrature.cache_clear()
-    solver._singular_rule.cache_clear()
-    for truncation in range(4, 33, 4):
-        solve_fide(problem, truncation)
-    assert solver._caputo_quadrature.cache_info().currsize == 2
-    assert solver._singular_rule.cache_info().currsize == 2
-    before = solver._caputo_quadrature.cache_info()
-    solve_fide(problem, 20)
-    after = solver._caputo_quadrature.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_cached_classical_rows_serve_another_problem_with_the_same_a():
