@@ -689,15 +689,20 @@ def test_convergence_study_evaluates_each_solution_once(monkeypatch):
 
 
 def _sweep_solutions(monkeypatch, problem, truncations) -> dict:
-    """The SpectralSolution of every truncation of one convergence_study."""
+    """The SpectralSolution of every truncation of one convergence_study.
+
+    The recording patch is undone before returning, so that later
+    solve_fide calls neither go through it nor overwrite what it kept.
+    """
     solved, original = {}, solver._gated_solve
 
     def record(problem, truncation, matrix, rhs):
         solved[truncation] = original(problem, truncation, matrix, rhs)
         return solved[truncation]
 
-    monkeypatch.setattr(solver, "_gated_solve", record)
-    report = convergence_study(problem, lambda t: np.zeros_like(t), truncations)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_gated_solve", record)
+        report = convergence_study(problem, lambda t: np.zeros_like(t), truncations)
     assert [entry.failure for entry in report.entries] == [None] * len(truncations)
     return solved
 
