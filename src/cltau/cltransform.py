@@ -10,8 +10,10 @@ term, and integrated against L_{1,k} there; (I_n f) L_{1,k} has degree
 <= 2n, so the rule is exact.  That rule, its weighted Legendre table and
 the sampling-to-projection map depend on n alone and share one cache,
 _legendre_projection, which the solver's kernel term reads too.  The rule
-of any larger n' is exact as well, so a convergence sweep projects every
-truncation's interpolant on the rule of its largest one (_interpolate_on).
+of any larger n' is exact as well, so a convergence sweep projects the
+interpolants of all its truncations on the rule of its largest one, from
+one call of f on the nodes of every truncation below it
+(_nested_projections).
 """
 
 from functools import lru_cache
@@ -27,6 +29,7 @@ __all__ = [
 
 _TABLE_CACHE = 128
 _KERNEL_EXTRA_POINTS = 16
+_PASS_NODES = 512
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -52,6 +55,22 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
     for array in tables:
         array.flags.writeable = False
     return tables
+
+
+def _chebyshev_nodes(ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shifted Chebyshev-Gauss nodes y_j, j = 0..n, of every n in ns,
+    concatenated, bit for bit those of chebyshev_gauss_rule(n); their
+    closed-form barycentric weights (-1)^j sin((2j + 1) pi / (2n + 2)) for
+    Chebyshev points of the first kind; and where each n's block starts.
+    """
+    sizes = np.asarray(ns) + 1
+    starts = np.cumsum(sizes) - sizes
+    start, n = np.repeat(starts, sizes), np.repeat(sizes - 1, sizes)
+    j = np.arange(sizes.sum()) - start
+    angle = (2 * j + 1) * np.pi / (2 * n + 2)
+    nodes = -np.cos(angle)
+    nodes = (nodes - nodes[start + n - j]) / 2.0  # exact antisymmetry, exact 0 mid-node
+    return (nodes + 1.0) / 2.0, (-1.0) ** j * np.sin(angle), starts
 
 
 def _barycentric_matrix(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,16 +134,40 @@ def _forcing_samples(f, nodes: np.ndarray) -> np.ndarray:
     return _real_samples(f(nodes), nodes.shape, "forcing", "at the interpolation nodes")
 
 
-def _interpolate_on(f, n: int, top: int) -> np.ndarray:
-    """chebyshev_interpolate(f, n) integrated on the rule of
-    _legendre_projection(top), top >= n: f is sampled at its own n + 1
-    nodes, and the barycentric matrix maps the samples onto the top + 16
-    Legendre nodes.  (I_n f) L_{1,k} has degree <= 2n, so the two rules give
-    the same projections up to round-off; at top = n this is
-    chebyshev_interpolate itself, bit for bit.
+def _nested_projections(f, truncations) -> list[np.ndarray]:
+    """chebyshev_interpolate(f, n) for each n of the strictly increasing
+    truncations, the largest, top, by chebyshev_interpolate itself.
+
+    Every n below top is integrated on the rule of _legendre_projection(top):
+    (I_n f) L_{1,k} has degree <= 2n, so it gives the same projections up
+    to round-off.  f is called once on the nodes of all those n together,
+    the barycentric sums of every n are evaluated at the top + 16 Legendre
+    nodes in one pass, and one product with the weighted table projects
+    them all.  Where a Legendre node is an n's Chebyshev node (0.5, when top
+    is odd and n even) the interpolant takes that node's sample.  A pass
+    takes the n whose nodes start within the same _PASS_NODES of the
+    concatenation, so its scratch stays below (top + 16)(_PASS_NODES +
+    top + 1) floats; a sweep up to N = 32 step 4 has 119 nodes below top.
     """
-    if n == top:
-        return chebyshev_interpolate(f, n)
-    x, weighted, *_ = _legendre_projection(top)
-    nodes, interpolation = _barycentric_matrix(n, x)
-    return weighted[:, :n + 1].T @ (interpolation @ _forcing_samples(f, nodes))
+    *below, top = truncations
+    projections = []
+    if below:
+        x, weighted, *_ = _legendre_projection(top)
+        nodes, weights, starts = _chebyshev_nodes(below)
+        samples = _forcing_samples(f, nodes)
+        values = np.empty((x.size, len(below)))
+        group = starts // _PASS_NODES
+        for blocks in np.split(np.arange(len(below)), np.flatnonzero(np.diff(group)) + 1):
+            span = slice(starts[blocks[0]], starts[blocks[-1]] + below[blocks[-1]] + 1)
+            offsets = starts[blocks] - span.start
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = weights[span] / (x[:, None] - nodes[span])
+                denominators = np.add.reduceat(terms, offsets, axis=1)
+                terms *= samples[span]
+                values[:, blocks] = np.add.reduceat(terms, offsets, axis=1) / denominators
+            hit, node = np.nonzero(x[:, None] == nodes[span])
+            values[hit, blocks[np.searchsorted(offsets, node, side="right") - 1]] = (
+                samples[span][node])
+        stacked = weighted.T @ values
+        projections = [stacked[:n + 1, i] for i, n in enumerate(below)]
+    return projections + [chebyshev_interpolate(f, top)]

@@ -39,8 +39,8 @@ from typing import Callable
 import numpy as np
 
 from . import exprlang
-from .cltransform import (_KERNEL_EXTRA_POINTS, _TABLE_CACHE, _interpolate_on,
-                          _legendre_projection, _real_samples, chebyshev_interpolate)
+from .cltransform import (_KERNEL_EXTRA_POINTS, _TABLE_CACHE, _legendre_projection,
+                          _nested_projections, _real_samples, chebyshev_interpolate)
 from .fracderiv import (CaputoOrder, _as_order, _integral_factors,
                         _legendre_derivative_coeffs, caputo_apply, gamma, operational_matrix)
 from .orthopoly import LegendreSeries, MonomialSeries, _check_integer, shifted_legendre_table
@@ -345,18 +345,20 @@ def _nested_systems(problem: FIDEProblem, truncations):
     the one at top, up to quadrature: its classical rows are the leading
     block of _integral_rows(a, top) (bit for bit), its kernel term the Taylor
     rows and leading block of _kernel_rows at top, integrated on top's rules,
-    and its forcing samples f at N's own N + 1 Chebyshev nodes and projects
-    on top's Legendre rule (_interpolate_on).  At N = top this is the
-    one-truncation assembly, so a single solve does not depend on the sweep.
+    and its forcing interpolates f at N's own N + 1 Chebyshev nodes and
+    projects on top's Legendre rule.  The forcing is sampled twice per
+    sweep, on the nodes of every N below top together and at top
+    (_nested_projections).  At N = top this is the one-truncation assembly,
+    so a single solve does not depend on the sweep.
     """
     n, m = problem.n, problem.order.m
     top = truncations[-1]
     classical, lower = _integral_rows(problem.a, top)
     kernel_term = _kernel_rows(problem.kernel, problem.order, top, problem.kernel_s_power, n)
     taylor = max(n - m, 0)  # rows of t^l/l!, l = m..n-1, then those of I^n L_{1,j}
-    for truncation in truncations:
+    for truncation, forcing in zip(truncations, _nested_projections(problem.forcing, truncations)):
         cols = truncation - n + 1
-        forcing = _interpolate_on(problem.forcing, truncation, top)[:cols]
+        forcing = forcing[:cols]
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = (2.0 * np.arange(cols) + 1.0) * forcing - lower[:cols] @ problem.ics
             rhs += kernel_term[:taylor, :cols].T @ problem.ics[m:]
@@ -397,12 +399,26 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
     eliminate explicitly to decide.  condition_estimate is
     ||A||_1 * ||A^-1||_1, the value of numpy.linalg.cond(A, 1).
     """
-    return _gated_solve(problem, truncation, *assemble_system(problem, truncation))
+    coeffs, condition = _gated_solve(truncation, *assemble_system(problem, truncation))
+    series = _lift(np.concatenate((coeffs, np.zeros(problem.n))), problem.ics)
+    return SpectralSolution(truncation, LegendreSeries(series), condition)
 
 
-def _gated_solve(problem: FIDEProblem, truncation: int, matrix: np.ndarray,
-                 rhs: np.ndarray) -> SpectralSolution:
-    """The gesv and the two gates of solve_fide on one assembled system."""
+def _lift(padded: np.ndarray, ics) -> np.ndarray:
+    """Legendre coefficients (axis 0) of y = p + I^n v from those of v,
+    padded with at least n = len(ics) trailing zeros:
+    y = d_0 + I(d_1 + I(... + I(d_(n-1) + I v)))."""
+    series = padded
+    for d in reversed(ics):
+        series = _integrate(series)
+        series[0] += d
+    return series
+
+
+def _gated_solve(truncation: int, matrix: np.ndarray,
+                 rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The gesv and the two gates of solve_fide on one assembled system:
+    the solution v and the 1-norm condition estimate."""
     absolute = np.abs(matrix)
     scale = float(absolute.max())
     if not (math.isfinite(scale) and np.all(np.isfinite(rhs))):
@@ -434,12 +450,7 @@ def _gated_solve(problem: FIDEProblem, truncation: int, matrix: np.ndarray,
         raise SolverError(
             f"solve residual {residual:.3e} exceeds {tolerance:.3e} at "
             f"truncation {truncation}")
-    condition = float(absolute.sum(axis=0).max()) * inverse_norm
-    series = np.concatenate((coeffs, np.zeros(problem.n)))
-    for d in reversed(problem.ics):  # y = d_0 + I(d_1 + I(... + I(d_(n-1) + I v)))
-        series = _integrate(series)
-        series[0] += d
-    return SpectralSolution(truncation, LegendreSeries(series), condition)
+    return coeffs, float(absolute.sum(axis=0).max()) * inverse_norm
 
 
 def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
@@ -785,9 +796,11 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     One assembly serves the whole sweep (_nested_systems): every truncation
     N solves the leading block of the system at the largest one, N_max,
     through the gesv and both gates of solve_fide, with its own condition
-    estimate.  The forcing is still sampled at N's own Chebyshev nodes and
-    projected exactly.  The cost: below N_max the kernel term is integrated
-    by N_max's rules, not N's.  For kernels both rules integrate exactly
+    estimate, in increasing N.  The forcing of each N still interpolates at
+    N's own Chebyshev nodes and is projected exactly; it is sampled twice
+    per sweep, at N_max and on the nodes of every smaller N together.  The
+    cost: below N_max the kernel term is integrated by N_max's rules, not
+    N's.  For kernels both rules integrate exactly
     (polynomial in t and in s**(1/kernel_s_power), as in the catalog) an
     entry equals a standalone solve_fide(N) to round-off: at most 1.6e-15 of
     the coefficients, max-normalised, on 5.1-5.4 at N = 4..128 and on
@@ -796,8 +809,11 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     quadrature error.  For alpha > n the systems are ill-conditioned and the
     gap grows with the condition: on that t e^t problem 3.9e-13 at n = 1,
     alpha = 1.5 and up to 6.0e-9 at (1, 2.5) and (2, 3.5), N = 4..128.
-    `exact` is sampled once on _error_grid, and every solution is evaluated
-    there from one Legendre table of degree N_max.
+    `exact` is sampled once on _error_grid.  The solutions v of all
+    truncations, zero-padded to degree N_max, are lifted to y = p + I^n v
+    as one matrix and evaluated on _error_grid by one product with the
+    Legendre table of degree N_max, so their errors can differ from
+    error_norms(solve_fide(N)) in the last digits.
 
     Solver failures at individual truncations are recorded on their
     entries without aborting the sweep.  Errors below 1e-12 are treated
@@ -813,15 +829,16 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     if ns[0] < problem.n:
         raise ValueError(f"smallest truncation {ns[0]} is below derivative order {problem.n}")
     exact_values = _exact_samples(exact)
-    table = shifted_legendre_table(ns[-1], _error_grid()[0])
-    entries = []
-    for n, matrix, rhs in _nested_systems(problem, ns):
+    padded, failures = np.zeros((ns[-1] + 1, len(ns))), {}
+    for column, (n, matrix, rhs) in enumerate(_nested_systems(problem, ns)):
         try:
-            sol = _gated_solve(problem, n, matrix, rhs)
+            coeffs, _ = _gated_solve(n, matrix, rhs)
         except SolverError as exc:
-            entries.append(ConvergenceEntry(n, None, None, str(exc)))
+            failures[n] = str(exc)
             continue
-        values = sol.coeffs.coeffs @ table[:n + 1]
-        entries.append(ConvergenceEntry(n, *_distances(values, exact_values)))
-    entries = tuple(entries)
+        padded[:coeffs.size, column] = coeffs
+    values = _lift(padded, problem.ics).T @ shifted_legendre_table(ns[-1], _error_grid()[0])
+    entries = tuple(ConvergenceEntry(n, None, None, failures[n]) if n in failures
+                    else ConvergenceEntry(n, *_distances(row, exact_values))
+                    for n, row in zip(ns, values))
     return ConvergenceReport(entries, _fit_decay(entries))

@@ -217,12 +217,41 @@ def test_barycentric_matrix_gives_a_unit_row_on_a_node():
 
 def test_interpolating_on_a_larger_rule_gives_the_same_projections():
     # (I_n f) L_{1,k} has degree <= 2n, so the rule of any top >= n projects
-    # it exactly; at top = n the path is chebyshev_interpolate's own.
-    for n, top in ((4, 17), (7, 16), (16, 16)):
-        got = cltransform._interpolate_on(np.exp, n, top)
-        expected = chebyshev_interpolate(np.exp, n)
-        assert np.max(np.abs(got - expected)) <= 1e-15
-    assert got.tobytes() == expected.tobytes()
+    # it exactly; at top the path is chebyshev_interpolate's own.  The
+    # 33-point Legendre rule of top = 17 holds the node 0.5 of every even n.
+    for truncations in ((4, 17), (7, 16), (16,), (4, 7, 16), tuple(range(4, 18))):
+        got = cltransform._nested_projections(np.exp, truncations)
+        assert len(got) == len(truncations)
+        for n, projections in zip(truncations, got):
+            expected = chebyshev_interpolate(np.exp, n)
+            assert projections.shape == expected.shape
+            assert np.max(np.abs(projections - expected)) <= 1e-15
+        assert projections.tobytes() == expected.tobytes()
+
+
+def test_nested_projections_do_not_depend_on_the_pass_size(monkeypatch):
+    # The barycentric sums run over passes of at most _PASS_NODES nodes
+    # (plus one block); each n's sums stay the same, bit for bit.
+    truncations = tuple(range(4, 18))
+    whole = cltransform._nested_projections(np.exp, truncations)
+    monkeypatch.setattr(cltransform, "_PASS_NODES", 8)
+    for split, one in zip(cltransform._nested_projections(np.exp, truncations), whole):
+        assert split.tobytes() == one.tobytes()
+
+
+def test_nested_projections_sample_once_below_the_top():
+    # One call of f on the nodes of every n below the top, concatenated and
+    # bit for bit those of chebyshev_gauss_rule(n), and one at the top.
+    calls = []
+    cltransform._nested_projections(lambda t: calls.append(t.copy()) or np.exp(t), (3, 4, 9))
+    assert [t.size for t in calls] == [4 + 5, 10]
+    np.testing.assert_array_equal(calls[0], np.concatenate(
+        (chebyshev_gauss_rule(3).nodes, chebyshev_gauss_rule(4).nodes)))
+    for n in range(130):
+        nodes, weights, starts = cltransform._chebyshev_nodes((n, 2 * n + 1))
+        assert starts.tolist() == [0, n + 1]
+        assert nodes[:n + 1].tobytes() == chebyshev_gauss_rule(n).nodes.tobytes()
+        assert nodes[n + 1:].tobytes() == chebyshev_gauss_rule(2 * n + 1).nodes.tobytes()
 
 
 def test_chebyshev_interpolate_spectral_decay():

@@ -6,7 +6,7 @@ reference, including both ways the pivot gate is decided."""
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -689,22 +689,33 @@ def test_convergence_study_evaluates_each_solution_once(monkeypatch):
 
 
 def _sweep_solutions(monkeypatch, problem, truncations) -> dict:
-    """The SpectralSolution of every truncation of one convergence_study.
+    """(coefficients, condition estimate) of every truncation of one
+    convergence_study, from its one lift of all the slice solutions.
 
-    The recording patch is undone before returning, so that later
-    solve_fide calls neither go through it nor overwrite what it kept.
+    The recording patches are undone before returning, so that later
+    solve_fide calls neither go through them nor overwrite what they kept.
     """
-    solved, original = {}, solver._gated_solve
+    conditions, lifted, gated, lift = {}, [], solver._gated_solve, solver._lift
 
-    def record(problem, truncation, matrix, rhs):
-        solved[truncation] = original(problem, truncation, matrix, rhs)
-        return solved[truncation]
+    def record_solve(truncation, matrix, rhs):
+        coeffs, conditions[truncation] = gated(truncation, matrix, rhs)
+        return coeffs, conditions[truncation]
+
+    def record_lift(padded, ics):
+        lifted.append(lift(padded, ics))
+        return lifted[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_gated_solve", record)
+        patch.setattr(solver, "_gated_solve", record_solve)
+        patch.setattr(solver, "_lift", record_lift)
         report = convergence_study(problem, lambda t: np.zeros_like(t), truncations)
     assert [entry.failure for entry in report.entries] == [None] * len(truncations)
-    return solved
+    (series,) = lifted
+    assert series.shape == (truncations[-1] + 1, len(truncations))
+    for column, truncation in enumerate(truncations):
+        assert not series[truncation + 1:, column].any()
+    return {truncation: (series[:truncation + 1, column], conditions[truncation])
+            for column, truncation in enumerate(truncations)}
 
 
 def _t_exp_problem(n: int, alpha: float) -> FIDEProblem:
@@ -741,11 +752,12 @@ def test_sweep_entries_match_standalone_solves(monkeypatch, case):
     solved = _sweep_solutions(monkeypatch, problem, truncations)
     for truncation in truncations:
         alone = solve_fide(problem, truncation)
-        got, expected = solved[truncation].coeffs.coeffs, alone.coeffs.coeffs
+        (got, condition), expected = solved[truncation], alone.coeffs.coeffs
+        assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
-        assert solved[truncation].condition_estimate == pytest.approx(
-            alone.condition_estimate, rel=1e-8)
+        assert condition == pytest.approx(alone.condition_estimate, rel=1e-8)
     assert got.tobytes() == expected.tobytes()
+    assert condition == alone.condition_estimate
 
 
 def test_a_sweep_keeps_one_table_per_cache():
@@ -758,6 +770,69 @@ def test_a_sweep_keeps_one_table_per_cache():
         cache.cache_clear()
     convergence_study(ex.problem, ex.exact, range(4, 33, 4))
     assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1, 1]
+
+
+def test_a_sweep_samples_the_forcing_twice(monkeypatch):
+    # One call on the Chebyshev nodes of every N below N_max together, one
+    # at N_max.  The nodes below N_max are closed-form, so the only
+    # Chebyshev-Gauss rule a cold sweep builds is N_max's.
+    ex = builtin_example("5.4")
+    samples, rules = [], []
+    problem = replace(ex.problem,
+                      forcing=lambda t: samples.append(t.copy()) or ex.problem.forcing(t))
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cltau") and hasattr(module, "chebyshev_gauss_rule"):
+            monkeypatch.setattr(module, "chebyshev_gauss_rule",
+                                lambda n: rules.append(n) or chebyshev_gauss_rule(n))
+    cltransform._legendre_projection.cache_clear()
+    convergence_study(problem, ex.exact, range(4, 33, 4))
+    assert len(samples) == 2
+    np.testing.assert_array_equal(samples[0], np.concatenate(
+        [chebyshev_gauss_rule(n).nodes for n in range(4, 32, 4)]))
+    np.testing.assert_array_equal(samples[1], chebyshev_gauss_rule(32).nodes)
+    assert rules == [32]
+
+
+def test_a_failed_slice_leaves_the_other_entries_alone(monkeypatch):
+    # A SolverError at one truncation is that entry's failure; the other
+    # truncations keep the errors of the sweep without it.
+    ex = builtin_example("5.4")
+    truncations = range(4, 33, 4)
+    clean = convergence_study(ex.problem, ex.exact, truncations)
+    gated = solver._gated_solve
+
+    def fail_at_16(truncation, matrix, rhs):
+        if truncation == 16:
+            raise SolverError("forced at truncation 16")
+        return gated(truncation, matrix, rhs)
+
+    monkeypatch.setattr(solver, "_gated_solve", fail_at_16)
+    report = convergence_study(ex.problem, ex.exact, truncations)
+    for entry, expected in zip(report.entries, clean.entries):
+        if entry.truncation == 16:
+            assert entry == solver.ConvergenceEntry(16, None, None, "forced at truncation 16")
+        else:
+            assert entry == expected
+            assert entry.failure is None
+
+
+def test_a_non_finite_slice_stops_the_sweep_at_its_truncation(monkeypatch):
+    # Slices are solved in increasing N, so the first non-finite system
+    # raises its own ValueError before any later slice is solved.
+    ex = builtin_example("5.4")
+    nested, solved = solver._nested_systems, []
+
+    def poisoned(problem, truncations):
+        for truncation, matrix, rhs in nested(problem, truncations):
+            if truncation >= 16:
+                rhs = np.where(np.arange(rhs.size) == 0, np.inf, rhs)
+            solved.append(truncation)
+            yield truncation, matrix, rhs
+
+    monkeypatch.setattr(solver, "_nested_systems", poisoned)
+    with pytest.raises(ValueError, match="non-finite entries at truncation 16$"):
+        convergence_study(ex.problem, ex.exact, range(4, 33, 4))
+    assert solved == [4, 8, 12, 16]
 
 
 def test_convergence_study_validation():
