@@ -13,7 +13,9 @@ Commands and file formats:
     examples     lists the catalog with variants and discrepancy notes
 
 All numbers are written with 17 significant digits, '.' decimal separator,
-LF line endings; identical invocations produce byte-identical output.
+LF line endings.  Identical invocations produce byte-identical output on the
+same numpy/BLAS build with the same BLAS thread count; solve_fide, called from
+Python too, depends on that thread count in its last bits.
 Exit codes: 0 success, 2 configuration or argument error, 3 solver error.
 
 Config schema (JSON object): name (text), n (integer >= 1), a (n+1 reals),
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprlang
 from .fracderiv import operational_matrix
 from .orthopoly import MonomialSeries
 from .solver import (
@@ -197,6 +198,7 @@ class ProblemConfig:
             _dumps_json(self.to_dict(with_resolution=False)).encode()).hexdigest()
 
     def _compile(self, source: str, allowed: set[str], what: str):
+        from . import exprlang
         try:
             tree = exprlang.parse(source)
         except exprlang.ParseError as exc:
@@ -212,6 +214,7 @@ class ProblemConfig:
         Returns (problem, exact) where exact is the manufactured solution
         callable for mms_exact configs and None otherwise.
         """
+        from . import exprlang
         kernel_tree = self._compile(self.kernel, {"t", "s"}, "kernel")
         kernel = lambda tv, sv: exprlang.evaluate(kernel_tree, t=tv, s=sv)
         exact = None

@@ -31,14 +31,14 @@ Kernels, forcings and exact solutions must accept numpy arrays, broadcast
 samples; anything else raises ValueError naming the function.
 """
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from . import exprlang
 from .cltransform import (_KERNEL_EXTRA_POINTS, _TABLE_CACHE, _legendre_projection,
                           _nested_projections, _real_samples, chebyshev_interpolate)
 from .fracderiv import (CaputoOrder, _as_order, _integral_factors,
@@ -507,27 +507,6 @@ def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
 
 
 @dataclass(frozen=True)
-class _CatalogEntry:
-    example_id: str
-    description: str
-    n: int
-    a: tuple[float, ...]
-    alpha: float
-    ics: tuple[float, ...]
-    kernel: Callable
-    kernel_expr: str
-    forcing_expr: str
-    mms_exact: MonomialSeries
-    kernel_s_power: int
-    note: str | None
-    forcing: Callable = field(init=False)  # the printed forcing, compiled once
-
-    def __post_init__(self):
-        tree = exprlang.parse(self.forcing_expr)
-        object.__setattr__(self, "forcing", lambda t: exprlang.evaluate(tree, t=t))
-
-
-@dataclass(frozen=True)
 class BuiltinExample:
     """A catalog problem plus its exact solution, the MonomialSeries that
     example_config writes as "mms_exact".
@@ -546,83 +525,54 @@ class BuiltinExample:
     note: str | None
 
 
-def _catalog() -> dict[str, _CatalogEntry]:
-    entries = [
-        _CatalogEntry(
-            example_id="5.1",
-            description="y' with product kernel t*s, order 1/2, exact solution 14t",
-            n=1,
-            a=(0.0, 1.0),
-            alpha=0.5,
-            ics=(0.0,),
-            kernel=lambda t, s: t * s,
-            kernel_expr="t*s",
-            forcing_expr="14*(1 - t/(2.5*gamma(1.5)))",
-            mms_exact=MonomialSeries(((14.0, 1.0),)),
-            kernel_s_power=1,
-            note=None,
-        ),
-        _CatalogEntry(
-            example_id="5.2",
-            description="y' with kernel t^2*s^2, order 1/4, exact solution 2t^4 - t^(3/2)",
-            n=1,
-            a=(0.0, 1.0),
-            alpha=0.25,
-            ics=(0.0,),
-            kernel=lambda t, s: t**2 * s**2,
-            kernel_expr="t^2*s^2",
-            forcing_expr=("8*t^3 - 1.5*sqrt(t) - (48/(6.75*gamma(4.75)) "
-                          "- gamma(2.75)/(4.25*gamma(2.25)))*t^2"),
-            mms_exact=MonomialSeries(((2.0, 4.0), (-1.0, 1.5))),
-            kernel_s_power=1,
-            note=("the transcribed forcing's t^2 coefficient carries gamma(2.75) "
-                  "where the fractional power rule applied to t^1.5 gives "
-                  "gamma(2.5), so it is inconsistent with the stated exact "
-                  "solution"),
-        ),
-        _CatalogEntry(
-            example_id="5.3",
-            description=("2y'' + y' with kernel t^2*sqrt(s), order 3/2, "
-                         "exact solution 8t + 3t^3"),
-            n=2,
-            a=(0.0, 1.0, 2.0),
-            alpha=1.5,
-            ics=(0.0, 8.0),
-            kernel=lambda t, s: t**2 * np.sqrt(s),
-            kernel_expr="t^2*sqrt(s)",
-            forcing_expr="((9*sqrt(pi) - 12)/sqrt(pi))*t^2 + 36*t + 8",
-            mms_exact=MonomialSeries(((8.0, 1.0), (3.0, 3.0))),
-            kernel_s_power=2,
-            note=("the transcribed forcing's t^2 coefficient is 9 - 12/sqrt(pi) "
-                  "where re-deriving from the stated exact solution gives "
-                  "9 - 8/sqrt(pi)"),
-        ),
-        _CatalogEntry(
-            example_id="5.4",
-            description=("3y''' - y'' + y with kernel exp(t - s), order 1/2, "
-                         "exact solution t*exp(t)"),
-            n=3,
-            a=(1.0, 0.0, -1.0, 3.0),
-            alpha=0.5,
-            ics=(0.0, 1.0, 2.0),
-            kernel=lambda t, s: np.exp(t - s),
-            kernel_expr="exp(t - s)",
-            forcing_expr="(7 - 32/(15*sqrt(pi)))*exp(t) + 3*t*exp(t)",
-            # exp tail: 1/21! < 2e-20, far below the solver's error floor.
-            mms_exact=MonomialSeries(tuple(
-                (1.0 / math.factorial(k), float(k + 1)) for k in range(21))),
-            kernel_s_power=1,
-            note=("the transcribed forcing folds in 32/(15*sqrt(pi)) = 1.2036... "
-                  "for the moment integral of exp(-s) times the order-1/2 "
-                  "derivative of s*exp(s) over [0, 1], whose value is "
-                  "0.8930285053...; re-deriving from the stated exact solution "
-                  "uses the latter"),
-        ),
-    ]
-    return {entry.example_id: entry for entry in entries}
-
-
-_CATALOG = _catalog()
+# Each problem's config fields once, in example_config's key order, with both
+# the printed "forcing" and the exact "mms_exact".  The numpy kernel beside them
+# is the "kernel" expression bit for bit, and cheaper: a warm solve makes two calls.
+_CATALOG = {
+    "5.1": {
+        "config": {"n": 1, "a": [0.0, 1.0], "alpha": 0.5, "kernel": "t*s", "ics": [0.0],
+                   "forcing": "14*(1 - t/(2.5*gamma(1.5)))", "mms_exact": [[14.0, 1.0]]},
+        "kernel": lambda t, s: t * s,
+        "description": "y' with product kernel t*s, order 1/2, exact solution 14t",
+        "note": None,
+    },
+    "5.2": {
+        "config": {"n": 1, "a": [0.0, 1.0], "alpha": 0.25, "kernel": "t^2*s^2", "ics": [0.0],
+                   "forcing": ("8*t^3 - 1.5*sqrt(t) - (48/(6.75*gamma(4.75)) "
+                               "- gamma(2.75)/(4.25*gamma(2.25)))*t^2"),
+                   "mms_exact": [[2.0, 4.0], [-1.0, 1.5]]},
+        "kernel": lambda t, s: t**2 * s**2,
+        "description": "y' with kernel t^2*s^2, order 1/4, exact solution 2t^4 - t^(3/2)",
+        "note": ("the transcribed forcing's t^2 coefficient carries gamma(2.75) "
+                 "where the fractional power rule applied to t^1.5 gives "
+                 "gamma(2.5), so it is inconsistent with the stated exact "
+                 "solution"),
+    },
+    "5.3": {
+        "config": {"n": 2, "a": [0.0, 1.0, 2.0], "alpha": 1.5, "kernel": "t^2*sqrt(s)",
+                   "ics": [0.0, 8.0], "forcing": "((9*sqrt(pi) - 12)/sqrt(pi))*t^2 + 36*t + 8",
+                   "mms_exact": [[8.0, 1.0], [3.0, 3.0]], "kernel_s_power": 2},
+        "kernel": lambda t, s: t**2 * np.sqrt(s),
+        "description": "2y'' + y' with kernel t^2*sqrt(s), order 3/2, exact solution 8t + 3t^3",
+        "note": ("the transcribed forcing's t^2 coefficient is 9 - 12/sqrt(pi) "
+                 "where re-deriving from the stated exact solution gives "
+                 "9 - 8/sqrt(pi)"),
+    },
+    "5.4": {
+        "config": {"n": 3, "a": [1.0, 0.0, -1.0, 3.0], "alpha": 0.5, "kernel": "exp(t - s)",
+                   "ics": [0.0, 1.0, 2.0], "forcing": "(7 - 32/(15*sqrt(pi)))*exp(t) + 3*t*exp(t)",
+                   # exp tail: 1/21! < 2e-20, far below the solver's error floor.
+                   "mms_exact": [[1.0 / math.factorial(k), float(k + 1)] for k in range(21)]},
+        "kernel": lambda t, s: np.exp(t - s),
+        "description": ("3y''' - y'' + y with kernel exp(t - s), order 1/2, "
+                        "exact solution t*exp(t)"),
+        "note": ("the transcribed forcing folds in 32/(15*sqrt(pi)) = 1.2036... "
+                 "for the moment integral of exp(-s) times the order-1/2 "
+                 "derivative of s*exp(s) over [0, 1], whose value is "
+                 "0.8930285053...; re-deriving from the stated exact solution "
+                 "uses the latter"),
+    },
+}
 _VARIANTS = ("printed", "corrected")
 
 
@@ -630,12 +580,29 @@ def builtin_example_ids() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
 
 
-def _catalog_entry(example_id: str) -> _CatalogEntry:
+def _catalog_entry(example_id: str, variant: str) -> dict:
     entry = _CATALOG.get(str(example_id))
     if entry is None:
         known = ", ".join(builtin_example_ids())
         raise KeyError(f"unknown example id {example_id!r} (known: {known})")
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     return entry
+
+
+def _printed_forcing(source: str) -> Callable:
+    """The forcing expression as a callable of t, parsed at its first call:
+    a printed example built for its kernel alone loads no parser."""
+    tree = None
+
+    def forcing(t):
+        nonlocal tree
+        from . import exprlang
+        if tree is None:
+            tree = exprlang.parse(source)
+        return exprlang.evaluate(tree, t=t)
+
+    return forcing
 
 
 def builtin_example(example_id: str, variant: str = "corrected") -> BuiltinExample:
@@ -645,20 +612,19 @@ def builtin_example(example_id: str, variant: str = "corrected") -> BuiltinExamp
     default because three of the four transcribed forcings are
     inconsistent with their stated exact solutions.
     """
-    entry = _catalog_entry(example_id)
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    entry = _catalog_entry(example_id, variant)
+    config, kernel = entry["config"], entry["kernel"]
+    s_power = config.get("kernel_s_power", 1)
+    exact = MonomialSeries(tuple(map(tuple, config["mms_exact"])))
     if variant == "printed":
-        forcing = entry.forcing
+        forcing = _printed_forcing(config["forcing"])
     else:
-        forcing = mms_forcing(entry.mms_exact, entry.n, entry.a, entry.alpha,
-                              entry.kernel, kernel_s_power=entry.kernel_s_power)
-    problem = FIDEProblem(n=entry.n, a=entry.a, order=entry.alpha,
-                          kernel=entry.kernel, forcing=forcing, ics=entry.ics,
-                          kernel_s_power=entry.kernel_s_power)
-    return BuiltinExample(example_id=entry.example_id, variant=variant,
-                          problem=problem, exact=entry.mms_exact,
-                          description=entry.description, note=entry.note)
+        forcing = mms_forcing(exact, config["n"], config["a"], config["alpha"], kernel,
+                              kernel_s_power=s_power)
+    problem = FIDEProblem(n=config["n"], a=config["a"], order=config["alpha"], kernel=kernel,
+                          forcing=forcing, ics=config["ics"], kernel_s_power=s_power)
+    return BuiltinExample(example_id=str(example_id), variant=variant, problem=problem,
+                          exact=exact, description=entry["description"], note=entry["note"])
 
 
 def example_config(example_id: str, variant: str = "corrected") -> dict:
@@ -668,24 +634,10 @@ def example_config(example_id: str, variant: str = "corrected") -> dict:
     corrected variant carries the exact solution's monomial terms under
     "mms_exact" so the forcing is rebuilt on load.
     """
-    entry = _catalog_entry(example_id)
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    config = {
-        "name": f"example-{entry.example_id}-{variant}",
-        "n": entry.n,
-        "a": list(entry.a),
-        "alpha": entry.alpha,
-        "kernel": entry.kernel_expr,
-        "ics": list(entry.ics),
-    }
-    if variant == "printed":
-        config["forcing"] = entry.forcing_expr
-    else:
-        config["mms_exact"] = [[q, p] for q, p in entry.mms_exact.terms]
-    if entry.kernel_s_power != 1:
-        config["kernel_s_power"] = entry.kernel_s_power
-    return config
+    fields = _catalog_entry(example_id, variant)["config"]
+    dropped = "mms_exact" if variant == "printed" else "forcing"
+    return {"name": f"example-{example_id}-{variant}",
+            **{key: copy.deepcopy(value) for key, value in fields.items() if key != dropped}}
 
 
 def _as_series(solution) -> LegendreSeries:

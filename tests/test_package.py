@@ -1,7 +1,9 @@
 """Package-wide properties: every cache is bounded, every exported name is
 used by the package or a demo, and numpy is the only runtime dependency:
 the package imports without mpmath and solves without scipy (both
-test-only dependencies)."""
+test-only dependencies).  The CLI loads the expression parser only to
+compile a config's expressions, and at a fixed BLAS thread count the same
+invocation prints the same bytes."""
 
 import ast
 import importlib
@@ -79,9 +81,11 @@ def test_every_exported_name_is_used_outside_the_tests():
     assert not unused
 
 
-def _run_fresh(code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that finds this checkout's cltau."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cltau.__file__).resolve().parent.parent))
+def _run_fresh(code: str, **environ: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that finds this checkout's cltau,
+    with the environment variables `environ` set on top of this one's."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cltau.__file__).resolve().parent.parent),
+               **environ)
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
 
@@ -104,10 +108,26 @@ def test_cli_solves_without_scipy():
 
 
 def test_cli_import_loads_no_scipy():
-    result = _run_fresh("import sys, cltau.cli; "
-                        "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    # Nor the expression parser, which only a config's expressions need:
+    # not at import, and not for a solve of a catalog example.
+    for solve in ("", "cltau.cli.main(['solve', '--example', '5.4', '--N', '16']); "):
+        result = _run_fresh("import sys, cltau.cli; " + solve + "print(sorted(m for m in "
+                            "sys.modules if m.startswith('scipy') or m == 'cltau.exprlang'))")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]", solve
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_prints_the_same_bytes_at_a_fixed_blas_thread_count(threads):
+    # Only at a fixed count: at N = 96 one and two BLAS threads can print
+    # different last digits, so nothing is compared across counts.
+    code = ("import sys, cltau.cli; "
+            "sys.exit(cltau.cli.main(['solve', '--example', '5.2', '--N', '96']))")
+    first, second = (_run_fresh(code, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+                     for _ in range(2))
+    assert first.returncode == 0, first.stderr
+    assert '"legendre_coeffs"' in first.stdout
+    assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
 
 
 _DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))

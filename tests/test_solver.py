@@ -146,11 +146,11 @@ def _per_truncation_block(kernel, alpha, truncation, s_power):
 def test_fredholm_block_matches_the_per_truncation_table(example_id):
     # Every truncation N integrates on the (N + 16)-point rules built for N
     # itself, so the block is that of the per-truncation table bit for bit.
-    entry = solver._CATALOG[example_id]
-    args = (entry.kernel, entry.alpha)
+    problem = builtin_example(example_id).problem
+    args = (problem.kernel, problem.order.alpha)
     for truncation in (0, 1, 5, 16, 17, 20, 31, 32, 47, 48, 64):
-        block = fredholm_block(*args, truncation, entry.kernel_s_power)
-        reference = _per_truncation_block(*args, truncation, entry.kernel_s_power)
+        block = fredholm_block(*args, truncation, problem.kernel_s_power)
+        reference = _per_truncation_block(*args, truncation, problem.kernel_s_power)
         assert block.tobytes() == reference.tobytes(), truncation
 
 
@@ -317,15 +317,14 @@ def test_example_config_shapes():
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.2", "5.3", "5.4"])
 def test_catalog_callables_match_their_sources(example_id):
-    # The catalog keeps a numpy kernel beside kernel_expr (an exprlang
-    # kernel call costs more, and a warm solve makes two).  The pair may not
-    # drift apart: the kernels agree bit for bit.
-    entry = solver._catalog_entry(example_id)
+    # The catalog keeps a numpy kernel beside the "kernel" expression of its
+    # config (an exprlang kernel call costs more, and a warm solve makes
+    # two).  The pair may not drift apart: the kernels agree bit for bit.
+    expression = exprlang.parse(example_config(example_id)["kernel"])
     grid = np.linspace(0.0, 1.0, 41)
     t, s = grid[:, None], grid[None, :]
-    kernel = np.broadcast_to(entry.kernel(t, s), (41, 41))
-    source = np.broadcast_to(exprlang.evaluate(exprlang.parse(entry.kernel_expr), t=t, s=s),
-                             (41, 41))
+    kernel = np.broadcast_to(builtin_example(example_id).problem.kernel(t, s), (41, 41))
+    source = np.broadcast_to(exprlang.evaluate(expression, t=t, s=s), (41, 41))
     assert kernel.tobytes() == source.tobytes()
 
 
