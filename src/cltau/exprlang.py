@@ -9,20 +9,23 @@ Grammar (whitespace insignificant, no implicit multiplication):
     primary := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 '^' is right-associative and binds tighter than unary minus, so -2^2
-evaluates to -4 and 2^3^2 to 512.  Numbers are decimal with optional
-fraction and exponent.  The only variables are t and s, the constants are
-pi and e, and the callable names are fixed (see _FUNCTIONS).  Unknown
-names and wrong arities are rejected at parse time with an offset.
+evaluates to -4 and 2^3^2 to 512.  Numbers are decimal, in ASCII digits,
+with optional fraction and exponent.  The only variables are t and s, the
+constants are pi and e, and the callable names are fixed (see _FUNCTIONS).
+Unknown names and wrong arities are rejected at parse time with an offset.
 
 evaluate binds t and s to floats or numpy arrays and computes each node
 with one numpy ufunc over all points (gamma, which numpy lacks, maps the
 scalar routine over the entries).  A node that yields inf or nan from
 finite operands, overflow included, raises EvalError naming it.
+evaluate, to_source and free_variables are one walk, _fold, each with its
+own leaf and combine steps.
 """
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -117,55 +120,30 @@ class EvalError(ValueError):
         super().__init__(f"{reason} in {self.source!r}")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     offset: int
 
 
-_OPERATOR_CHARS = "+-*/^(),"
+_SPACE = re.compile(r"\s*")
+# ASCII digits only: float() takes other decimal digits but not superscripts.
+_TOKEN = re.compile(r"\s*(?:(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),]))")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATOR_CHARS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < length and text[i + 1].isdigit()):
-            start = i
-            while i < length and text[i].isdigit():
-                i += 1
-            if i < length and text[i] == ".":
-                i += 1
-                while i < length and text[i].isdigit():
-                    i += 1
-            if i < length and text[i] in "eE":
-                j = i + 1
-                if j < length and text[j] in "+-":
-                    j += 1
-                if j < length and text[j].isdigit():
-                    i = j
-                    while i < length and text[i].isdigit():
-                        i += 1
-            tokens.append(_Token("number", text[start:i], start))
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            start = i
-            while i < length and text[i].isascii() and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], start))
-            continue
-        raise ParseError(i, f"a valid token, not {ch!r}", text)
-    tokens.append(_Token("end", "", length))
+    end = 0
+    while match := _TOKEN.match(text, end):
+        kind = match.lastgroup
+        # An operator is its own kind.
+        tokens.append(_Token(match[kind] if kind == "op" else kind, match[kind], match.start(kind)))
+        end = match.end()
+    offset = _SPACE.match(text, end).end()
+    if offset < len(text):
+        raise ParseError(offset, f"a valid token, not {text[offset]!r}", text)
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -287,6 +265,38 @@ def parse(text: str) -> Expression:
     return node
 
 
+def _fold(node: Expression, leaf, combine):
+    """The one walk of a tree, in post-order: leaf(item) for each Number and
+    Name, combine(item, values) for each Unary, Binary and Call with its
+    children's values left to right.  It is iterative, so trees of any
+    depth (long operator chains in particular) are walked without
+    exhausting the interpreter stack."""
+    values: list = []
+    work: list = [(node, None)]  # (item, None) to visit, (item, arity) to combine
+    while work:
+        item, arity = work.pop()
+        if arity is not None:
+            operands = values[len(values) - arity:]
+            del values[len(values) - arity:]
+            values.append(combine(item, operands))
+            continue
+        if isinstance(item, (Number, Name)):
+            values.append(leaf(item))
+            continue
+        if isinstance(item, Unary):
+            children = (item.operand,)
+        elif isinstance(item, Binary):
+            children = (item.left, item.right)
+        elif isinstance(item, Call):
+            children = item.args
+        else:
+            raise TypeError(f"not an Expression node: {item!r}")
+        work.append((item, len(children)))
+        for child in reversed(children):
+            work.append((child, None))
+    return values[0]
+
+
 _PREC_ADD = 1
 _PREC_MUL = 2
 _PREC_UNARY = 3
@@ -301,7 +311,9 @@ def _precedence(node: Expression) -> int:
         if node.op in ("*", "/"):
             return _PREC_MUL
         return _PREC_POW
-    if isinstance(node, Unary):
+    # A negative literal prints with a leading '-', so it binds as unary minus.
+    if isinstance(node, Unary) or (isinstance(node, Number)
+                                   and math.copysign(1.0, node.value) < 0):
         return _PREC_UNARY
     return _PREC_ATOM
 
@@ -310,80 +322,38 @@ def _fence(source: str, node: Expression, minimum: int) -> str:
     return f"({source})" if _precedence(node) < minimum else source
 
 
-def _push_children(work: list, node: Expression):
-    """Queue node for post-order completion, children first (left to right)."""
-    work.append((node, True))
-    if isinstance(node, Unary):
-        work.append((node.operand, False))
-    elif isinstance(node, Binary):
-        work.append((node.right, False))
-        work.append((node.left, False))
-    else:
-        for arg in reversed(node.args):
-            work.append((arg, False))
+def _print_node(item: Unary | Binary | Call, parts: list[str]) -> str:
+    if isinstance(item, Unary):
+        return "-" + _fence(parts[0], item.operand, _PREC_UNARY)
+    if isinstance(item, Call):
+        return item.func + "(" + ", ".join(parts) + ")"
+    left, right = parts
+    if item.op in ("+", "-"):
+        return (_fence(left, item.left, _PREC_ADD)
+                + f" {item.op} " + _fence(right, item.right, _PREC_ADD + 1))
+    if item.op in ("*", "/"):
+        return (_fence(left, item.left, _PREC_MUL)
+                + item.op + _fence(right, item.right, _PREC_MUL + 1))
+    # '^' is right-associative: strict on the left, loose on the right.
+    return _fence(left, item.left, _PREC_POW + 1) + "^" + _fence(right, item.right, _PREC_POW)
 
 
 def to_source(node: Expression) -> str:
     """Render a tree back to source with minimal parentheses.
 
     Parenthesization matches the grammar exactly, so
-    to_source(parse(to_source(tree))) == to_source(tree).  The walk is
-    iterative: trees of any depth (long operator chains in particular)
-    print without exhausting the interpreter stack.
+    to_source(parse(to_source(tree))) == to_source(tree).  Trees of any
+    depth print (see _fold).
     """
-    out: list[str] = []
-    work: list[tuple[Expression, bool]] = [(node, False)]
-    while work:
-        item, ready = work.pop()
-        if not ready:
-            if isinstance(item, Number):
-                out.append(repr(item.value))
-            elif isinstance(item, Name):
-                out.append(item.ident)
-            elif isinstance(item, (Unary, Binary, Call)):
-                _push_children(work, item)
-            else:
-                raise TypeError(f"not an Expression node: {item!r}")
-            continue
-        if isinstance(item, Unary):
-            out.append("-" + _fence(out.pop(), item.operand, _PREC_UNARY))
-        elif isinstance(item, Binary):
-            right = out.pop()
-            left = out.pop()
-            if item.op in ("+", "-"):
-                out.append(_fence(left, item.left, _PREC_ADD)
-                           + f" {item.op} " + _fence(right, item.right, _PREC_ADD + 1))
-            elif item.op in ("*", "/"):
-                out.append(_fence(left, item.left, _PREC_MUL)
-                           + item.op + _fence(right, item.right, _PREC_MUL + 1))
-            else:
-                # '^' is right-associative: strict on the left, loose on the right.
-                out.append(_fence(left, item.left, _PREC_POW + 1)
-                           + "^" + _fence(right, item.right, _PREC_POW))
-        else:
-            args = out[len(out) - len(item.args):]
-            del out[len(out) - len(item.args):]
-            out.append(item.func + "(" + ", ".join(args) + ")")
-    return out[0]
+    return _fold(node, lambda item: repr(item.value) if isinstance(item, Number) else item.ident,
+                 _print_node)
 
 
 def free_variables(node: Expression) -> set[str]:
     """The set of variables (among t, s) appearing in the tree."""
-    out: set[str] = set()
-    work: list[Expression] = [node]
-    while work:
-        item = work.pop()
-        if isinstance(item, Name):
-            if item.ident in _VARIABLES:
-                out.add(item.ident)
-        elif isinstance(item, Unary):
-            work.append(item.operand)
-        elif isinstance(item, Binary):
-            work.append(item.left)
-            work.append(item.right)
-        elif isinstance(item, Call):
-            work.extend(item.args)
-    return out
+    return _fold(node,
+                 lambda item: {item.ident} & set(_VARIABLES) if isinstance(item, Name) else set(),
+                 lambda item, found: set().union(*found))
 
 
 def _check_finite(item: Expression, value, operands: list):
@@ -416,12 +386,13 @@ def evaluate(node: Expression, t: float | np.ndarray | None = None,
     non-finite value raise EvalError naming that sub-expression: division
     by zero, and as "domain error" sqrt of a negative, ln of a
     non-positive, gamma at a pole, a fractional power of a negative, and
-    overflow to inf.  The walk is iterative, so trees of any depth
-    evaluate without exhausting the interpreter stack.
+    overflow to inf.  Trees of any depth evaluate (see _fold).
     """
     bindings = {"t": t, "s": s}
 
-    def name_value(item: Name):
+    def leaf(item: Number | Name):
+        if isinstance(item, Number):
+            return item.value
         if item.ident in _CONSTANTS:
             return _CONSTANTS[item.ident]
         if item.ident not in _VARIABLES:
@@ -431,26 +402,9 @@ def evaluate(node: Expression, t: float | np.ndarray | None = None,
             raise EvalError(f"unbound variable {item.ident!r}", item)
         return np.asarray(value, dtype=float)
 
-    out: list = []
-    work: list[tuple[Expression, bool]] = [(node, False)]
-    while work:
-        item, ready = work.pop()
-        if not ready:
-            if isinstance(item, Number):
-                out.append(item.value)
-            elif isinstance(item, Name):
-                out.append(name_value(item))
-            elif isinstance(item, (Unary, Binary, Call)):
-                _push_children(work, item)
-            else:
-                raise TypeError(f"not an Expression node: {item!r}")
-            continue
+    def combine(item: Unary | Binary | Call, operands: list):
         if isinstance(item, Unary):
-            out.append(-out.pop())
-            continue
-        arity = 2 if isinstance(item, Binary) else len(item.args)
-        operands = out[len(out) - arity:]
-        del out[len(out) - arity:]
+            return -operands[0]
         if isinstance(item, Binary):
             value = _BINARY[item.op](*operands)
         else:
@@ -459,6 +413,7 @@ def evaluate(node: Expression, t: float | np.ndarray | None = None,
             except (ValueError, OverflowError) as exc:  # gamma at a pole or overflowing
                 raise EvalError(f"domain error ({exc})", item) from None
         _check_finite(item, value, operands)
-        out.append(value)
-    value = out[0]
+        return value
+
+    value = _fold(node, leaf, combine)
     return float(value) if np.ndim(value) == 0 else value

@@ -399,6 +399,7 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
     eliminate explicitly to decide.  condition_estimate is
     ||A||_1 * ||A^-1||_1, the value of numpy.linalg.cond(A, 1).
     """
+    truncation = _check_truncation(truncation)
     coeffs, condition = _gated_solve(truncation, *assemble_system(problem, truncation))
     series = _lift(np.concatenate((coeffs, np.zeros(problem.n))), problem.ics)
     return SpectralSolution(truncation, LegendreSeries(series), condition)

@@ -124,6 +124,9 @@ def test_unknown_token_offset():
     with pytest.raises(ParseError) as err:
         parse("1 @ 2")
     assert err.value.offset == 2
+    with pytest.raises(ParseError) as err:
+        parse("2²")  # numbers take ASCII digits only
+    assert err.value.offset == 1
 
 
 def test_unknown_names_fail_at_parse_time():
@@ -212,6 +215,8 @@ def test_to_source_minimal_parentheses():
     ]
     for src, printed in cases:
         assert to_source(parse(src)) == printed
+    # A negative literal, which only a hand-built tree holds, binds as unary minus.
+    assert to_source(Binary("^", Number(-2.0), Number(2.0))) == "(-2.0)^2.0"
 
 
 def _random_tree(rng, depth):
@@ -267,7 +272,7 @@ def test_array_evaluation_matches_pointwise_evaluation():
 def test_fuzz_totality():
     # parse() must either return a tree or raise ParseError, nothing else.
     rng = random.Random(7)
-    alphabet = string.ascii_letters + string.digits + "+-*/^(), .\t"
+    alphabet = string.ascii_letters + string.digits + "+-*/^(), .\t²①٣"
     for _ in range(2000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 64)))
         try:

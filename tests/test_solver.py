@@ -895,6 +895,7 @@ def test_numpy_integer_orders_solve_like_python_ints():
                               kernel_s_power=s_power)
         assert type(problem.n) is int and type(problem.kernel_s_power) is int
         built[kind] = solve_fide(problem, kind(12))
+        assert type(built[kind].truncation) is int
     np.testing.assert_array_equal(built[np.int64].coeffs.coeffs, built[int].coeffs.coeffs)
     assert built[np.int64].condition_estimate == built[int].condition_estimate
     for bad in (np.int64(0), np.float64(1.0), np.bool_(True)):
