@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .orthopoly import _check_integer, shifted_legendre_table
-from .quadrature import chebyshev_gauss_rule, legendre_gauss_rule
+from .quadrature import legendre_gauss_rule
 
 __all__ = [
     "chebyshev_interpolate",
@@ -41,9 +41,9 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
     the shifted Chebyshev-Gauss nodes y_j and the forcing map M with
     M @ f(y) = ((I_n f, L_{1,k}))_k.
 
-    M = weighted^T P with P = _barycentric_matrix(n, x).  No x_q equals a
-    y_j here: both rules hold an exact 0.5 midpoint, the Chebyshev one for
-    even n and the Legendre one for odd n.
+    M = weighted^T P with P = _barycentric_matrix(n, x), whose precondition
+    holds: only the Chebyshev nodes of an even n and the Legendre rule of an
+    odd n + 16 hold 0.5, and no other x_q equals a y_j for n <= 1585.
     """
     rule = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
     x = rule.nodes
@@ -58,11 +58,10 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _chebyshev_nodes(ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shifted Chebyshev-Gauss nodes y_j, j = 0..n, of every n in ns,
-    concatenated, bit for bit those of chebyshev_gauss_rule(n); their
-    closed-form barycentric weights (-1)^j sin((2j + 1) pi / (2n + 2)) for
-    Chebyshev points of the first kind; and where each n's block starts.
-    """
+    """The shifted Chebyshev-Gauss nodes (1 - cos((2j + 1) pi / (2n + 2)))/2,
+    j = 0..n, of every n in ns, concatenated, each block exactly symmetric;
+    their barycentric weights (-1)^j sin((2j + 1) pi / (2n + 2)) (Chebyshev
+    points of the first kind); and where each n's block starts."""
     sizes = np.asarray(ns) + 1
     starts = np.cumsum(sizes) - sizes
     start, n = np.repeat(starts, sizes), np.repeat(sizes - 1, sizes)
@@ -75,21 +74,11 @@ def _chebyshev_nodes(ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _barycentric_matrix(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The shifted Chebyshev-Gauss nodes y_j, j = 0..n, and the matrix
-    P[q, j] of barycentric interpolation from them to the points x_q, with
-    the closed-form weights (-1)^j sin((2j + 1) pi / (2n + 2)) of Chebyshev
-    points of the first kind.  A point x_q equal to a node y_j gets the
-    unit row e_j: the Legendre rule of an odd size and the Chebyshev rule
-    of an even n both hold the node 0.5.
-    """
-    nodes = chebyshev_gauss_rule(n).nodes
-    j = np.arange(n + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = ((-1.0) ** j * np.sin((2 * j + 1) * np.pi / (2 * n + 2))) / (x[:, None] - nodes)
-        matrix = terms / terms.sum(axis=1, keepdims=True)
-    hit, node = np.nonzero(x[:, None] == nodes)
-    matrix[hit] = 0.0
-    matrix[hit, node] = 1.0
-    return nodes, matrix
+    P[q, j] of barycentric interpolation from them to the points x_q, none
+    of which may equal a node."""
+    nodes, weights, _ = _chebyshev_nodes((n,))
+    terms = weights / (x[:, None] - nodes)
+    return nodes, terms / terms.sum(axis=1, keepdims=True)
 
 
 def _real_samples(raw, shape: tuple[int, ...], name: str, where: str) -> np.ndarray:

@@ -83,6 +83,10 @@ class Unary:
     op: str
     operand: "Expression"
 
+    def __post_init__(self):  # parse builds only valid nodes; hand-built ones are checked
+        if self.op != "-":
+            raise ValueError(f"unary operator must be '-', not {self.op!r}")
+
 
 @dataclass(frozen=True)
 class Binary:
@@ -90,11 +94,19 @@ class Binary:
     left: "Expression"
     right: "Expression"
 
+    def __post_init__(self):
+        if self.op not in _BINARY:
+            raise ValueError(f"binary operator must be one of {''.join(_BINARY)}, not {self.op!r}")
+
 
 @dataclass(frozen=True)
 class Call:
     func: str
     args: tuple["Expression", ...]
+
+    def __post_init__(self):
+        if _FUNCTIONS.get(self.func, (None,))[0] != len(self.args):
+            raise ValueError(f"{self.func!r} with {len(self.args)} argument(s) is not a known call")
 
 
 Expression = Union[Number, Name, Unary, Binary, Call]

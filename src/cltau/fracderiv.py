@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthopoly import MonomialSeries, _check_integer, shifted_legendre_table
+from .orthopoly import MonomialSeries, _check_integer, _jacobi_table, shifted_legendre_table
 from .quadrature import jacobi_gauss_rule
 
 __all__ = [
@@ -111,21 +111,6 @@ def _legendre_derivative_coeffs(n: int, m: int) -> np.ndarray:
     return np.linalg.matrix_power(first, m)
 
 
-def _integral_factors(mu: float, n: int, x) -> np.ndarray:
-    """Row k: k!/Gamma(k+mu+1) P_k^(-mu,mu)(2x-1), so that I^mu L_{1,k} is
-    x^mu times row k for any mu >= 0, from the Jacobi recurrence
-    k P_k = (2k-1) t P_{k-1} - ((k-1)^2 - mu^2)/(k-1) P_{k-2} with the scale
-    folded in."""
-    t = 2.0 * np.asarray(x, dtype=float) - 1.0
-    jacobi = np.empty((n + 1,) + t.shape)
-    jacobi[0] = 1.0 / gamma(mu + 1.0)
-    if n >= 1:
-        jacobi[1] = (t - mu) / gamma(mu + 2.0)
-    for k in range(2, n + 1):
-        jacobi[k] = ((2 * k - 1) * t * jacobi[k - 1] - (k - 1 - mu) * jacobi[k - 2]) / (k + mu)
-    return jacobi
-
-
 def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
     """Polynomial factors g_0..g_n of D^alpha L_{1,j}(x) = x^(m-alpha) g_j(x).
 
@@ -133,14 +118,14 @@ def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
     vanishes for j < m.  D^alpha = I^(m-alpha) D^m: the m-th derivative is
     expanded in L_{1,k} by the integer matrix of _legendre_derivative_coeffs,
     and the Riemann-Liouville integral of order mu = m - alpha maps
-    L_{1,k} to k!/Gamma(k+mu+1) x^mu P_k^(-mu,mu)(2x-1), with the Jacobi
-    polynomials taken from their three-term recurrence.  Nothing is
+    L_{1,k} to k!/Gamma(k+mu+1) x^mu P_k^(-mu,mu)(2x-1), the scaled Jacobi
+    table of orthopoly._jacobi_table (x^mu times row k).  Nothing is
     expanded in monomials, so the values stay accurate at high degree.
     """
     order = _as_order(order)
     n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
     return np.tensordot(_legendre_derivative_coeffs(n, order.m),
-                        _integral_factors(order.m - order.alpha, n, x), axes=1)
+                        _jacobi_table(order.m - order.alpha, n, x), axes=1)
 
 
 @dataclass(frozen=True)

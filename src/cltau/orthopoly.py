@@ -1,10 +1,11 @@
 """Shifted Legendre polynomials on [0, 1].
 
-L_{1,k}(x) = P_k(2x - 1).  Evaluation goes through the stable three-term
-recurrence.  MonomialSeries carries finite sums of real powers of x, which
-the fractional calculus needs explicitly.
+L_{1,k}(x) = P_k(2x - 1), tabulated as the mu = 0 case of one stable
+scaled Jacobi recurrence (_jacobi_table).  MonomialSeries carries finite
+sums of real powers of x, which the fractional calculus needs explicitly.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,18 +37,25 @@ def _check_integer(value, minimum: int, message: str) -> int:
     return int(value)
 
 
+def _jacobi_table(mu: float, n: int, x) -> np.ndarray:
+    """Row k: k!/Gamma(k+mu+1) P_k^(-mu,mu)(2x-1) for mu >= 0, so that I^mu
+    L_{1,k} is x^mu times row k; mu = 0 gives L_{1,k} itself.  From the Jacobi
+    recurrence k P_k = (2k-1) t P_{k-1} - ((k-1)^2 - mu^2)/(k-1) P_{k-2} with
+    the scale folded in."""
+    t = 2.0 * np.asarray(x, dtype=float) - 1.0
+    table = np.empty((n + 1,) + t.shape)
+    table[0] = 1.0 / math.gamma(mu + 1.0)
+    if n >= 1:
+        table[1] = (t - mu) / math.gamma(mu + 2.0)
+    for k in range(2, n + 1):
+        table[k] = ((2 * k - 1) * t * table[k - 1] - (k - 1 - mu) * table[k - 2]) / (k + mu)
+    return table
+
+
 def shifted_legendre_table(n: int, x) -> np.ndarray:
     """Values of L_{1,0}..L_{1,n} at x in [0, 1]; row k holds degree k."""
     n = _check_integer(n, 0, "polynomial degree must be a non-negative integer")
-    x = _check_domain(x)
-    t = 2.0 * x - 1.0
-    table = np.zeros((n + 1,) + t.shape)
-    table[0] = 1.0
-    if n >= 1:
-        table[1] = t
-    for k in range(1, n):
-        table[k + 1] = ((2 * k + 1) * t * table[k] - k * table[k - 1]) / (k + 1)
-    return table
+    return _jacobi_table(0.0, n, _check_domain(x))
 
 
 @dataclass(frozen=True)

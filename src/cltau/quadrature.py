@@ -1,13 +1,13 @@
-"""Chebyshev-Gauss, Legendre-Gauss and Jacobi-Gauss quadrature rules, all on (0, 1).
+"""Legendre-Gauss and Jacobi-Gauss quadrature rules, both on (0, 1).
 
-Chebyshev-Gauss nodes and weights are closed-form.  Legendre-Gauss nodes are
-computed by Newton iteration in theta = arccos x on the positive cosine
-series of P_{n+1}, one matrix of cosines per step, for the half with x >= 0
-and then mirrored, so the rule is exactly symmetric; the weights come from
-the theta-derivative without a 1 - x^2 factor and are accurate to a few eps
-relative (Swarztrauber, SIAM J. Sci. Comput. 24, 2002).  Jacobi-Gauss rules for
-the weight x^b on (0, 1), which absorb an integrable power singularity at
-x = 0, come from the eigenvalues of the Jacobi matrix (Golub-Welsch).
+Legendre-Gauss nodes are computed by Newton iteration in theta = arccos x
+on the positive cosine series of P_{n+1}, one matrix of cosines per step,
+for the half with x >= 0 and then mirrored, so the rule is exactly
+symmetric; the weights come from the theta-derivative without a 1 - x^2
+factor and are accurate to a few eps relative (Swarztrauber, SIAM J. Sci.
+Comput. 24, 2002).  Jacobi-Gauss rules for the weight x^b on (0, 1), which
+absorb an integrable power singularity at x = 0, come from the eigenvalues
+of the Jacobi matrix (Golub-Welsch).
 """
 
 from dataclasses import dataclass
@@ -18,12 +18,12 @@ from .orthopoly import _check_integer
 
 __all__ = [
     "QuadratureRule",
-    "chebyshev_gauss_rule",
     "legendre_gauss_rule",
     "jacobi_gauss_rule",
 ]
 
 _NEWTON_TOL = 1e-15
+_NEWTON_NOISE = 1e-13  # a step this small that stops falling is rounding noise
 _NEWTON_MAX_ITERS = 100
 
 
@@ -58,20 +58,6 @@ def _check_rule_index(n) -> int:
     return _check_integer(n, 0, "rule index must be a non-negative integer")
 
 
-def chebyshev_gauss_rule(n: int) -> QuadratureRule:
-    """(n+1)-point Chebyshev-Gauss rule on (0, 1) for the weight (x - x^2)^(-1/2).
-
-    Nodes (y_j + 1)/2 with y_j = -cos((2j+1)pi/(2n+2)), constant weights
-    pi/(n+1); exact for polynomials of degree <= 2n+1 against the weight.
-    """
-    n = _check_rule_index(n)
-    j = np.arange(n + 1)
-    nodes = -np.cos((2 * j + 1) * np.pi / (2 * n + 2))
-    nodes = (nodes - nodes[::-1]) / 2.0  # enforce exact antisymmetry (exact 0 mid-node)
-    weights = np.full(n + 1, np.pi / (n + 1))
-    return QuadratureRule((nodes + 1.0) / 2.0, weights)
-
-
 def legendre_gauss_rule(n: int) -> QuadratureRule:
     """(n+1)-point Legendre-Gauss rule on (0, 1): nodes are the roots of L_{1,n+1}.
 
@@ -82,14 +68,15 @@ def legendre_gauss_rule(n: int) -> QuadratureRule:
     digits to cancellation.  c_k = c_{m-k}, so each such pair is one term.
     The c_k are correctly rounded from exact integer products; a float
     cumulative product drifts enough to leave |sum w - 1| near 1e-15.
-    Each angle is split as hi + lo (Veltkamp, factor
-    513) so that (m - 2k) hi is exact for m < 512, and (m - 2k) lo enters
-    as a first-order correction.  Only the roots with x >= 0 are iterated,
-    from the guesses theta_j = pi(4j+3)/(4n+6) to an update below 1e-15,
-    and mirrored; the middle node of an odd rule is 0.  Weights are
-    2/(dP_m/dtheta)^2, free of the 1 - x^2 factor.  The rule is then
-    mapped to (0, 1): nodes (x + 1)/2, weights halved.  Exact for
-    polynomials of degree <= 2n+1.
+    Each angle is split as hi + lo (Veltkamp, factor 513) so that
+    (m - 2k) hi is exact for m < 512, and (m - 2k) lo enters as a
+    first-order correction.  Only the roots with x >= 0 are iterated, from
+    the guesses theta_j = pi(4j+3)/(4n+6) to an update below 1e-15, or
+    below 1e-13 and no smaller than the one before (rounding noise, which
+    cycles near 1e-15 at some n > 690), and mirrored; the middle node of an
+    odd rule is 0.  Weights are 2/(dP_m/dtheta)^2, free of the 1 - x^2
+    factor.  The rule is then mapped to (0, 1): nodes (x + 1)/2, weights
+    halved.  Exact for polynomials of degree <= 2n+1.
     """
     n = _check_rule_index(n)
     m = n + 1
@@ -110,12 +97,15 @@ def legendre_gauss_rule(n: int) -> QuadratureRule:
         return cos @ coef, sin @ (freq * coef)
 
     theta = np.pi * (4 * np.arange((m + 1) // 2) + 3) / (4 * n + 6)
+    previous = np.inf
     for _ in range(_NEWTON_MAX_ITERS):
         p, dp = series(theta)
         step = p / dp
         theta += step
-        if np.max(np.abs(step)) <= _NEWTON_TOL:
+        size = np.max(np.abs(step))
+        if size <= _NEWTON_TOL or previous <= size <= _NEWTON_NOISE:
             break
+        previous = size
     else:
         raise RuntimeError(f"Legendre-Gauss Newton iteration failed to converge for n={n}")
     x = np.cos(theta)

@@ -41,9 +41,10 @@ import numpy as np
 
 from .cltransform import (_KERNEL_EXTRA_POINTS, _TABLE_CACHE, _legendre_projection,
                           _nested_projections, _real_samples, chebyshev_interpolate)
-from .fracderiv import (CaputoOrder, _as_order, _integral_factors,
-                        _legendre_derivative_coeffs, caputo_apply, gamma, operational_matrix)
-from .orthopoly import LegendreSeries, MonomialSeries, _check_integer, shifted_legendre_table
+from .fracderiv import (CaputoOrder, _as_order, _legendre_derivative_coeffs, caputo_apply,
+                        gamma, operational_matrix)
+from .orthopoly import (LegendreSeries, MonomialSeries, _check_integer, _jacobi_table,
+                        shifted_legendre_table)
 from .quadrature import jacobi_gauss_rule, legendre_gauss_rule
 
 __all__ = [
@@ -236,8 +237,8 @@ def _caputo_quadrature(alpha: float, s_power: int, truncation: int,
     then u_j = I^n L_{1,j} for j = 0..truncation - n (D^alpha L_{1,j} if n = 0).
 
     With lift = max(m - n, 0), D^alpha I^n L_{1,j} = I^mu D^lift L_{1,j} is
-    s^(m - alpha) s^(n + lift - m) times D^lift of the factors of
-    fracderiv._integral_factors(mu = lift + n - alpha), and D^alpha t^l/l! is
+    s^(m - alpha) s^(n + lift - m) times D^lift of the rows of
+    orthopoly._jacobi_table(mu = lift + n - alpha), and D^alpha t^l/l! is
     s^(m - alpha) s^(l - m) / Gamma(l - alpha + 1).  So the table is the
     weights of the (truncation + 16)-point _singular_rule for phi = m - alpha
     times polynomials of degree <= truncation - m: exact whenever
@@ -247,7 +248,7 @@ def _caputo_quadrature(alpha: float, s_power: int, truncation: int,
     m = CaputoOrder(alpha).m
     lift = max(m - n, 0)
     s, weights = _singular_rule(truncation + _KERNEL_EXTRA_POINTS, m - alpha, s_power)
-    factors = _integral_factors(lift + n - alpha, truncation - n, s)
+    factors = _jacobi_table(lift + n - alpha, truncation - n, s)
     if lift:
         factors = np.tensordot(_legendre_derivative_coeffs(truncation - n, lift), factors, axes=1)
     taylor = np.reshape([s ** (l - m) / gamma(l - alpha + 1.0) for l in range(m, n)], (-1, s.size))

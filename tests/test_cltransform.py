@@ -18,7 +18,7 @@ from test_orthopoly import shifted_chebyshev_table
 from cltau import cltransform
 from cltau.cltransform import chebyshev_interpolate
 from cltau.orthopoly import LegendreSeries, shifted_legendre_table
-from cltau.quadrature import chebyshev_gauss_rule, legendre_gauss_rule
+from cltau.quadrature import legendre_gauss_rule
 from cltau.solver import builtin_example
 
 
@@ -35,18 +35,18 @@ def transform_pair(n: int) -> TransformPair:
 
     a[i, j] = (T_{1,i}, L_{1,j})_w / h_i with the Chebyshev weight
     (x - x^2)^(-1/2), h_0 = pi and h_i = pi/2 otherwise, via Chebyshev-Gauss
-    quadrature; b[i, j] = (2i+1) (L_{1,i}, T_{1,j}) via Legendre-Gauss.  Both
-    integrands have degree <= 2n, so the (n+1)-point rules are exact.
-    Entries with i > j or i + j odd vanish by parity and are pinned to
-    exact zeros.
+    quadrature (the nodes of cltransform, the closed-form weights pi/(n+1));
+    b[i, j] = (2i+1) (L_{1,i}, T_{1,j}) via Legendre-Gauss.  Both integrands
+    have degree <= 2n, so the (n+1)-point rules are exact.  Entries with
+    i > j or i + j odd vanish by parity and are pinned to exact zeros.
     """
     i, j = np.indices((n + 1, n + 1))
     upper_even = (j >= i) & ((j - i) % 2 == 0)
-    cg = chebyshev_gauss_rule(n)
+    nodes = cltransform._chebyshev_nodes((n,))[0]
     h = np.full(n + 1, np.pi / 2.0)
     h[0] = np.pi
-    a = ((shifted_chebyshev_table(n, cg.nodes) * cg.weights)
-         @ shifted_legendre_table(n, cg.nodes).T) / h[:, None]
+    a = ((shifted_chebyshev_table(n, nodes) * (np.pi / (n + 1)))
+         @ shifted_legendre_table(n, nodes).T) / h[:, None]
     lg = legendre_gauss_rule(n)
     b = ((shifted_legendre_table(n, lg.nodes) * lg.weights)
          @ shifted_chebyshev_table(n, lg.nodes).T) * (2.0 * np.arange(n + 1) + 1.0)[:, None]
@@ -61,7 +61,7 @@ def chebyshev_dct(n: int) -> np.ndarray:
     interpolant, u_k = (2 - delta_{k0})/(n+1) sum_j f(x_j) T_{1,k}(x_j)."""
     scale = np.full(n + 1, 2.0 / (n + 1))
     scale[0] = 1.0 / (n + 1)
-    return scale[:, None] * shifted_chebyshev_table(n, chebyshev_gauss_rule(n).nodes)
+    return scale[:, None] * shifted_chebyshev_table(n, cltransform._chebyshev_nodes((n,))[0])
 
 
 def chebyshev_to_legendre(coeffs) -> LegendreSeries:
@@ -81,7 +81,7 @@ def projection_40_digits(values, n: int) -> np.ndarray:
     """(I_n v, L_{1,k}) for k = 0..n at 40 digits, for each column v of values.
 
     I_n v interpolates the float samples v at the float nodes y_j of
-    chebyshev_gauss_rule(n), in barycentric form with the weights
+    cltransform._chebyshev_nodes((n,)), in barycentric form with the weights
     1/prod_k (y_j - y_k) of those very nodes.  It is integrated against
     L_{1,k} by the (n + 2)-point Legendre-Gauss rule, exact through degree
     2n + 3, whose float nodes are refined by Newton steps on P_{n+2}; with
@@ -90,7 +90,7 @@ def projection_40_digits(values, n: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     columns = values.reshape(n + 1, -1).T
     with mpmath.workdps(40):
-        y = [mpmath.mpf(float(v)) for v in chebyshev_gauss_rule(n).nodes]
+        y = [mpmath.mpf(float(v)) for v in cltransform._chebyshev_nodes((n,))[0]]
         lam = [1 / mpmath.fprod(y[j] - y[k] for k in range(n + 1) if k != j)
                for j in range(n + 1)]
         samples = [[mpmath.mpf(float(v)) for v in column] for column in columns]
@@ -202,19 +202,6 @@ def test_chebyshev_interpolate_known_coefficients():
     assert np.allclose(projections, [1.0, -0.1, 0.0, 0.8 / 7.0], rtol=0, atol=1e-14)
 
 
-def test_barycentric_matrix_gives_a_unit_row_on_a_node():
-    # The 33-point Legendre rule and the 5 Chebyshev nodes of n = 4 share
-    # the node 0.5: its row is e_2, not 0/0, and every row still reproduces
-    # polynomials of degree <= 4 at the Legendre nodes.
-    x = legendre_gauss_rule(32).nodes
-    nodes, matrix = cltransform._barycentric_matrix(4, x)
-    np.testing.assert_array_equal(nodes, chebyshev_gauss_rule(4).nodes)
-    assert x[16] == nodes[2] == 0.5
-    np.testing.assert_array_equal(matrix[16], [0.0, 0.0, 1.0, 0.0, 0.0])
-    quartic = lambda t: t ** 4 - 3.0 * t ** 3 + t
-    assert np.max(np.abs(matrix @ quartic(nodes) - quartic(x))) <= 1e-14
-
-
 def test_interpolating_on_a_larger_rule_gives_the_same_projections():
     # (I_n f) L_{1,k} has degree <= 2n, so the rule of any top >= n projects
     # it exactly; at top the path is chebyshev_interpolate's own.  The
@@ -241,17 +228,18 @@ def test_nested_projections_do_not_depend_on_the_pass_size(monkeypatch):
 
 def test_nested_projections_sample_once_below_the_top():
     # One call of f on the nodes of every n below the top, concatenated and
-    # bit for bit those of chebyshev_gauss_rule(n), and one at the top.
+    # bit for bit those of each n alone, and one at the top.
     calls = []
     cltransform._nested_projections(lambda t: calls.append(t.copy()) or np.exp(t), (3, 4, 9))
     assert [t.size for t in calls] == [4 + 5, 10]
-    np.testing.assert_array_equal(calls[0], np.concatenate(
-        (chebyshev_gauss_rule(3).nodes, chebyshev_gauss_rule(4).nodes)))
+    single = lambda n: cltransform._chebyshev_nodes((n,))
+    np.testing.assert_array_equal(calls[0], np.concatenate((single(3)[0], single(4)[0])))
     for n in range(130):
         nodes, weights, starts = cltransform._chebyshev_nodes((n, 2 * n + 1))
         assert starts.tolist() == [0, n + 1]
-        assert nodes[:n + 1].tobytes() == chebyshev_gauss_rule(n).nodes.tobytes()
-        assert nodes[n + 1:].tobytes() == chebyshev_gauss_rule(2 * n + 1).nodes.tobytes()
+        for block, m in ((slice(None, n + 1), n), (slice(n + 1, None), 2 * n + 1)):
+            assert nodes[block].tobytes() == single(m)[0].tobytes()
+            assert weights[block].tobytes() == single(m)[1].tobytes()
 
 
 def test_chebyshev_interpolate_spectral_decay():
@@ -309,7 +297,7 @@ def test_forcing_map_matches_a_40_digit_projection(n):
     # deviation is measured against the largest sample, the scale of the
     # map's rounding: problem 5.2 has samples up to 6.4 and projections
     # below 1.
-    nodes = chebyshev_gauss_rule(n).nodes
+    nodes = cltransform._chebyshev_nodes((n,))[0]
     for example_id in ("5.1", "5.2", "5.3", "5.4"):
         samples = builtin_example(example_id).problem.forcing(nodes)
         reference = projection_40_digits(samples, n)

@@ -141,6 +141,21 @@ def test_unknown_names_fail_at_parse_time():
     assert "2 argument(s)" in err.value.expected
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Unary("+", Number(1.0)), "unary operator must be '-'"),
+    (lambda: Binary("%", Number(1.0), Number(2.0)), r"binary operator must be one of \+-\*/\^"),
+    (lambda: Call("nope", (Number(1.0),)), "'nope' with 1 argument"),
+    (lambda: Call("exp", (Number(1.0), Number(2.0))), "'exp' with 2 argument"),
+    (lambda: Call("pow", (Number(1.0),)), "'pow' with 1 argument"),
+], ids=["unary-plus", "binary-modulo", "unknown-function", "exp-arity", "pow-arity"])
+def test_hand_built_nodes_outside_the_grammar_are_rejected(build, message):
+    # parse never builds these; built by hand they used to evaluate or print
+    # wrongly (+1 as -1, % as ^) or fail with a bare KeyError or TypeError.
+    with pytest.raises(ValueError, match=message) as err:
+        build()
+    assert type(err.value) is ValueError
+
+
 def test_trailing_and_empty_input():
     with pytest.raises(ParseError) as err:
         parse("t s")

@@ -39,7 +39,6 @@ def test_every_lru_cache_is_bounded():
 
 # Every entry point that takes a size or degree, reduced to an array.
 _SIZED = {
-    "chebyshev_gauss_rule": lambda n: quadrature.chebyshev_gauss_rule(n).nodes,
     "legendre_gauss_rule": lambda n: quadrature.legendre_gauss_rule(n).nodes,
     "jacobi_gauss_rule": lambda n: quadrature.jacobi_gauss_rule(n, 0.5).nodes,
     "shifted_legendre_table": lambda n: orthopoly.shifted_legendre_table(n, [0.25, 0.5]),

@@ -21,7 +21,7 @@ from cltau.cltransform import chebyshev_interpolate
 from cltau.fracderiv import (CaputoOrder, caputo_apply, caputo_legendre_factors, gamma,
                              operational_matrix)
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
-from cltau.quadrature import chebyshev_gauss_rule, legendre_gauss_rule
+from cltau.quadrature import legendre_gauss_rule
 from cltau.solver import (
     DecayFit,
     FIDEProblem,
@@ -225,7 +225,7 @@ def test_forcing_coeffs_is_the_legendre_transform_of_the_interpolant(truncation)
     # same interpolant pins to 1e-15.
     forcing = builtin_example("5.4").problem.forcing
     coeffs = chebyshev_interpolate(forcing, truncation)
-    samples = forcing(chebyshev_gauss_rule(truncation).nodes)
+    samples = forcing(cltransform._chebyshev_nodes((truncation,))[0])
     reference = projection_40_digits(samples, truncation)
     deviation = np.max(np.abs(coeffs - reference))
     assert deviation <= 1e-15 * np.max(np.abs(reference))
@@ -771,25 +771,19 @@ def test_a_sweep_keeps_one_table_per_cache():
     assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1, 1]
 
 
-def test_a_sweep_samples_the_forcing_twice(monkeypatch):
+def test_a_sweep_samples_the_forcing_twice():
     # One call on the Chebyshev nodes of every N below N_max together, one
-    # at N_max.  The nodes below N_max are closed-form, so the only
-    # Chebyshev-Gauss rule a cold sweep builds is N_max's.
+    # at N_max.
     ex = builtin_example("5.4")
-    samples, rules = [], []
+    samples = []
     problem = replace(ex.problem,
                       forcing=lambda t: samples.append(t.copy()) or ex.problem.forcing(t))
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("cltau") and hasattr(module, "chebyshev_gauss_rule"):
-            monkeypatch.setattr(module, "chebyshev_gauss_rule",
-                                lambda n: rules.append(n) or chebyshev_gauss_rule(n))
     cltransform._legendre_projection.cache_clear()
     convergence_study(problem, ex.exact, range(4, 33, 4))
     assert len(samples) == 2
     np.testing.assert_array_equal(samples[0], np.concatenate(
-        [chebyshev_gauss_rule(n).nodes for n in range(4, 32, 4)]))
-    np.testing.assert_array_equal(samples[1], chebyshev_gauss_rule(32).nodes)
-    assert rules == [32]
+        [cltransform._chebyshev_nodes((n,))[0] for n in range(4, 32, 4)]))
+    np.testing.assert_array_equal(samples[1], cltransform._chebyshev_nodes((32,))[0])
 
 
 def test_a_failed_slice_leaves_the_other_entries_alone(monkeypatch):
