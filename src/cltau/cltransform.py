@@ -4,11 +4,12 @@ Known functions are sampled at the n + 1 shifted Chebyshev-Gauss points and
 enter the solver only through the weighted Legendre projections
 f_k = (I_n f, L_{1,k}) of their interpolant I_n f (Don & Gottlieb, SIAM J.
 Numer. Anal. 31, 1994).  I_n f is evaluated by barycentric interpolation
-(Berrut & Trefethen, SIAM Rev. 46, 2004) at the nodes of the
-(n + 16)-point shifted Legendre-Gauss rule that also projects the kernel
-term, and integrated against L_{1,k} there; (I_n f) L_{1,k} has degree
-<= 2n, so the rule is exact.  That rule, its weighted Legendre table and
-the sampling-to-projection map depend on n alone and share one cache,
+(Berrut & Trefethen, SIAM Rev. 46, 2004), in one place,
+_barycentric_matrix, at the nodes of the (n + 16)-point shifted
+Legendre-Gauss rule that also projects the kernel term, and integrated
+against L_{1,k} there; (I_n f) L_{1,k} has degree <= 2n, so the rule is
+exact.  That rule, its weighted Legendre table and the
+sampling-to-projection map depend on n alone and share one cache,
 _legendre_projection, which the solver's kernel term reads too.  The rule
 of any larger n' is exact as well, so a convergence sweep projects the
 interpolants of all its truncations on the rule of its largest one, from
@@ -29,7 +30,6 @@ __all__ = [
 
 _TABLE_CACHE = 128
 _KERNEL_EXTRA_POINTS = 16
-_PASS_NODES = 512
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -39,18 +39,15 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
     Returns the nodes x of the (n + 16)-point shifted Legendre-Gauss rule,
     the weighted table w_x L_{1,r}(x) (indexed [x, r]), the scale 2r + 1,
     the shifted Chebyshev-Gauss nodes y_j and the forcing map M with
-    M @ f(y) = ((I_n f, L_{1,k}))_k.
-
-    M = weighted^T P with P = _barycentric_matrix(n, x), whose precondition
-    holds: only the Chebyshev nodes of an even n and the Legendre rule of an
-    odd n + 16 hold 0.5, and no other x_q equals a y_j for n <= 1585.
+    M @ f(y) = ((I_n f, L_{1,k}))_k: M = weighted^T P with P the
+    _barycentric_matrix from the y_j to the x_q.
     """
     rule = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
     x = rule.nodes
     weighted = rule.weights[:, None] * shifted_legendre_table(n, x).T
     scale = 2.0 * np.arange(n + 1) + 1.0
-    nodes, interpolation = _barycentric_matrix(n, x)
-    matrix = weighted.T @ interpolation
+    nodes, weights, _ = _chebyshev_nodes((n,))
+    matrix = weighted.T @ _barycentric_matrix(x, nodes, weights)
     tables = (x, weighted, scale, nodes, matrix)
     for array in tables:
         array.flags.writeable = False
@@ -72,13 +69,18 @@ def _chebyshev_nodes(ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, (-1.0) ** j * np.sin(angle), starts
 
 
-def _barycentric_matrix(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The shifted Chebyshev-Gauss nodes y_j, j = 0..n, and the matrix
-    P[q, j] of barycentric interpolation from them to the points x_q, none
-    of which may equal a node."""
-    nodes, weights, _ = _chebyshev_nodes((n,))
-    terms = weights / (x[:, None] - nodes)
-    return nodes, terms / terms.sum(axis=1, keepdims=True)
+def _barycentric_matrix(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The matrix P[q, j] of barycentric interpolation from the nodes y_j,
+    with weights w_j, to the points x_q.  A point x_q equal to a node y_j
+    gets the unit row e_j: the Legendre rule of an odd size and the
+    Chebyshev nodes of an even n both hold 0.5."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = weights / (x[:, None] - nodes)
+        matrix = terms / terms.sum(axis=1, keepdims=True)
+    hit, node = np.nonzero(x[:, None] == nodes)
+    matrix[hit] = 0.0
+    matrix[hit, node] = 1.0
+    return matrix
 
 
 def _real_samples(raw, shape: tuple[int, ...], name: str, where: str) -> np.ndarray:
@@ -129,14 +131,11 @@ def _nested_projections(f, truncations) -> list[np.ndarray]:
 
     Every n below top is integrated on the rule of _legendre_projection(top):
     (I_n f) L_{1,k} has degree <= 2n, so it gives the same projections up
-    to round-off.  f is called once on the nodes of all those n together,
-    the barycentric sums of every n are evaluated at the top + 16 Legendre
-    nodes in one pass, and one product with the weighted table projects
-    them all.  Where a Legendre node is an n's Chebyshev node (0.5, when top
-    is odd and n even) the interpolant takes that node's sample.  A pass
-    takes the n whose nodes start within the same _PASS_NODES of the
-    concatenation, so its scratch stays below (top + 16)(_PASS_NODES +
-    top + 1) floats; a sweep up to N = 32 step 4 has 119 nodes below top.
+    to round-off.  f is called once on the nodes of all those n together;
+    each n's interpolant is evaluated at the top + 16 Legendre nodes by
+    its own _barycentric_matrix, so the scratch is a few (top + 16) x
+    (n + 1) arrays at a time, and one product with the weighted table
+    projects them all.
     """
     *below, top = truncations
     projections = []
@@ -144,19 +143,8 @@ def _nested_projections(f, truncations) -> list[np.ndarray]:
         x, weighted, *_ = _legendre_projection(top)
         nodes, weights, starts = _chebyshev_nodes(below)
         samples = _forcing_samples(f, nodes)
-        values = np.empty((x.size, len(below)))
-        group = starts // _PASS_NODES
-        for blocks in np.split(np.arange(len(below)), np.flatnonzero(np.diff(group)) + 1):
-            span = slice(starts[blocks[0]], starts[blocks[-1]] + below[blocks[-1]] + 1)
-            offsets = starts[blocks] - span.start
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = weights[span] / (x[:, None] - nodes[span])
-                denominators = np.add.reduceat(terms, offsets, axis=1)
-                terms *= samples[span]
-                values[:, blocks] = np.add.reduceat(terms, offsets, axis=1) / denominators
-            hit, node = np.nonzero(x[:, None] == nodes[span])
-            values[hit, blocks[np.searchsorted(offsets, node, side="right") - 1]] = (
-                samples[span][node])
-        stacked = weighted.T @ values
+        blocks = [slice(start, start + n + 1) for n, start in zip(below, starts)]
+        stacked = weighted.T @ np.column_stack([
+            _barycentric_matrix(x, nodes[b], weights[b]) @ samples[b] for b in blocks])
         projections = [stacked[:n + 1, i] for i, n in enumerate(below)]
     return projections + [chebyshev_interpolate(f, top)]

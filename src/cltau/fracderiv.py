@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthopoly import MonomialSeries, _check_integer, _jacobi_table, shifted_legendre_table
+from .orthopoly import (MonomialSeries, _check_domain, _check_integer, _jacobi_table,
+                        shifted_legendre_table)
 from .quadrature import jacobi_gauss_rule
 
 __all__ = [
@@ -125,7 +126,7 @@ def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
     order = _as_order(order)
     n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
     return np.tensordot(_legendre_derivative_coeffs(n, order.m),
-                        _jacobi_table(order.m - order.alpha, n, x), axes=1)
+                        _jacobi_table(order.m - order.alpha, n, _check_domain(x)), axes=1)
 
 
 @dataclass(frozen=True)

@@ -75,12 +75,11 @@ class MonomialSeries:
     _qp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for q, p in self.terms:
-            if not np.isfinite(float(q)) or not np.isfinite(float(p)):
-                raise ValueError("non-finite monomial term")
-            if p <= -1:
-                raise ValueError(f"exponent {p!r} is not integrable on [0, 1]")
-        qp = np.array(self.terms, dtype=float).reshape(-1, 2).T
+        qp = np.array(self.terms, dtype=float).reshape(len(self.terms), 2).T
+        if not np.isfinite(qp).all():
+            raise ValueError("non-finite monomial term")
+        if (qp[1] <= -1).any():
+            raise ValueError(f"exponent {float(qp[1].min())!r} is not integrable on [0, 1]")
         qp.flags.writeable = False
         object.__setattr__(self, "_qp", qp)
 

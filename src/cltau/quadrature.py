@@ -68,15 +68,18 @@ def legendre_gauss_rule(n: int) -> QuadratureRule:
     digits to cancellation.  c_k = c_{m-k}, so each such pair is one term.
     The c_k are correctly rounded from exact integer products; a float
     cumulative product drifts enough to leave |sum w - 1| near 1e-15.
-    Each angle is split as hi + lo (Veltkamp, factor 513) so that
-    (m - 2k) hi is exact for m < 512, and (m - 2k) lo enters as a
-    first-order correction.  Only the roots with x >= 0 are iterated, from
-    the guesses theta_j = pi(4j+3)/(4n+6) to an update below 1e-15, or
-    below 1e-13 and no smaller than the one before (rounding noise, which
-    cycles near 1e-15 at some n > 690), and mirrored; the middle node of an
-    odd rule is 0.  Weights are 2/(dP_m/dtheta)^2, free of the 1 - x^2
-    factor.  The rule is then mapped to (0, 1): nodes (x + 1)/2, weights
-    halved.  Exact for polynomials of degree <= 2n+1.
+    Each angle is split as hi + lo (Veltkamp, factor 2^s + 1 with
+    s = max(9, bit length of m)), so hi has 53 - s bits, (m - 2k) hi is
+    exact, and (m - 2k) lo, below 2^(2s-53), enters as a first-order
+    correction; the second-order term it drops is below rounding for
+    m < 8192.  (A fixed 513 leaves (m - 2k) hi inexact from m = 512 on and
+    |sum w - 1| up to 9e-14 by n = 2099.)  Only the roots with x >= 0 are
+    iterated, from the guesses theta_j = pi(4j+3)/(4n+6) to an update
+    below 1e-15, or below 1e-13 and no smaller than the one before
+    (rounding noise; no n <= 2099 needs this stop), and mirrored; the
+    middle node of an odd rule is 0.  Weights are 2/(dP_m/dtheta)^2, free
+    of the 1 - x^2 factor.  The rule is then mapped to (0, 1): nodes
+    (x + 1)/2, weights halved.  Exact for polynomials of degree <= 2n+1.
     """
     n = _check_rule_index(n)
     m = n + 1
@@ -87,9 +90,10 @@ def legendre_gauss_rule(n: int) -> QuadratureRule:
     even = np.concatenate(([1], np.cumprod(2 * i)))
     coef = np.where(freq > 0, 2.0, 1.0) * (
         odd[k] * odd[m - k] / (even[k] * even[m - k])).astype(float)
+    split = 2.0 ** max(9, m.bit_length()) + 1.0
 
     def series(theta):  # P_m(cos theta) and -dP_m/dtheta
-        t = 513.0 * theta
+        t = split * theta
         hi = t - (t - theta)
         big, small = np.multiply.outer(hi, freq), np.multiply.outer(theta - hi, freq)
         cos, sin = np.cos(big), np.sin(big)

@@ -202,28 +202,37 @@ def test_chebyshev_interpolate_known_coefficients():
     assert np.allclose(projections, [1.0, -0.1, 0.0, 0.8 / 7.0], rtol=0, atol=1e-14)
 
 
+def test_barycentric_matrix_gives_a_unit_row_on_a_node():
+    # The 33-point Legendre rule and the 5 Chebyshev nodes of n = 4 share
+    # the node 0.5: its row is e_2, not 0/0, and every row still reproduces
+    # polynomials of degree <= 4 at the Legendre nodes.
+    x = legendre_gauss_rule(32).nodes
+    nodes, weights, _ = cltransform._chebyshev_nodes((4,))
+    matrix = cltransform._barycentric_matrix(x, nodes, weights)
+    assert x[16] == nodes[2] == 0.5
+    np.testing.assert_array_equal(matrix[16], [0.0, 0.0, 1.0, 0.0, 0.0])
+    quartic = lambda t: t ** 4 - 3.0 * t ** 3 + t
+    assert np.max(np.abs(matrix @ quartic(nodes) - quartic(x))) <= 1e-14
+
+
 def test_interpolating_on_a_larger_rule_gives_the_same_projections():
     # (I_n f) L_{1,k} has degree <= 2n, so the rule of any top >= n projects
     # it exactly; at top the path is chebyshev_interpolate's own.  The
-    # 33-point Legendre rule of top = 17 holds the node 0.5 of every even n.
-    for truncations in ((4, 17), (7, 16), (16,), (4, 7, 16), tuple(range(4, 18))):
+    # 33-point Legendre rule of top = 17 holds the node 0.5 of every even n,
+    # and the 145-point rule of top = 129 that of the 63 even n below it.
+    # Its longer sums round further from the n + 16 point rule of each n,
+    # by 1.1-1.3e-15 (5-6 ulp of f_0 = e - 1) whatever the order of the
+    # barycentric sums.
+    cases = [(truncations, 1e-15) for truncations in
+             ((4, 17), (7, 16), (16,), (4, 7, 16), tuple(range(4, 18)))]
+    for truncations, bound in cases + [(tuple(range(3, 130)), 2e-15)]:
         got = cltransform._nested_projections(np.exp, truncations)
         assert len(got) == len(truncations)
         for n, projections in zip(truncations, got):
             expected = chebyshev_interpolate(np.exp, n)
             assert projections.shape == expected.shape
-            assert np.max(np.abs(projections - expected)) <= 1e-15
+            assert np.max(np.abs(projections - expected)) <= bound
         assert projections.tobytes() == expected.tobytes()
-
-
-def test_nested_projections_do_not_depend_on_the_pass_size(monkeypatch):
-    # The barycentric sums run over passes of at most _PASS_NODES nodes
-    # (plus one block); each n's sums stay the same, bit for bit.
-    truncations = tuple(range(4, 18))
-    whole = cltransform._nested_projections(np.exp, truncations)
-    monkeypatch.setattr(cltransform, "_PASS_NODES", 8)
-    for split, one in zip(cltransform._nested_projections(np.exp, truncations), whole):
-        assert split.tobytes() == one.tobytes()
 
 
 def test_nested_projections_sample_once_below_the_top():

@@ -11,6 +11,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from cltau.fracderiv import caputo_legendre_factors
 from cltau.orthopoly import LegendreSeries, MonomialSeries, eval_series, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
 
@@ -235,3 +236,6 @@ def test_domain_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             MonomialSeries(((1.0, 1.0),))(np.array([0.5, bad]))
+    for bad in (2.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            caputo_legendre_factors(0.5, 3, np.array([0.5, bad]))

@@ -66,13 +66,22 @@ def test_legendre_weights_match_a_40_digit_reference(n):
 @pytest.mark.parametrize("n", [692, 720, 1002])
 def test_legendre_rule_converges_where_the_last_newton_update_cycles(n):
     # At these sizes (and 12 others up to 1528) the last Newton update
-    # cycles at 1-2e-15, just above the 1e-15 tolerance; the rule stops
-    # there and is as accurate as its neighbours: every (n+1)-point rule up
-    # to n = 1600 has |sum w - 1| and |sum w L_{1,k}(x)| below 1e-13.
+    # cycled at 1-2e-15, just above the 1e-15 tolerance, while the angle
+    # split kept the factor 513 for every m; the rule converges there and
+    # is as accurate as its neighbours: every (n+1)-point rule up to
+    # n = 1600 has |sum w - 1| and |sum w L_{1,k}(x)| below 1e-13.
     rule = legendre_gauss_rule(n)
     moments = shifted_legendre_table(2 * n + 1, rule.nodes) @ rule.weights
     assert abs(moments[0] - 1.0) <= 5e-14
     assert np.max(np.abs(moments[1:])) <= 5e-14
+
+
+@pytest.mark.parametrize("n", [600, 800, 1500])
+def test_legendre_weights_sum_to_one_above_511_points(n):
+    # The Veltkamp split keeps (m - 2k) hi exact at every m = n + 1; a fixed
+    # factor 513 does so only for m < 512 and left |sum w - 1| at 1.6e-14
+    # for n = 800.
+    assert abs(float(np.sum(legendre_gauss_rule(n).weights)) - 1.0) <= 1e-15
 
 
 def test_rule_structure():
