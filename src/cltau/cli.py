@@ -22,8 +22,9 @@ Config schema (JSON object): name (text), n (integer >= 1), a (n+1 reals),
 alpha (real > 0), kernel (expression in t and s), exactly one of forcing
 (expression in t) or mms_exact (list of [coefficient, exponent] monomial
 terms for the exact solution, from which the forcing is rebuilt), ics
-(n reals), optional N (integer), optional N_sweep {"from", "to", "step"},
-optional kernel_s_power (integer >= 1, see FIDEProblem).
+(n reals; with mms_exact, the exact solution's derivatives at 0), optional
+N (integer), optional N_sweep {"from", "to", "step"}, optional
+kernel_s_power (integer >= 1, see FIDEProblem).
 
 The problem digest is the SHA-256 of the canonical problem fields (name,
 n, a, alpha, kernel, forcing or mms_exact, ics, kernel_s_power), so it
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracderiv import operational_matrix
+from .fracderiv import caputo_apply, operational_matrix
 from .orthopoly import MonomialSeries
 from .solver import (
     FIDEProblem,
@@ -212,7 +213,9 @@ class ProblemConfig:
         """Compile expressions and construct the problem.
 
         Returns (problem, exact) where exact is the manufactured solution
-        callable for mms_exact configs and None otherwise.
+        callable for mms_exact configs and None otherwise.  Each initial
+        value d_i of an mms_exact config must match the i-th derivative of
+        the exact solution at 0 to 1e-12 * max(1, |derivative|).
         """
         from . import exprlang
         kernel_tree = self._compile(self.kernel, {"t", "s"}, "kernel")
@@ -225,6 +228,11 @@ class ProblemConfig:
             exact = MonomialSeries(self.mms_exact)
             forcing = mms_forcing(exact, self.n, self.a, self.alpha, kernel,
                                   kernel_s_power=self.kernel_s_power)
+            for i, given in enumerate(self.ics):
+                value = (caputo_apply(exact, i) if i else exact)(0.0)
+                _require(abs(given - value) <= 1e-12 * max(1.0, abs(value)),
+                         f"ics[{i}] = {given!r} contradicts mms_exact, whose derivative "
+                         f"of order {i} at 0 is {value!r}")
         problem = FIDEProblem(n=self.n, a=self.a, order=self.alpha,
                               kernel=kernel, forcing=forcing, ics=self.ics,
                               kernel_s_power=self.kernel_s_power)

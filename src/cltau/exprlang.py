@@ -15,8 +15,8 @@ constants are pi and e, and the callable names are fixed (see _FUNCTIONS).
 Unknown names and wrong arities are rejected at parse time with an offset.
 
 evaluate binds t and s to floats or numpy arrays and computes each node
-with one numpy ufunc over all points (gamma, which numpy lacks, maps the
-scalar routine over the entries).  A node that yields inf or nan from
+with one numpy ufunc over all points (gamma, which numpy lacks, maps
+math.gamma over the entries).  A node that yields inf or nan from
 finite operands, overflow included, raises EvalError naming it.
 evaluate, to_source and free_variables are one walk, _fold, each with its
 own leaf and combine steps.
@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-
-from .fracderiv import gamma
 
 __all__ = [
     "Number",
@@ -56,13 +54,17 @@ _FUNCTIONS = {
     "cos": (1, np.cos),
     "tan": (1, np.tan),
     "abs": (1, np.abs),
-    # numpy has no gamma ufunc; the scalar routine raises at poles.
-    "gamma": (1, np.vectorize(gamma, otypes=[float])),
+    # numpy has no gamma ufunc; math.gamma raises at poles and on overflow.
+    "gamma": (1, np.vectorize(math.gamma, otypes=[float])),
     "pow": (2, np.power),
 }
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+# How tightly each operator binds, for the parser and the printer alike;
+# unary minus binds at _UNARY, a number, name or call at _ATOM.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_UNARY, _ATOM = 3, 5
 # Nesting bound for parentheses, unary minus, '^', and call arguments.
-# Each level costs about four Python frames during parsing, so 100 keeps a
+# Each level costs about five Python frames during parsing, so 100 keeps a
 # wide margin under the interpreter's recursion limit; operator chains are
 # parsed iteratively and do not count against it.
 _MAX_DEPTH = 100
@@ -189,22 +191,17 @@ class _Parser:
     def leave(self):
         self.depth -= 1
 
-    def parse_expr(self) -> Expression:
-        # Chains of +/- are parsed iteratively, so only genuine nesting
-        # (parentheses, unary minus, '^', call arguments) costs depth;
-        # the counting happens in parse_factor, which every nesting path
-        # re-enters.
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
+    def parse_expr(self, level: int = 1) -> Expression:
+        # One left-associative chain per binding level below _UNARY (+ -,
+        # then * /), parsed iteratively, so only genuine nesting
+        # (parentheses, unary minus, '^', call arguments) costs depth; the
+        # counting happens in parse_factor, which every nesting path re-enters.
+        if level == _UNARY:
+            return self.parse_factor()
+        node = self.parse_expr(level + 1)
+        while _BINDING.get(self.peek().kind) == level:
             op = self.advance().kind
-            node = Binary(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Expression:
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = Binary(op, node, self.parse_factor())
+            node = Binary(op, node, self.parse_expr(level + 1))
         return node
 
     def parse_factor(self) -> Expression:
@@ -309,25 +306,14 @@ def _fold(node: Expression, leaf, combine):
     return values[0]
 
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_UNARY = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
 def _precedence(node: Expression) -> int:
     if isinstance(node, Binary):
-        if node.op in ("+", "-"):
-            return _PREC_ADD
-        if node.op in ("*", "/"):
-            return _PREC_MUL
-        return _PREC_POW
+        return _BINDING[node.op]
     # A negative literal prints with a leading '-', so it binds as unary minus.
     if isinstance(node, Unary) or (isinstance(node, Number)
                                    and math.copysign(1.0, node.value) < 0):
-        return _PREC_UNARY
-    return _PREC_ATOM
+        return _UNARY
+    return _ATOM
 
 
 def _fence(source: str, node: Expression, minimum: int) -> str:
@@ -336,18 +322,15 @@ def _fence(source: str, node: Expression, minimum: int) -> str:
 
 def _print_node(item: Unary | Binary | Call, parts: list[str]) -> str:
     if isinstance(item, Unary):
-        return "-" + _fence(parts[0], item.operand, _PREC_UNARY)
+        return "-" + _fence(parts[0], item.operand, _UNARY)
     if isinstance(item, Call):
         return item.func + "(" + ", ".join(parts) + ")"
-    left, right = parts
-    if item.op in ("+", "-"):
-        return (_fence(left, item.left, _PREC_ADD)
-                + f" {item.op} " + _fence(right, item.right, _PREC_ADD + 1))
-    if item.op in ("*", "/"):
-        return (_fence(left, item.left, _PREC_MUL)
-                + item.op + _fence(right, item.right, _PREC_MUL + 1))
-    # '^' is right-associative: strict on the left, loose on the right.
-    return _fence(left, item.left, _PREC_POW + 1) + "^" + _fence(right, item.right, _PREC_POW)
+    level = _BINDING[item.op]
+    # '^' is right-associative: strict on the left, loose on the right; the
+    # others the other way round.  Only + and - are printed with spaces.
+    left, right = (level + 1, level) if item.op == "^" else (level, level + 1)
+    op = f" {item.op} " if level == 1 else item.op
+    return _fence(parts[0], item.left, left) + op + _fence(parts[1], item.right, right)
 
 
 def to_source(node: Expression) -> str:

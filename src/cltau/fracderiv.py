@@ -2,9 +2,10 @@
 operational matrix.
 
 The power rule is exact: D^a x^b = Gamma(b+1)/Gamma(b-a+1) x^{b-a}, with
-integer powers below m = ceil(a) annihilated.  caputo_legendre_factors
-evaluates D^a of each shifted Legendre polynomial itself, un-truncated, as
-x^(m-a) times a polynomial.  The operational matrix projects D^a applied to
+integer powers below m = ceil(a) annihilated.  _caputo_basis evaluates D^a
+of each trial function of the solver, un-truncated, as x^(m-a) times a
+polynomial; caputo_legendre_factors is its case of the shifted Legendre
+polynomials themselves.  The operational matrix projects D^a applied to
 each shifted Legendre polynomial back onto the basis, in float64 and
 without monomial expansions: integer orders are powers of the exact
 integer first-derivative matrix, and fractional orders integrate those
@@ -23,7 +24,6 @@ from .orthopoly import (MonomialSeries, _check_domain, _check_integer, _jacobi_t
 from .quadrature import jacobi_gauss_rule
 
 __all__ = [
-    "gamma",
     "CaputoOrder",
     "caputo_power_rule",
     "caputo_apply",
@@ -31,21 +31,6 @@ __all__ = [
     "OperationalMatrix",
     "operational_matrix",
 ]
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real arguments (poles at 0, -1, -2, ... rejected).
-
-    Relative error is below 1e-13 on (0, 40], which is the budget the
-    fractional calculus here needs; the expression evaluator shares this
-    routine.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"gamma argument must be finite, got {x!r}")
-    if x <= 0 and x == int(x):
-        raise ValueError(f"gamma pole at non-positive integer {x!r}")
-    return math.gamma(x)
 
 
 @dataclass(frozen=True)
@@ -87,7 +72,15 @@ def caputo_power_rule(beta: float, order) -> tuple[float, float]:
         raise ValueError(
             f"non-integer exponent {beta!r} must exceed m - 1 = {order.m - 1} "
             f"for Caputo order {order.alpha!r}")
-    return (gamma(beta + 1.0) / gamma(beta - order.alpha + 1.0), beta - order.alpha)
+    try:
+        coeff = math.gamma(beta + 1.0) / math.gamma(beta - order.alpha + 1.0)
+    except OverflowError:  # a Gamma factor past the float range (beta > 170): take logs
+        log_coeff = math.lgamma(beta + 1.0) - math.lgamma(beta - order.alpha + 1.0)
+        coeff = math.exp(log_coeff) if log_coeff < 709.78 else math.inf  # e^709.78 < 2^1024
+    if math.isinf(coeff):
+        raise ValueError(f"the Caputo coefficient of x^{beta!r} at order {order.alpha!r} "
+                         "is beyond the float range")
+    return (coeff, beta - order.alpha)
 
 
 def caputo_apply(series: MonomialSeries, order) -> MonomialSeries:
@@ -116,17 +109,32 @@ def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
     """Polynomial factors g_0..g_n of D^alpha L_{1,j}(x) = x^(m-alpha) g_j(x).
 
     Row j holds g_j at the points x in [0, 1]; g_j has degree j - m and
-    vanishes for j < m.  D^alpha = I^(m-alpha) D^m: the m-th derivative is
-    expanded in L_{1,k} by the integer matrix of _legendre_derivative_coeffs,
-    and the Riemann-Liouville integral of order mu = m - alpha maps
-    L_{1,k} to k!/Gamma(k+mu+1) x^mu P_k^(-mu,mu)(2x-1), the scaled Jacobi
-    table of orthopoly._jacobi_table (x^mu times row k).  Nothing is
-    expanded in monomials, so the values stay accurate at high degree.
+    vanishes for j < m.  This is the n = 0 case of _caputo_basis:
+    D^alpha = I^(m-alpha) D^m, the m-th derivative expanded in L_{1,k} by
+    an integer matrix and I^(m-alpha) applied to each L_{1,k} in closed form.
     """
     order = _as_order(order)
     n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
-    return np.tensordot(_legendre_derivative_coeffs(n, order.m),
-                        _jacobi_table(order.m - order.alpha, n, _check_domain(x)), axes=1)
+    return _caputo_basis(order, 0, n, _check_domain(x))
+
+
+def _caputo_basis(order: CaputoOrder, n: int, degree: int, x: np.ndarray) -> np.ndarray:
+    """Row j: g_j at the points x, where D^alpha u_j = x^(m-alpha) g_j for the
+    trial functions of y = p + I^n v: u_j = x^l/l! for l = m..n-1, then
+    I^n L_{1,j} for j = 0..degree.  D^alpha x^l/l! is x^(m-alpha)
+    x^(l-m)/Gamma(l-alpha+1), and with lift = max(m - n, 0),
+    D^alpha I^n L_{1,j} = I^mu D^lift L_{1,j}, mu = lift + n - alpha: the
+    integer matrix of _legendre_derivative_coeffs, then x^mu times the rows
+    of orthopoly._jacobi_table.  Nothing is expanded in monomials, so the
+    values stay accurate at high degree."""
+    m, alpha = order.m, order.alpha
+    lift = max(m - n, 0)
+    factors = _jacobi_table(lift + n - alpha, degree, x)
+    if lift:
+        factors = np.tensordot(_legendre_derivative_coeffs(degree, lift), factors, axes=1)
+    taylor = np.reshape([x ** (l - m) / math.gamma(l - alpha + 1.0) for l in range(m, n)],
+                        (-1,) + x.shape)
+    return np.concatenate((taylor, factors * x ** (n + lift - m)))
 
 
 @dataclass(frozen=True)

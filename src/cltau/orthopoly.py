@@ -1,8 +1,10 @@
 """Shifted Legendre polynomials on [0, 1].
 
-L_{1,k}(x) = P_k(2x - 1), tabulated as the mu = 0 case of one stable
-scaled Jacobi recurrence (_jacobi_table).  MonomialSeries carries finite
-sums of real powers of x, which the fractional calculus needs explicitly.
+L_{1,k}(x) = P_k(2x - 1) is the mu = 0 case of one stable scaled Jacobi
+recurrence, _jacobi_rows, written once: every basis table fills its rows
+from it, and LegendreSeries sums its coefficients against them as they
+arrive.  MonomialSeries carries finite sums of real powers of x, which the
+fractional calculus needs explicitly.
 """
 
 import math
@@ -14,7 +16,6 @@ __all__ = [
     "LegendreSeries",
     "MonomialSeries",
     "shifted_legendre_table",
-    "eval_series",
 ]
 
 
@@ -37,18 +38,28 @@ def _check_integer(value, minimum: int, message: str) -> int:
     return int(value)
 
 
-def _jacobi_table(mu: float, n: int, x) -> np.ndarray:
-    """Row k: k!/Gamma(k+mu+1) P_k^(-mu,mu)(2x-1) for mu >= 0, so that I^mu
-    L_{1,k} is x^mu times row k; mu = 0 gives L_{1,k} itself.  From the Jacobi
-    recurrence k P_k = (2k-1) t P_{k-1} - ((k-1)^2 - mu^2)/(k-1) P_{k-2} with
-    the scale folded in."""
+def _jacobi_rows(mu: float, n: int, x):
+    """Rows k = 0..n, one at a time, of k!/Gamma(k+mu+1) P_k^(-mu,mu)(2x-1)
+    for mu >= 0, so that I^mu L_{1,k} is x^mu times row k; mu = 0 gives
+    L_{1,k} itself.  From the Jacobi recurrence k P_k = (2k-1) t P_{k-1} -
+    ((k-1)^2 - mu^2)/(k-1) P_{k-2} with the scale folded in."""
     t = 2.0 * np.asarray(x, dtype=float) - 1.0
-    table = np.empty((n + 1,) + t.shape)
-    table[0] = 1.0 / math.gamma(mu + 1.0)
+    previous, row = None, np.full(t.shape, 1.0 / math.gamma(mu + 1.0))
+    yield row
     if n >= 1:
-        table[1] = (t - mu) / math.gamma(mu + 2.0)
+        previous, row = row, (t - mu) / math.gamma(mu + 2.0)
+        yield row
     for k in range(2, n + 1):
-        table[k] = ((2 * k - 1) * t * table[k - 1] - (k - 1 - mu) * table[k - 2]) / (k + mu)
+        previous, row = row, ((2 * k - 1) * t * row - (k - 1 - mu) * previous) / (k + mu)
+        yield row
+
+
+def _jacobi_table(mu: float, n: int, x) -> np.ndarray:
+    """The rows of _jacobi_rows as one (n + 1, *x.shape) array."""
+    x = np.asarray(x, dtype=float)
+    table = np.empty((n + 1,) + x.shape)
+    for k, row in enumerate(_jacobi_rows(mu, n, x)):
+        table[k] = row
     return table
 
 
@@ -114,21 +125,7 @@ class LegendreSeries:
         return self.coeffs.size - 1
 
     def __call__(self, x):
-        return eval_series(self, x)
-
-
-def _clenshaw_legendre(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    n = coeffs.size - 1
-    b1 = np.zeros(t.shape)
-    b2 = np.zeros(t.shape)
-    for k in range(n, -1, -1):
-        b1, b2 = coeffs[k] + (2 * k + 1) / (k + 1) * t * b1 - (k + 1) / (k + 2) * b2, b1
-    return b1
-
-
-def eval_series(series, x):
-    """Evaluate a LegendreSeries by Clenshaw recursion."""
-    if not isinstance(series, LegendreSeries):
-        raise TypeError(f"expected LegendreSeries, got {type(series).__name__}")
-    out = _clenshaw_legendre(series.coeffs, 2.0 * _check_domain(x) - 1.0)
-    return float(out) if out.ndim == 0 else out
+        # Summed as _jacobi_rows yields each row: no (degree + 1) x points table.
+        out = sum(c * row for c, row in zip(self.coeffs, _jacobi_rows(0.0, self.degree,
+                                                                       _check_domain(x))))
+        return float(out) if np.ndim(out) == 0 else out

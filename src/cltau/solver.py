@@ -11,13 +11,13 @@ rows for the initial values; for alpha <= n the matrix is a_n I plus compact
 terms, so its condition does not grow with N.  The forcing is sampled at
 Chebyshev-Gauss points, and one cached map of cltransform gives the Legendre
 projections of its interpolant.  The kernel term integrates k against the
-exact D^alpha of I^n L_{1,j} and t^l/l! by an (N + 16)-point Jacobi-Gauss
-rule that absorbs the s^(ceil(alpha) - alpha) factor and an (N + 16)-point
-Legendre-Gauss rule, exact for kernels polynomial in v = s^(1/p) (p the
-kernel_s_power) of degree <= 2 (N + 16) - 1 - p (N - ceil(alpha)); see
-_kernel_rows.  The system at N is the leading block of the one at any larger
-truncation, up to quadrature, so convergence_study assembles once, at its
-largest N (_nested_systems).
+exact D^alpha of t^l/l! and I^n L_{1,j} (fracderiv._caputo_basis) by an
+(N + 16)-point Jacobi-Gauss rule that absorbs the s^(ceil(alpha) - alpha)
+factor and an (N + 16)-point Legendre-Gauss rule, exact for kernels
+polynomial in v = s^(1/p) (p the kernel_s_power) of degree
+<= 2 (N + 16) - 1 - p (N - ceil(alpha)); see _kernel_rows.  The system at N
+is the leading block of the one at any larger truncation, up to quadrature,
+so convergence_study assembles once, at its largest N (_nested_systems).
 
 The system is solved by one LAPACK gesv through numpy.linalg.solve (LU with
 partial pivoting) behind two gates: every LU pivot must reach 1e-14 times the
@@ -41,10 +41,8 @@ import numpy as np
 
 from .cltransform import (_KERNEL_EXTRA_POINTS, _TABLE_CACHE, _legendre_projection,
                           _nested_projections, _real_samples, chebyshev_interpolate)
-from .fracderiv import (CaputoOrder, _as_order, _legendre_derivative_coeffs, caputo_apply,
-                        gamma, operational_matrix)
-from .orthopoly import (LegendreSeries, MonomialSeries, _check_integer, _jacobi_table,
-                        shifted_legendre_table)
+from .fracderiv import CaputoOrder, _as_order, _caputo_basis, caputo_apply, operational_matrix
+from .orthopoly import LegendreSeries, MonomialSeries, _check_integer, shifted_legendre_table
 from .quadrature import jacobi_gauss_rule, legendre_gauss_rule
 
 __all__ = [
@@ -233,26 +231,16 @@ def _kernel_grid(kernel: Callable, x: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _caputo_quadrature(alpha: float, s_power: int, truncation: int,
                        n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s_q and table[j, q] with sum_q h(s_q) table[j, q] = integral_0^1
-    h(s) D^alpha u_j(s) ds: u_j = t^l/l! for l = m..n-1 (m = ceil(alpha)),
-    then u_j = I^n L_{1,j} for j = 0..truncation - n (D^alpha L_{1,j} if n = 0).
-
-    With lift = max(m - n, 0), D^alpha I^n L_{1,j} = I^mu D^lift L_{1,j} is
-    s^(m - alpha) s^(n + lift - m) times D^lift of the rows of
-    orthopoly._jacobi_table(mu = lift + n - alpha), and D^alpha t^l/l! is
-    s^(m - alpha) s^(l - m) / Gamma(l - alpha + 1).  So the table is the
-    weights of the (truncation + 16)-point _singular_rule for phi = m - alpha
-    times polynomials of degree <= truncation - m: exact whenever
-    h(v**s_power) is polynomial in v = s**(1/s_power) of degree
+    h(s) D^alpha u_j(s) ds for the trial functions u_j of
+    fracderiv._caputo_basis(order, n, truncation - n): its factors times the
+    weights of the (truncation + 16)-point _singular_rule for
+    phi = m - alpha (m = ceil(alpha)).  Exact whenever h(v**s_power) is
+    polynomial in v = s**(1/s_power) of degree
     <= 2 (truncation + 16) - 1 - s_power (truncation - m).
     """
-    m = CaputoOrder(alpha).m
-    lift = max(m - n, 0)
-    s, weights = _singular_rule(truncation + _KERNEL_EXTRA_POINTS, m - alpha, s_power)
-    factors = _jacobi_table(lift + n - alpha, truncation - n, s)
-    if lift:
-        factors = np.tensordot(_legendre_derivative_coeffs(truncation - n, lift), factors, axes=1)
-    taylor = np.reshape([s ** (l - m) / gamma(l - alpha + 1.0) for l in range(m, n)], (-1, s.size))
-    table = np.concatenate((taylor, factors * s ** (n + lift - m))) * weights
+    order = CaputoOrder(alpha)
+    s, weights = _singular_rule(truncation + _KERNEL_EXTRA_POINTS, order.m - alpha, s_power)
+    table = _caputo_basis(order, n, truncation - n, s) * weights
     table.flags.writeable = False
     return s, table
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from cltau.cli import ProblemConfig, main
-from cltau.solver import builtin_example, error_norms, example_config, solve_fide
+from cltau.solver import (builtin_example, builtin_example_ids, error_norms, example_config,
+                          solve_fide)
 
 # ------------------------------------------------------------------ helpers
 
@@ -164,6 +165,39 @@ def test_config_build_passes_kernel_s_power_to_the_forcing():
     t = np.linspace(0.0, 1.0, 11)
     closed = 8.0 + 36.0 * t + (9.0 - 8.0 / math.sqrt(math.pi)) * t ** 2
     assert np.max(np.abs(problem.forcing(t) - closed)) <= 1e-12
+
+
+def test_mms_config_is_checked_against_its_initial_values(capsys, tmp_path):
+    # y = t^2 has y(0) = 0; with ics [5] the solver would report an l2 error
+    # of 5 and a stagnated sweep for a problem it solves exactly.
+    bad = dict(_MMS_CONFIG, alpha=0.5, kernel="t*s", mms_exact=[[1, 2]], ics=[5.0])
+    path = _write_config(tmp_path, bad)
+    for command in (["solve", "--N", "8"], ["convergence", "--N-sweep", "4:16:4"]):
+        code, stdout, stderr = _run(capsys, [*command, "--config", path])
+        assert (code, stdout) == (2, "")
+        assert "ics[0] = 5.0 contradicts mms_exact" in stderr and "is 0.0" in stderr
+    # Derivatives are checked too: y'' of t e^t is 2 at 0.
+    config = example_config("5.4")
+    config["ics"][2] = 2.5
+    with pytest.raises(ValueError, match=r"ics\[2\] = 2.5 .* order 2 at 0 is 2.0"):
+        ProblemConfig.from_dict(config).build()
+    for example_id in builtin_example_ids():
+        for variant in ("printed", "corrected"):
+            ProblemConfig.from_dict(example_config(example_id, variant)).build()
+
+
+def test_solve_survives_an_overflowing_gamma_factor(capsys, tmp_path):
+    # D^(1/2) t^200 has the finite coefficient Gamma(201)/Gamma(200.5) = 14.15,
+    # though Gamma(201) alone overflows; a coefficient past the float range
+    # (t^171.5 at order 171.4) is a configuration error, exit 2.
+    big = dict(_MMS_CONFIG, alpha=0.5, kernel="t*s", mms_exact=[[1, 200]])
+    code, stdout, _ = _run(capsys, ["solve", "--config", _write_config(tmp_path, big), "--N", "16"])
+    assert code == 0 and json.loads(stdout)["N"] == 16
+    huge = dict(big, alpha=171.4, mms_exact=[[1, 171.5]])
+    code, stdout, stderr = _run(capsys, ["solve", "--config", _write_config(tmp_path, huge),
+                                         "--N", "16"])
+    assert (code, stdout) == (2, "")
+    assert "x^171.5 at order 171.4 is beyond the float range" in stderr
 
 
 def test_solve_forcing_config_has_no_error_report(capsys, tmp_path):

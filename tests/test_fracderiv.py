@@ -11,6 +11,7 @@ double sum the package used to build with, and the single-sum closed forms)
 live only in the tests."""
 
 import math
+from math import gamma
 
 import mpmath
 import numpy as np
@@ -23,23 +24,12 @@ from cltau.fracderiv import (
     caputo_apply,
     caputo_legendre_factors,
     caputo_power_rule,
-    gamma,
     operational_matrix,
 )
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-def test_gamma_against_mpmath():
-    mpmath.mp.dps = 40
-    xs = np.concatenate([np.linspace(0.05, 2.0, 40), np.linspace(2.0, 40.0, 77)])
-    for x in xs:
-        expected = float(mpmath.gamma(mpmath.mpf(float(x))))
-        assert abs(gamma(float(x)) - expected) <= 1e-13 * abs(expected), f"x={x}"
-    assert gamma(0.5) == pytest.approx(_SQRT_PI, rel=1e-15)
-    assert gamma(5.0) == 24.0
 
 
 def test_caputo_order_normalization():
@@ -88,6 +78,20 @@ def test_power_rule_annihilation_and_domain():
         caputo_power_rule(0.5, 1.5)
     with pytest.raises(ValueError):
         caputo_power_rule(-0.5, 0.5)
+
+
+def test_power_rule_past_the_gamma_overflow():
+    # Gamma(beta + 1) overflows for beta > 170, but the coefficient of
+    # D^(1/2) x^beta, Gamma(beta + 1)/Gamma(beta + 1/2), is near sqrt(beta).
+    for beta in (171.0, 200.0, 500.0, 1000.0):
+        coeff, expo = caputo_power_rule(beta, 0.5)
+        with mpmath.workdps(30):
+            expected = float(mpmath.gamma(beta + 1) / mpmath.gamma(beta + 0.5))
+        assert abs(coeff - expected) <= 1e-12 * expected, beta
+        assert expo == beta - 0.5
+    # A coefficient past the float range itself is an error naming the exponent.
+    with pytest.raises(ValueError, match=r"x\^171\.5 .* beyond the float range"):
+        caputo_power_rule(171.5, 171.4)
 
 
 def test_caputo_apply_drops_annihilated_terms():

@@ -8,11 +8,12 @@ polynomial in monomials and never tabulates T_{1,k}."""
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import numpy as np
 import pytest
 
 from cltau.fracderiv import caputo_legendre_factors
-from cltau.orthopoly import LegendreSeries, MonomialSeries, eval_series, shifted_legendre_table
+from cltau.orthopoly import LegendreSeries, MonomialSeries, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
 
 # Hand-expanded shifted polynomials on [0, 1] (degree: monomial coefficients,
@@ -173,9 +174,29 @@ def test_series_evaluation_matches_explicit_sum():
     leg = LegendreSeries(coeffs)
     assert np.allclose(leg(x), coeffs @ leg_table, rtol=1e-13, atol=1e-13)
     # scalar in, scalar out
-    assert isinstance(eval_series(leg, 0.3), float)
-    with pytest.raises(TypeError, match="expected LegendreSeries"):
-        eval_series(MonomialSeries(((1.0, 1.0),)), 0.3)
+    assert isinstance(leg(0.3), float)
+
+
+def test_series_evaluation_is_accurate_at_degree_256():
+    # Reference: the three-term recurrence in 40-digit arithmetic.  Summing
+    # the recurrence rows gives at most 1.4e-15 * sum |c_k| on these inputs;
+    # a Clenshaw recursion gives 5.2e-14 on the all-ones profile.
+    degree, rng = 256, np.random.default_rng(11)
+    x = np.concatenate((np.linspace(0.0, 1.0, 41), [1e-3, 1.0 - 1e-3]))
+    profiles = (rng.uniform(-1.0, 1.0, degree + 1), np.ones(degree + 1),
+                rng.choice([-1.0, 1.0], degree + 1) / np.arange(1.0, degree + 2.0) ** 2)
+    with mpmath.workdps(40):
+        reference = np.empty((degree + 1, x.size), dtype=object)
+        for q, xq in enumerate(x):
+            t = 2 * mpmath.mpf(float(xq)) - 1
+            reference[0, q], reference[1, q] = mpmath.mpf(1), t
+            for k in range(2, degree + 1):
+                reference[k, q] = ((2 * k - 1) * t * reference[k - 1, q]
+                                   - (k - 1) * reference[k - 2, q]) / k
+        for coeffs in profiles:
+            exact = np.array([float(v) for v in [mpmath.mpf(float(c)) for c in coeffs] @ reference])
+            error = np.max(np.abs(LegendreSeries(coeffs)(x) - exact))
+            assert error <= 5e-15 * np.abs(coeffs).sum()
 
 
 def test_monomial_series_fractional_exponents():
@@ -230,7 +251,7 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         shifted_legendre_table(4, np.array([-0.1]))
     with pytest.raises(ValueError):
-        eval_series(LegendreSeries([1.0, 2.0]), np.array([1.1]))
+        LegendreSeries([1.0, 2.0])(np.array([1.1]))
     with pytest.raises(ValueError):
         shifted_legendre_table(-1, np.array([0.5]))
     for bad in (np.nan, np.inf, -np.inf):

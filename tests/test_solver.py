@@ -7,6 +7,7 @@ reference, including both ways the pivot gate is decided."""
 import math
 import sys
 from dataclasses import dataclass, replace
+from math import gamma
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from test_orthopoly import monomial_form_legendre
 
 from cltau import cli, cltransform, exprlang, fracderiv, orthopoly, solver
 from cltau.cltransform import chebyshev_interpolate
-from cltau.fracderiv import (CaputoOrder, caputo_apply, caputo_legendre_factors, gamma,
+from cltau.fracderiv import (CaputoOrder, caputo_apply, caputo_legendre_factors,
                              operational_matrix)
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
@@ -665,15 +666,15 @@ def test_convergence_study_evaluates_each_solution_once(monkeypatch):
     # One sweep samples `exact` once on the 128 + 101 points of the error
     # grid and builds one Legendre table there, of the largest degree; each
     # truncation's series is its coefficients times the leading rows of that
-    # table, with no Clenshaw pass per truncation.
+    # table, with no LegendreSeries evaluation per truncation.
     exact_sizes, table_sizes, series_sizes = [], [], []
     ex = builtin_example("5.4")
-    table, series = orthopoly.shifted_legendre_table, orthopoly.eval_series
+    table, series = orthopoly.shifted_legendre_table, orthopoly.LegendreSeries.__call__
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("cltau") and hasattr(module, "shifted_legendre_table"):
             monkeypatch.setattr(module, "shifted_legendre_table",
                                 lambda n, x: table_sizes.append((n, np.size(x))) or table(n, x))
-    monkeypatch.setattr(orthopoly, "eval_series",
+    monkeypatch.setattr(orthopoly.LegendreSeries, "__call__",
                         lambda s, x: series_sizes.append(np.size(x)) or series(s, x))
     report = convergence_study(ex.problem, lambda t: exact_sizes.append(np.size(t)) or ex.exact(t),
                                [4, 8, 12, 16])
