@@ -84,8 +84,6 @@ def _dumps_json(value) -> str:
         return "[" + ", ".join(_dumps_json(v) for v in value) + "]"
     if isinstance(value, str):
         return json.dumps(value)
-    if value is None:
-        return "null"
     return _format_number(value)
 
 

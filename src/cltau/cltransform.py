@@ -9,15 +9,22 @@ _barycentric_matrix, at the nodes of the (n + 16)-point shifted
 Legendre-Gauss rule that also projects the kernel term, and integrated
 against L_{1,k} there; (I_n f) L_{1,k} has degree <= 2n, so the rule is
 exact.  That rule, its weighted Legendre table and the
-sampling-to-projection map depend on n alone and share one cache,
+sampling-to-projection map depend on n alone and are one entry,
 _legendre_projection, which the solver's kernel term reads too.  The rule
 of any larger n' is exact as well, so a convergence sweep projects the
 interpolants of all its truncations on the rule of its largest one, from
 one call of f on the nodes of every truncation below it
 (_nested_projections).
+
+Every table the package reuses, here and in the solver, is kept in one
+store: _stored wraps each builder, keys its tables on (builder, arguments),
+makes them read-only and evicts the least recently used ones past a budget
+in bytes.
 """
 
-from functools import lru_cache
+import functools
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -28,13 +35,52 @@ __all__ = [
     "chebyshev_interpolate",
 ]
 
-_TABLE_CACHE = 128
 _KERNEL_EXTRA_POINTS = 16
+# Byte budget of the table store.  Every entry counts as at least 1/512 of
+# it, so the store never holds more than 512 entries.
+_TABLE_BYTES = 256 << 20
+
+_tables = OrderedDict()  # (builder, args) -> (tables, bytes charged), oldest use first
+_tables_lock = threading.Lock()
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
+def _stored(builder):
+    """builder, with the tuple of arrays it returns kept in the one table
+    store, read-only, keyed on (builder, positional arguments).
+
+    A hit moves its entry to the recent end.  A miss builds outside the
+    lock (a builder may look up another one), then evicts from the least
+    recently used end until the charged bytes fit _TABLE_BYTES.  An entry
+    larger than the whole budget is returned and not kept.  Two threads
+    that miss one key may both build it; the first insert is kept.
+    """
+    @functools.wraps(builder)
+    def lookup(*args):
+        key = (builder, args)
+        with _tables_lock:
+            entry = _tables.get(key)
+            if entry is not None:
+                _tables.move_to_end(key)
+                return entry[0]
+        tables = builder(*args)
+        for array in tables:
+            array.flags.writeable = False
+        charge = max(sum(array.nbytes for array in tables), _TABLE_BYTES // 512)
+        if charge > _TABLE_BYTES:
+            return tables
+        with _tables_lock:
+            entry = _tables.setdefault(key, (tables, charge))
+            _tables.move_to_end(key)
+            held = sum(size for _, size in _tables.values())
+            while held > _TABLE_BYTES:
+                held -= _tables.popitem(last=False)[1][1]
+        return entry[0]
+    return lookup
+
+
+@_stored
 def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
-    """The per-n tables of the projection onto degrees 0..n; cached, read-only.
+    """The per-n tables of the projection onto degrees 0..n; stored.
 
     Returns the nodes x of the (n + 16)-point shifted Legendre-Gauss rule,
     the weighted table w_x L_{1,r}(x) (indexed [x, r]), the scale 2r + 1,
@@ -48,10 +94,7 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
     scale = 2.0 * np.arange(n + 1) + 1.0
     nodes, weights, _ = _chebyshev_nodes((n,))
     matrix = weighted.T @ _barycentric_matrix(x, nodes, weights)
-    tables = (x, weighted, scale, nodes, matrix)
-    for array in tables:
-        array.flags.writeable = False
-    return tables
+    return x, weighted, scale, nodes, matrix
 
 
 def _chebyshev_nodes(ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,8 +155,8 @@ def chebyshev_interpolate(f, n: int) -> np.ndarray:
     that does not depend on its argument (a constant) is broadcast to the
     nodes.  The solver interpolates its forcing here, so complex or
     non-finite samples raise ValueError naming f the forcing.  The nodes
-    and the sampling-to-projection map depend only on n and come from a
-    bounded cache, so a repeated call evaluates only f and one
+    and the sampling-to-projection map depend only on n and come from the
+    table store, so a repeated call evaluates only f and one
     matrix-vector product.
     """
     *_, nodes, matrix = _legendre_projection(

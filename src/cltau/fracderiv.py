@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .orthopoly import (MonomialSeries, _check_domain, _check_integer, _jacobi_table,
-                        shifted_legendre_table)
+                        _over_gamma, shifted_legendre_table)
 from .quadrature import jacobi_gauss_rule
 
 __all__ = [
@@ -132,7 +132,7 @@ def _caputo_basis(order: CaputoOrder, n: int, degree: int, x: np.ndarray) -> np.
     factors = _jacobi_table(lift + n - alpha, degree, x)
     if lift:
         factors = np.tensordot(_legendre_derivative_coeffs(degree, lift), factors, axes=1)
-    taylor = np.reshape([x ** (l - m) / math.gamma(l - alpha + 1.0) for l in range(m, n)],
+    taylor = np.reshape([_over_gamma(x ** (l - m), l - alpha + 1.0) for l in range(m, n)],
                         (-1,) + x.shape)
     return np.concatenate((taylor, factors * x ** (n + lift - m)))
 
@@ -161,7 +161,7 @@ def operational_matrix(order, n: int) -> OperationalMatrix:
     order 0 is the identity by convention.  The projection does not depend
     on n, so the matrix for a smaller n is the leading block of the one for
     a larger n: bit for bit at integer orders, to rounding at fractional
-    ones.  Built afresh on every call; the solver caches the tables it
+    ones.  Built afresh on every call; the solver stores the tables it
     derives from it.
 
     Integer alpha = m: the m-th power of the first-derivative matrix of

@@ -31,11 +31,20 @@ def _check_integer(value, minimum: int, message: str) -> int:
     """value as a Python int: an int or numpy integer, never a bool, >= minimum.
 
     The one rule for every size, degree and order the package takes.  Run it
-    before any lru_cache lookup: the cache treats True and 1 as one key.
+    before any table store lookup: the store treats True and 1 as one key.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{message}, got {value!r}")
     return int(value)
+
+
+def _over_gamma(value, z: float):
+    """value / Gamma(z); where Gamma(z) is past the float range (z > 171.6),
+    value * exp(-lgamma(z)), which underflows towards 0."""
+    try:
+        return value / math.gamma(z)
+    except OverflowError:
+        return value * math.exp(-math.lgamma(z))
 
 
 def _jacobi_rows(mu: float, n: int, x):
@@ -44,10 +53,10 @@ def _jacobi_rows(mu: float, n: int, x):
     L_{1,k} itself.  From the Jacobi recurrence k P_k = (2k-1) t P_{k-1} -
     ((k-1)^2 - mu^2)/(k-1) P_{k-2} with the scale folded in."""
     t = 2.0 * np.asarray(x, dtype=float) - 1.0
-    previous, row = None, np.full(t.shape, 1.0 / math.gamma(mu + 1.0))
+    previous, row = None, np.full(t.shape, _over_gamma(1.0, mu + 1.0))
     yield row
     if n >= 1:
-        previous, row = row, (t - mu) / math.gamma(mu + 2.0)
+        previous, row = row, _over_gamma(t - mu, mu + 2.0)
         yield row
     for k in range(2, n + 1):
         previous, row = row, ((2 * k - 1) * t * row - (k - 1 - mu) * previous) / (k + mu)

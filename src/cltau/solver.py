@@ -9,7 +9,7 @@ Legendre coefficients (Greengard, SIAM J. Numer. Anal. 28, 1991; Olver &
 Townsend, SIAM Rev. 55, 2013).  That is the classical tau solution, without
 rows for the initial values; for alpha <= n the matrix is a_n I plus compact
 terms, so its condition does not grow with N.  The forcing is sampled at
-Chebyshev-Gauss points, and one cached map of cltransform gives the Legendre
+Chebyshev-Gauss points, and one stored map of cltransform gives the Legendre
 projections of its interpolant.  The kernel term integrates k against the
 exact D^alpha of t^l/l! and I^n L_{1,j} (fracderiv._caputo_basis) by an
 (N + 16)-point Jacobi-Gauss rule that absorbs the s^(ceil(alpha) - alpha)
@@ -34,13 +34,12 @@ samples; anything else raises ValueError naming the function.
 import copy
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .cltransform import (_KERNEL_EXTRA_POINTS, _TABLE_CACHE, _legendre_projection,
-                          _nested_projections, _real_samples, chebyshev_interpolate)
+from .cltransform import (_KERNEL_EXTRA_POINTS, _legendre_projection, _nested_projections,
+                          _real_samples, _stored, chebyshev_interpolate)
 from .fracderiv import CaputoOrder, _as_order, _caputo_basis, caputo_apply, operational_matrix
 from .orthopoly import LegendreSeries, MonomialSeries, _check_integer, shifted_legendre_table
 from .quadrature import jacobi_gauss_rule, legendre_gauss_rule
@@ -205,21 +204,17 @@ def _check_order_n(n) -> int:
     return _check_integer(n, 1, "derivative order n must be an integer >= 1")
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
+@_stored
 def _singular_rule(points: int, phi: float, s_power: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s_q, weights w_q with sum_q w_q h(s_q) = integral_0^1 s^phi h(s) ds.
 
     Under s = v**s_power the integrand is s_power v^(s_power (phi + 1) - 1)
     h(v**s_power): the points-point Jacobi-Gauss rule in v for that weight
     is exact when h(v**s_power) is a polynomial of degree < 2 points.
-    Cached, read-only.
+    Stored.
     """
     rule = jacobi_gauss_rule(points - 1, s_power * (phi + 1.0) - 1.0)
-    s = rule.nodes ** s_power
-    weights = s_power * rule.weights
-    s.flags.writeable = False
-    weights.flags.writeable = False
-    return s, weights
+    return rule.nodes ** s_power, s_power * rule.weights
 
 
 def _kernel_grid(kernel: Callable, x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -227,7 +222,7 @@ def _kernel_grid(kernel: Callable, x: np.ndarray, s: np.ndarray) -> np.ndarray:
                          "on the quadrature grid")
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
+@_stored
 def _caputo_quadrature(alpha: float, s_power: int, truncation: int,
                        n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s_q and table[j, q] with sum_q h(s_q) table[j, q] = integral_0^1
@@ -240,9 +235,7 @@ def _caputo_quadrature(alpha: float, s_power: int, truncation: int,
     """
     order = CaputoOrder(alpha)
     s, weights = _singular_rule(truncation + _KERNEL_EXTRA_POINTS, order.m - alpha, s_power)
-    table = _caputo_basis(order, n, truncation - n, s) * weights
-    table.flags.writeable = False
-    return s, table
+    return s, _caputo_basis(order, n, truncation - n, s) * weights
 
 
 def _kernel_rows(kernel: Callable, order: CaputoOrder, truncation: int, s_power: int,
@@ -253,7 +246,7 @@ def _kernel_rows(kernel: Callable, order: CaputoOrder, truncation: int, s_power:
     (not its projection onto degree <= truncation) under the integral.
     Both rules have truncation + 16 points, the inner one the table of
     _caputo_quadrature, the outer one that of _legendre_projection; both are
-    cached, so a repeat evaluates only the kernel.  Exact for kernels
+    stored, so a repeat evaluates only the kernel.  Exact for kernels
     polynomial in x of degree <= truncation + 31 and in v = s**(1/s_power)
     of degree <= 2 (truncation + 16) - 1 - s_power (truncation - m).
     """
@@ -287,10 +280,10 @@ def _integrate(coeffs: np.ndarray) -> np.ndarray:
             - np.concatenate((half[1:], np.zeros_like(half[:1]))))
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
+@_stored
 def _integral_rows(a: tuple[float, ...], truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel-free tables of assemble_system, cached per (a, truncation),
-    read-only; n = len(a) - 1, M = truncation - n and k, j <= M:
+    """The kernel-free tables of assemble_system, stored per (a, truncation);
+    n = len(a) - 1, M = truncation - n and k, j <= M:
     classical[k, j] is the L_{1,k}-coefficient of sum_i a_i I^(n-i) L_{1,j},
     lower[k, l] that of sum_i a_i (t^l/l!)^(i), with t^l/l! = I^l L_{1,0}.
     Each I^q is _integrate applied q times to identity columns of degree
@@ -306,7 +299,6 @@ def _integral_rows(a: tuple[float, ...], truncation: int) -> tuple[np.ndarray, n
             classical += a[n - q] * current[:cols]
             lower[:, q:] += np.outer(current[:cols, 0], a[:n - q])
             current = _integrate(current)
-    classical.flags.writeable = lower.flags.writeable = False
     return classical, lower
 
 
@@ -315,7 +307,7 @@ def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, 
     k <= truncation - n, is the L_{1,k}-coefficient (not divided by 2k + 1) of
     sum_i a_i I^(n-i) v - K D^alpha I^n v = f - sum_i a_i p^(i) + K D^alpha p,
     K the kernel operator.  The forcing enters as (2k+1) f_k from
-    chebyshev_interpolate, the rest from the cached _integral_rows(a,
+    chebyshev_interpolate, the rest from the stored _integral_rows(a,
     truncation) and _kernel_rows, so a repeat evaluates only k and f.  It is
     the one-truncation case of _nested_systems.
     """
@@ -638,16 +630,13 @@ def _as_series(solution) -> LegendreSeries:
     raise TypeError(f"expected SpectralSolution or LegendreSeries, got {type(solution).__name__}")
 
 
-@lru_cache(maxsize=1)
+@_stored
 def _error_grid() -> tuple[np.ndarray, np.ndarray]:
     """The 128 shifted Legendre-Gauss nodes followed by the 101 equispaced
     points of [0, 1] (both endpoints included), and the Gauss weights;
-    cached, read-only."""
+    stored."""
     rule = legendre_gauss_rule(_ERROR_RULE_POINTS - 1)
-    grid = np.concatenate((rule.nodes, np.linspace(0.0, 1.0, _MAX_ERROR_POINTS)))
-    grid.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return grid, rule.weights
+    return np.concatenate((rule.nodes, np.linspace(0.0, 1.0, _MAX_ERROR_POINTS))), rule.weights
 
 
 def error_norms(solution, exact: Callable) -> tuple[float, float]:

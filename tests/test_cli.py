@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from test_solver import _perturb_the_solution
+
 from cltau.cli import ProblemConfig, main
 from cltau.solver import (builtin_example, builtin_example_ids, error_norms, example_config,
                           solve_fide)
@@ -138,6 +140,17 @@ def test_emit_config_round_trips_digest_and_coefficients(capsys, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_emit_config_keeps_the_configs_own_truncation_and_sweep(capsys, tmp_path):
+    config = dict(_FORCING_CONFIG, N=6, N_sweep={"from": 4, "to": 8, "step": 2})
+    emitted = tmp_path / "resolved.json"
+    code, _, _ = _run(capsys, ["solve", "--config", _write_config(tmp_path, config),
+                               "--emit-config", str(emitted)])
+    assert code == 0
+    resolved = json.loads(emitted.read_text(encoding="utf-8"))
+    assert (resolved["N"], resolved["N_sweep"]) == (6, {"from": 4, "to": 8, "step": 2})
+    assert ProblemConfig.from_dict(resolved) == ProblemConfig.from_dict(config)
+
+
 def test_solve_custom_mms_config_reports_small_error(capsys, tmp_path):
     path = _write_config(tmp_path, _MMS_CONFIG)
     code, stdout, stderr = _run(capsys, ["solve", "--config", path, "--N", "8"])
@@ -200,6 +213,19 @@ def test_solve_survives_an_overflowing_gamma_factor(capsys, tmp_path):
     assert "x^171.5 at order 171.4 is beyond the float range" in stderr
 
 
+@pytest.mark.parametrize("n", [171, 175])
+def test_solve_at_a_derivative_order_past_the_gamma_range(capsys, tmp_path, n):
+    # The trial functions t^l/l! and I^n L_j carry 1/Gamma(l - alpha + 1) and
+    # 1/Gamma(n - alpha + 2), and Gamma overflows past 171.6: those factors
+    # are then taken through lgamma, not raised as OverflowError.
+    config = {"n": n, "a": [0] * n + [1], "alpha": 0.5, "kernel": "t*s", "forcing": "1",
+              "ics": [0] * n}
+    code, stdout, stderr = _run(capsys, ["solve", "--config", _write_config(tmp_path, config),
+                                         "--N", str(n + 2)])
+    assert code == 0, stderr
+    assert json.loads(stdout)["N"] == n + 2
+
+
 def test_solve_forcing_config_has_no_error_report(capsys, tmp_path):
     path = _write_config(tmp_path, _FORCING_CONFIG)
     code, stdout, stderr = _run(capsys, ["solve", "--config", path, "--N", "6"])
@@ -256,6 +282,28 @@ def test_solve_singular_system_exits_three(capsys, tmp_path):
     code, _, stderr = _run(capsys, ["solve", "--config", path, "--N", "4"])
     assert code == 3
     assert stderr.startswith("solver error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--config", "{kernel}", "--N", "4"], "error: kernel does not parse: offset 2:"),
+    (["solve", "--config", "{forcing}", "--N", "4"], "error: forcing does not parse: offset 3:"),
+    (["solve", "--config", "{not_json}", "--N", "4"], "is not valid JSON"),
+    (["solve", "--N", "4"], "need exactly one of --config PATH or --example ID"),
+    (["solve", "--config", "{kernel}", "--example", "5.1", "--N", "4"],
+     "need exactly one of --config PATH or --example ID"),
+    (["convergence", "--example", "5.1", "--N-sweep", "4:x:4"],
+     "sweep must be three integers, got '4:x:4'"),
+    (["opmatrix", "--alpha", "0.5", "--N", "-1"], "must be a non-negative integer, got -1"),
+], ids=["kernel-parse", "forcing-parse", "not-json", "neither", "both", "sweep-integers",
+        "opmatrix-negative"])
+def test_malformed_invocation_is_config_error(capsys, tmp_path, argv, message):
+    paths = {"kernel": _write_config(tmp_path, dict(_FORCING_CONFIG, kernel="t**s"), "k.json"),
+             "forcing": _write_config(tmp_path, dict(_FORCING_CONFIG, forcing="1 +"), "f.json"),
+             "not_json": str(tmp_path / "broken.json")}
+    (tmp_path / "broken.json").write_text('{"n": 1,', encoding="utf-8")
+    code, stdout, stderr = _run(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and message in stderr
 
 
 @pytest.mark.parametrize("command, base, key, source, named", [
@@ -324,12 +372,10 @@ def test_convergence_writes_csv_and_fit(capsys, tmp_path):
 
 def test_convergence_to_an_odd_truncation_prints_the_same_bytes_twice(capsys):
     # N = 17's Legendre rule and the Chebyshev rules of the even N share the
-    # node 0.5.  The first sweep runs from empty caches, the second from
-    # full ones.
-    from cltau import cltransform, solver
-    for cache in (solver._integral_rows, solver._caputo_quadrature,
-                  cltransform._legendre_projection):
-        cache.cache_clear()
+    # node 0.5.  The first sweep runs from an empty table store, the second
+    # from a full one.
+    from cltau import cltransform
+    cltransform._tables.clear()
     argv = ["convergence", "--example", "5.4", "--N-sweep", "4:17:1"]
     first, second = _run(capsys, argv), _run(capsys, argv)
     assert first == second
@@ -354,6 +400,22 @@ def test_example_and_its_config_print_the_same_bytes(capsys, tmp_path, example_i
         assert code == 0
         assert _run(capsys, [*command, "--config", path]) == (
             0, stdout, stderr.splitlines(keepends=True)[-1]), command
+
+
+def test_convergence_with_every_truncation_failed_exits_three(capsys, monkeypatch):
+    # Scaling the solution column of the gesv by 1 + 1e-6 trips the residual
+    # gate at every truncation: each gets empty CSV fields and its stderr
+    # line, the fit stagnates, and the command exits with the solver code.
+    _perturb_the_solution(monkeypatch)
+    code, stdout, stderr = _run(capsys, ["convergence", "--example", "5.4",
+                                         "--N-sweep", "8:16:8"])
+    assert code == 3
+    assert stdout == "N,l2_error,max_error\n8,,\n16,,\n"
+    note, fit, *failures, last = stderr.splitlines()
+    assert note.startswith("note (5.4, corrected forcing)")
+    assert fit == "fitted decay: stagnated"
+    assert [line.split(" failed: solve residual ")[0] for line in failures] == ["N=8", "N=16"]
+    assert last == "solver error: every truncation in the sweep failed"
 
 
 def test_convergence_reports_resolved_sweep(capsys):

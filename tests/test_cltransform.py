@@ -1,5 +1,5 @@
 """Chebyshev interpolation in the Legendre frame: chebyshev_interpolate and
-its cached sampling-to-projection map against a 40-digit projection of the
+its stored sampling-to-projection map against a 40-digit projection of the
 same interpolant, polynomial reproduction and spectral accuracy.  The
 Chebyshev<->Legendre coefficient transform pair and the Chebyshev discrete
 transform are test oracles here (the acceptance and solver tests use them
@@ -7,6 +7,9 @@ too); their own checks are the inverse-pair identities, the
 parity/triangular zero pattern and hand-expanded low-degree entries."""
 
 import math
+import sys
+import threading
+from collections import OrderedDict
 from typing import NamedTuple
 
 import mpmath
@@ -321,3 +324,50 @@ def test_forcing_map_is_finite_and_read_only_for_every_size():
         *_, nodes, matrix = cltransform._legendre_projection(n)
         assert matrix.shape == (n + 1, n + 1) and np.all(np.isfinite(matrix)), f"n={n}"
         assert not nodes.flags.writeable and not matrix.flags.writeable
+
+
+def test_the_table_store_keeps_its_bound_under_threads(monkeypatch):
+    # Six threads on two cores, switching every microsecond, look up 300
+    # keys of a 64 KiB store through a builder that looks up another key
+    # (a build runs outside the lock, so this cannot deadlock).  Every
+    # lookup must return its own key's table, and at the end the held
+    # entries must fit the budget and each be its own key's.
+    monkeypatch.setattr(cltransform, "_tables", OrderedDict())
+    monkeypatch.setattr(cltransform, "_TABLE_BYTES", 64 << 10)
+
+    @cltransform._stored
+    def inner(key):
+        return (np.full(key % 37 + 1, float(key)),)
+
+    @cltransform._stored
+    def outer(key):
+        return inner(key // 2)[0] * 0.0 + key, np.arange(key % 5 + 1.0)
+
+    wrong, errors, done = [], [], []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for key in rng.integers(0, 300, 2000):
+                table, _ = outer(int(key))
+                if not np.all(table == key):
+                    wrong.append(int(key))
+        except Exception as exc:  # reported below; a thread's exception fails no test
+            errors.append(repr(exc))
+        done.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert (sorted(done), errors, wrong) == (list(range(6)), [], [])
+    assert sum(size for _, size in cltransform._tables.values()) <= 64 << 10
+    for (builder, (key,)), (tables, _) in cltransform._tables.items():
+        assert np.all(tables[0] == (key if builder is outer.__wrapped__ else float(key)))

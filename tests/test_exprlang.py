@@ -141,6 +141,13 @@ def test_unknown_names_fail_at_parse_time():
     assert "2 argument(s)" in err.value.expected
 
 
+def test_function_name_without_a_call_fails_at_parse_time():
+    with pytest.raises(ParseError) as err:
+        parse("exp + 1")
+    assert err.value.offset == 0
+    assert err.value.expected == "'(' after function name 'exp'"
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Unary("+", Number(1.0)), "unary operator must be '-'"),
     (lambda: Binary("%", Number(1.0), Number(2.0)), r"binary operator must be one of \+-\*/\^"),

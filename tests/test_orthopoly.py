@@ -247,6 +247,17 @@ def test_monomial_series_matches_termwise_sum():
     assert empty(np.ones((2, 3)) / 2).shape == (2, 3)
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ([[1.0, 2.0]], "one-dimensional and non-empty"),
+    ([], "one-dimensional and non-empty"),
+    ([1.0, np.nan], "non-finite coefficient"),
+    ([np.inf], "non-finite coefficient"),
+], ids=["2-d", "empty", "nan", "inf"])
+def test_legendre_series_rejects_bad_coefficients(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        LegendreSeries(coeffs)
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         shifted_legendre_table(4, np.array([-0.1]))

@@ -1,4 +1,4 @@
-"""Package-wide properties: every cache is bounded, every exported name is
+"""Package-wide properties: the one table store is bounded, every exported name is
 used by the package or a demo, and numpy is the only runtime dependency:
 the package imports without mpmath and solves without scipy (both
 test-only dependencies).  The CLI loads the expression parser only to
@@ -10,6 +10,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -21,20 +22,28 @@ from cltau import cltransform, fracderiv, orthopoly, quadrature
 _MODULES = ("cli", "cltransform", "exprlang", "fracderiv", "orthopoly", "quadrature", "solver")
 
 
-def test_every_lru_cache_is_bounded():
-    cached = {}
+def test_every_lru_cache_is_bounded(monkeypatch):
+    # No lru_cache is left: every reused table goes through the one store,
+    # whose budget is finite bytes, and every entry counts as at least
+    # 1/512 of it, so no more than 512 entries are ever held.
+    stored, lookup = set(), cltransform._legendre_projection.__code__
     for name in _MODULES:
         module = importlib.import_module(f"cltau.{name}")
+        assert "lru_cache" not in Path(module.__file__).read_text(encoding="utf-8")
         for attr, value in vars(module).items():
+            assert not hasattr(value, "cache_info"), f"{name}.{attr}"
             # Counted where defined, not again where imported.
-            if callable(getattr(value, "cache_info", None)) and value.__module__ == module.__name__:
-                cached[f"{name}.{attr}"] = value.cache_info().maxsize
+            if getattr(value, "__code__", None) is lookup and value.__module__ == module.__name__:
+                stored.add(f"{name}.{attr}")
     assert {"cltransform._legendre_projection", "solver._caputo_quadrature",
-            "solver._singular_rule", "solver._error_grid",
-            "solver._integral_rows"} == set(cached)
-    # One bound for every table cache; _error_grid holds its one grid.
-    assert cached.pop("solver._error_grid") == 1
-    assert set(cached.values()) == {cltransform._TABLE_CACHE}
+            "solver._singular_rule", "solver._error_grid", "solver._integral_rows"} == stored
+    assert isinstance(cltransform._TABLE_BYTES, int) and 0 < cltransform._TABLE_BYTES < 2**40
+    monkeypatch.setattr(cltransform, "_tables", OrderedDict())
+    tiny = cltransform._stored(lambda key: (np.zeros(1),))
+    for key in range(600):
+        tiny(key)
+    assert len(cltransform._tables) == 512
+    assert [args for _, args in cltransform._tables] == [(key,) for key in range(88, 600)]
 
 
 # Every entry point that takes a size or degree, reduced to an array.

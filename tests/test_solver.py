@@ -6,6 +6,7 @@ reference, including both ways the pivot gate is decided."""
 
 import math
 import sys
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 from math import gamma
 
@@ -24,6 +25,8 @@ from cltau.fracderiv import (CaputoOrder, caputo_apply, caputo_legendre_factors,
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
 from cltau.solver import (
+    ConvergenceEntry,
+    ConvergenceReport,
     DecayFit,
     FIDEProblem,
     SolverError,
@@ -762,14 +765,13 @@ def test_sweep_entries_match_standalone_solves(monkeypatch, case):
 
 def test_a_sweep_keeps_one_table_per_cache():
     # Every truncation is a slice of the largest one's tables, so a cold
-    # sweep over N = 4..32 leaves one entry in each cache.
+    # sweep over N = 4..32 leaves one entry per builder in the table store.
     ex = builtin_example("5.4")
-    caches = (solver._integral_rows, cltransform._legendre_projection,
-              solver._caputo_quadrature, solver._singular_rule)
-    for cache in caches:
-        cache.cache_clear()
+    cltransform._tables.clear()
     convergence_study(ex.problem, ex.exact, range(4, 33, 4))
-    assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1, 1]
+    assert Counter(builder.__name__ for builder, _ in cltransform._tables) == {
+        "_integral_rows": 1, "_legendre_projection": 1, "_caputo_quadrature": 1,
+        "_singular_rule": 1, "_error_grid": 1}
 
 
 def test_a_sweep_samples_the_forcing_twice():
@@ -779,7 +781,7 @@ def test_a_sweep_samples_the_forcing_twice():
     samples = []
     problem = replace(ex.problem,
                       forcing=lambda t: samples.append(t.copy()) or ex.problem.forcing(t))
-    cltransform._legendre_projection.cache_clear()
+    cltransform._tables.clear()
     convergence_study(problem, ex.exact, range(4, 33, 4))
     assert len(samples) == 2
     np.testing.assert_array_equal(samples[0], np.concatenate(
@@ -910,6 +912,57 @@ def test_solver_error_paths():
     assert "truncation 3" in str(err.value)
     assert "smallest pivot" in str(err.value)
     assert "threshold 1e-14*max|A| = " in str(err.value)
+
+
+def _perturb_the_solution(monkeypatch):
+    """Scale the solution column of numpy.linalg.solve by 1 + 1e-6, so the
+    inverse (and so the pivot gate) is untouched and only the residual
+    gate can see it."""
+    original = np.linalg.solve
+
+    def perturbed(matrix, rhs):
+        joint = original(matrix, rhs)
+        joint[:, -1] *= 1.0 + 1e-6
+        return joint
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+
+
+def test_the_residual_gate_rejects_an_inaccurate_solve(monkeypatch):
+    ex = builtin_example("5.4")
+    _perturb_the_solution(monkeypatch)
+    with pytest.raises(SolverError, match=r"solve residual \S+ exceeds \S+ at truncation 16$"):
+        solve_fide(ex.problem, 16)
+    report = convergence_study(ex.problem, ex.exact, (8, 16))
+    assert [(e.truncation, e.l2_error, e.max_error) for e in report.entries] == [
+        (8, None, None), (16, None, None)]
+    assert all(e.failure.startswith("solve residual ") for e in report.entries)
+    assert report.fitted_decay.kind == "stagnated"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FIDEProblem(**{**_VALID, "a": (1.0,)}), ValueError, "need 2 coefficients"),
+    (lambda: FIDEProblem(**{**_VALID, "a": (0.0, math.inf)}), ValueError,
+     "non-finite derivative coefficient"),
+    (lambda: FIDEProblem(**{**_VALID, "ics": (math.nan,)}), ValueError,
+     "non-finite initial value"),
+    (lambda: ConvergenceEntry(4, -1.0, 0.0), ValueError, "error must be finite and >= 0"),
+    (lambda: ConvergenceEntry(4, 0.0, math.nan), ValueError, "error must be finite and >= 0"),
+    (lambda: DecayFit("linear", 1.0, 1.0), ValueError, "unknown decay kind"),
+    (lambda: ConvergenceReport((ConvergenceEntry(8, 0.0, 0.0), ConvergenceEntry(4, 0.0, 0.0)),
+                               DecayFit("stagnated", None, None)),
+     ValueError, "strictly increasing"),
+    (lambda: mms_forcing(lambda t: t, 1, (0.0, 1.0), 0.5, _const_kernel(0.0)), TypeError,
+     "exact must be a MonomialSeries, got function"),
+    (lambda: mms_forcing(MonomialSeries(((1.0, 1.0),)), 1, (1.0,), 0.5, _const_kernel(0.0)),
+     ValueError, "need 2 coefficients"),
+    (lambda: error_norms(np.zeros(3), np.exp), TypeError,
+     "expected SpectralSolution or LegendreSeries, got ndarray"),
+], ids=["a-length", "a-non-finite", "ics-non-finite", "entry-negative", "entry-nan",
+        "fit-kind", "report-order", "mms-type", "mms-a-length", "norms-type"])
+def test_invalid_fields_are_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def _edge_problem(n, alpha):
@@ -1184,9 +1237,7 @@ def test_warm_solve_rebuilds_no_basis_table(monkeypatch):
     # at the Chebyshev nodes and mapped straight to Legendre projections.
     # A cold solve builds Legendre tables, a warm one none.
     problem = builtin_example("5.4").problem
-    for cache in (cltransform._legendre_projection, solver._caputo_quadrature,
-                  solver._integral_rows):
-        cache.cache_clear()
+    cltransform._tables.clear()
     assert not [name for name, module in sys.modules.items()
                 if name.startswith("cltau") and hasattr(module, "shifted_chebyshev_table")]
     calls = _count_calls(monkeypatch, orthopoly.shifted_legendre_table)
@@ -1203,7 +1254,7 @@ def test_warm_solve_sums_no_operational_matrix(monkeypatch):
     # integration recurrence: neither a cold nor a warm solve builds an
     # operational matrix, and the warm repeat is the same bit for bit.
     problem = builtin_example("5.4").problem
-    solver._integral_rows.cache_clear()
+    cltransform._tables.clear()
     calls = _count_calls(monkeypatch, operational_matrix)
     cold = solve_fide(problem, 24)
     warm = solve_fide(problem, 24)
@@ -1216,8 +1267,7 @@ def test_cold_solve_builds_no_operational_matrix(monkeypatch):
     # integral I, and its kernel term needs I^(n - alpha) L_j only, so a cold
     # solve builds no operational matrix and no derivative matrix.
     problem = builtin_example("5.4").problem
-    for cache in (solver._integral_rows, solver._caputo_quadrature):
-        cache.cache_clear()
+    cltransform._tables.clear()
     calls = _count_calls(monkeypatch, operational_matrix)
     derivative = _count_calls(monkeypatch, fracderiv._legendre_derivative_coeffs)
     solve_fide(problem, 24)
@@ -1228,15 +1278,46 @@ def test_cold_solve_builds_no_operational_matrix(monkeypatch):
 def test_cached_classical_rows_serve_another_problem_with_the_same_a():
     # 5.1 and 5.2 share a = (0, 1) but differ in order, kernel and forcing:
     # the second assembly reuses the first one's rows and must equal an
-    # assembly from an empty cache bit for bit.
+    # assembly from an empty table store bit for bit.
     first, second = builtin_example("5.1").problem, builtin_example("5.2").problem
     assert first.a == second.a
     assemble_system(first, 16)
     warm = assemble_system(second, 16)
-    solver._integral_rows.cache_clear()
+    cltransform._tables.clear()
     fresh = assemble_system(second, 16)
     for got, expected in zip(warm, fresh):
         assert got.tobytes() == expected.tobytes()
+
+
+def _held_truncations(builder):
+    return {args[-1] for stored, args in cltransform._tables if stored is builder.__wrapped__}
+
+
+def test_the_table_store_is_bounded_in_bytes(monkeypatch):
+    # A 4 MiB budget holds the tables of two of these truncations, not
+    # three, so every new truncation past the second evicts, least recently
+    # used first; at 1 MiB the projection tables of N = 260 (1.1 MB) are not
+    # kept at all.  No eviction changes a bit of any solution.
+    problem = builtin_example("5.4").problem
+    expected = {}
+    for truncation in (200, 220, 240, 260):
+        cltransform._tables.clear()
+        expected[truncation] = solve_fide(problem, truncation).coeffs.coeffs.tobytes()
+    monkeypatch.setattr(cltransform, "_tables", OrderedDict())
+    monkeypatch.setattr(cltransform, "_TABLE_BYTES", 4 << 20)
+    for truncation in (200, 220, 200, 240, 260):
+        assert solve_fide(problem, truncation).coeffs.coeffs.tobytes() == expected[truncation]
+        assert sum(size for _, size in cltransform._tables.values()) <= 4 << 20
+        if truncation == 240:  # 200 was used after 220, so 220 went first
+            assert _held_truncations(solver._integral_rows) == {200, 240}
+    assert _held_truncations(solver._integral_rows) == {240, 260}
+    monkeypatch.setattr(cltransform, "_TABLE_BYTES", 1 << 20)
+    cltransform._tables.clear()
+    assert solve_fide(problem, 260).coeffs.coeffs.tobytes() == expected[260]
+    assert sum(size for _, size in cltransform._tables.values()) <= 1 << 20
+    # The kernel-free rows went to make room for the kernel table.
+    assert [builder.__name__ for builder, _ in cltransform._tables] == [
+        "_singular_rule", "_caputo_quadrature"]
 
 
 def test_cached_tables_are_read_only():
