@@ -40,17 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracderiv import caputo_apply, operational_matrix
-from .orthopoly import MonomialSeries
+from .fracderiv import operational_matrix
 from .solver import (
     FIDEProblem,
     SolverError,
+    _config_problem,
     builtin_example,
     builtin_example_ids,
     convergence_study,
     error_norms,
     example_config,
-    mms_forcing,
     solve_fide,
 )
 
@@ -213,28 +212,17 @@ class ProblemConfig:
         Returns (problem, exact) where exact is the manufactured solution
         callable for mms_exact configs and None otherwise.  Each initial
         value d_i of an mms_exact config must match the i-th derivative of
-        the exact solution at 0 to 1e-12 * max(1, |derivative|).
+        the exact solution at 0 to 1e-12 * max(1, |derivative|).  The
+        catalog's problems are built by the same code (solver._config_problem).
         """
         from . import exprlang
         kernel_tree = self._compile(self.kernel, {"t", "s"}, "kernel")
         kernel = lambda tv, sv: exprlang.evaluate(kernel_tree, t=tv, s=sv)
-        exact = None
+        forcing = None
         if self.forcing is not None:
             forcing_tree = self._compile(self.forcing, {"t"}, "forcing")
             forcing = lambda tv: exprlang.evaluate(forcing_tree, t=tv)
-        else:
-            exact = MonomialSeries(self.mms_exact)
-            forcing = mms_forcing(exact, self.n, self.a, self.alpha, kernel,
-                                  kernel_s_power=self.kernel_s_power)
-            for i, given in enumerate(self.ics):
-                value = (caputo_apply(exact, i) if i else exact)(0.0)
-                _require(abs(given - value) <= 1e-12 * max(1.0, abs(value)),
-                         f"ics[{i}] = {given!r} contradicts mms_exact, whose derivative "
-                         f"of order {i} at 0 is {value!r}")
-        problem = FIDEProblem(n=self.n, a=self.a, order=self.alpha,
-                              kernel=kernel, forcing=forcing, ics=self.ics,
-                              kernel_s_power=self.kernel_s_power)
-        return problem, exact
+        return _config_problem(self.to_dict(with_resolution=False), kernel, forcing)
 
 
 def _load_config_file(path: str) -> ProblemConfig:

@@ -432,7 +432,11 @@ def _gated_solve(truncation: int, matrix: np.ndarray,
         raise SolverError(
             f"solve residual {residual:.3e} exceeds {tolerance:.3e} at "
             f"truncation {truncation}")
-    return coeffs, float(absolute.sum(axis=0).max()) * inverse_norm
+    with np.errstate(over="ignore"):
+        condition = float(absolute.sum(axis=0).max()) * inverse_norm
+    if not math.isfinite(condition):  # ||A||_1 itself overflowed: scale by max|A| first
+        condition = float((absolute / scale).sum(axis=0).max()) * (scale * inverse_norm)
+    return coeffs, condition
 
 
 def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
@@ -587,6 +591,28 @@ def _printed_forcing(source: str) -> Callable:
     return forcing
 
 
+def _config_problem(fields: dict, kernel: Callable,
+                    forcing: Callable | None) -> tuple[FIDEProblem, MonomialSeries | None]:
+    """(problem, exact) from config fields (example_config's keys) and the
+    kernel and forcing as callables; exact is the MonomialSeries of
+    "mms_exact", or None.  Without a forcing, mms_forcing builds it from
+    exact, and each d_i must match exact's i-th derivative at 0 to
+    1e-12 * max(1, |derivative|).  The catalog and the CLI both build here."""
+    n, a, alpha, ics = fields["n"], fields["a"], fields["alpha"], fields["ics"]
+    s_power = fields.get("kernel_s_power", 1)
+    exact = None if "mms_exact" not in fields else MonomialSeries(
+        tuple(map(tuple, fields["mms_exact"])))
+    if forcing is None:
+        forcing = mms_forcing(exact, n, a, alpha, kernel, kernel_s_power=s_power)
+        for i, given in enumerate(ics):
+            value = (caputo_apply(exact, i) if i else exact)(0.0)
+            if abs(given - value) > 1e-12 * max(1.0, abs(value)):
+                raise ValueError(f"ics[{i}] = {given!r} contradicts mms_exact, whose derivative "
+                                 f"of order {i} at 0 is {value!r}")
+    return FIDEProblem(n=n, a=a, order=alpha, kernel=kernel, forcing=forcing, ics=ics,
+                       kernel_s_power=s_power), exact
+
+
 def builtin_example(example_id: str, variant: str = "corrected") -> BuiltinExample:
     """Fetch a catalog problem by id ("5.1" .. "5.4").
 
@@ -595,16 +621,9 @@ def builtin_example(example_id: str, variant: str = "corrected") -> BuiltinExamp
     inconsistent with their stated exact solutions.
     """
     entry = _catalog_entry(example_id, variant)
-    config, kernel = entry["config"], entry["kernel"]
-    s_power = config.get("kernel_s_power", 1)
-    exact = MonomialSeries(tuple(map(tuple, config["mms_exact"])))
-    if variant == "printed":
-        forcing = _printed_forcing(config["forcing"])
-    else:
-        forcing = mms_forcing(exact, config["n"], config["a"], config["alpha"], kernel,
-                              kernel_s_power=s_power)
-    problem = FIDEProblem(n=config["n"], a=config["a"], order=config["alpha"], kernel=kernel,
-                          forcing=forcing, ics=config["ics"], kernel_s_power=s_power)
+    config = entry["config"]
+    forcing = _printed_forcing(config["forcing"]) if variant == "printed" else None
+    problem, exact = _config_problem(config, entry["kernel"], forcing)
     return BuiltinExample(example_id=str(example_id), variant=variant, problem=problem,
                           exact=exact, description=entry["description"], note=entry["note"])
 

@@ -15,8 +15,8 @@ import pytest
 from test_solver import _perturb_the_solution
 
 from cltau.cli import ProblemConfig, main
-from cltau.solver import (builtin_example, builtin_example_ids, error_norms, example_config,
-                          solve_fide)
+from cltau.solver import (_CATALOG, builtin_example, builtin_example_ids, error_norms,
+                          example_config, solve_fide)
 
 # ------------------------------------------------------------------ helpers
 
@@ -180,7 +180,7 @@ def test_config_build_passes_kernel_s_power_to_the_forcing():
     assert np.max(np.abs(problem.forcing(t) - closed)) <= 1e-12
 
 
-def test_mms_config_is_checked_against_its_initial_values(capsys, tmp_path):
+def test_mms_config_is_checked_against_its_initial_values(capsys, tmp_path, monkeypatch):
     # y = t^2 has y(0) = 0; with ics [5] the solver would report an l2 error
     # of 5 and a stagnated sweep for a problem it solves exactly.
     bad = dict(_MMS_CONFIG, alpha=0.5, kernel="t*s", mms_exact=[[1, 2]], ics=[5.0])
@@ -197,6 +197,10 @@ def test_mms_config_is_checked_against_its_initial_values(capsys, tmp_path):
     for example_id in builtin_example_ids():
         for variant in ("printed", "corrected"):
             ProblemConfig.from_dict(example_config(example_id, variant)).build()
+    # A catalog problem is built by the same code, so the same check holds it.
+    monkeypatch.setitem(_CATALOG["5.4"]["config"], "ics", [0.0, 1.0, 2.5])
+    with pytest.raises(ValueError, match=r"ics\[2\] = 2.5 contradicts mms_exact"):
+        builtin_example("5.4")
 
 
 def test_solve_survives_an_overflowing_gamma_factor(capsys, tmp_path):

@@ -117,12 +117,19 @@ def test_cli_solves_without_scipy():
 
 def test_cli_import_loads_no_scipy():
     # Nor the expression parser, which only a config's expressions need:
-    # not at import, and not for a solve of a catalog example.
-    for solve in ("", "cltau.cli.main(['solve', '--example', '5.4', '--N', '16']); "):
-        result = _run_fresh("import sys, cltau.cli; " + solve + "print(sorted(m for m in "
-                            "sys.modules if m.startswith('scipy') or m == 'cltau.exprlang'))")
+    # not at import, not for a solve of a catalog example, and not for the
+    # kernel of a printed example, whose forcing parses at its first call.
+    loaded = ("print(sorted(m for m in sys.modules if m.startswith('scipy') "
+              "or m == 'cltau.exprlang'))")
+    printed = ("problem = cltau.solver.builtin_example('5.2', 'printed').problem; "
+               "problem.kernel(0.5, 0.5); ")
+    for solve, modules in (("", "[]"),
+                           ("cltau.cli.main(['solve', '--example', '5.4', '--N', '16']); ", "[]"),
+                           (printed, "[]"),
+                           (printed + "problem.forcing(0.5); ", "['cltau.exprlang']")):
+        result = _run_fresh("import sys, cltau.cli; " + solve + loaded)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]", solve
+        assert result.stdout.splitlines()[-1] == modules, solve
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

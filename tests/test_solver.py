@@ -4,6 +4,7 @@ error magnitudes, manufactured-solution round trips, scaling equivariance,
 the convergence-study classifier, and the solve against a scipy LU
 reference, including both ways the pivot gate is decided."""
 
+import json
 import math
 import sys
 from collections import Counter, OrderedDict
@@ -1215,6 +1216,27 @@ def test_overflowing_coefficient_is_rejected_without_a_warning(tmp_path, capsys)
                       '"forcing": "0", "ics": [0]}', encoding="utf-8")
     assert cli.main(["solve", "--config", str(config), "--N", "8"]) == 2
     assert "non-finite entries" in capsys.readouterr().err
+
+
+def test_a_solvable_system_whose_one_norm_overflows_keeps_its_condition(tmp_path, capsys):
+    # max|A| = 1.5e308 is finite, but the column sums of |A| overflow.  The
+    # condition is that of a = (1e300, 1e300), the same system scaled.  No
+    # errstate: an overflow warning fails the solve, the sweep and the CLI.
+    def problem(scale):
+        return FIDEProblem(n=1, a=(scale, scale), order=0.5, kernel=lambda t, s: t * s,
+                           forcing=lambda t: np.ones_like(t), ics=(0.0,))
+
+    expected = solve_fide(problem(1e300), 8).condition_estimate
+    assert expected == pytest.approx(2.414553286985642, rel=1e-12)
+    assert solve_fide(problem(1e308), 8).condition_estimate == pytest.approx(expected, rel=1e-12)
+    report = convergence_study(problem(1e308), np.zeros_like, (4, 8))
+    assert all(entry.failure is None for entry in report.entries)
+    config = tmp_path / "overflow.json"
+    config.write_text('{"n": 1, "a": [1e308, 1e308], "alpha": 0.5, "kernel": "t*s", '
+                      '"forcing": "1", "ics": [0]}', encoding="utf-8")
+    assert cli.main(["solve", "--config", str(config), "--N", "8"]) == 0
+    condition = json.loads(capsys.readouterr().out)["condition_estimate"]
+    assert condition == pytest.approx(expected, rel=1e-12)
 
 
 def _count_calls(monkeypatch, original):
