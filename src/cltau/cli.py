@@ -17,6 +17,9 @@ LF line endings.  Identical invocations produce byte-identical output on the
 same numpy/BLAS build with the same BLAS thread count; solve_fide, called from
 Python too, depends on that thread count in its last bits.
 Exit codes: 0 success, 2 configuration or argument error, 3 solver error.
+Each is decided in `main` alone: a ValueError (a bad config, flag or sweep,
+or a problem the solver rejects as posed) exits 2, a SolverError (a gate of
+the solve tripped, a non-finite solution included) exits 3.
 
 Config schema (JSON object): name (text), n (integer >= 1), a (n+1 reals),
 alpha (real > 0), kernel (expression in t and s), exactly one of forcing
@@ -26,12 +29,14 @@ terms for the exact solution, from which the forcing is rebuilt), ics
 N (integer), optional N_sweep {"from", "to", "step"}, optional
 kernel_s_power (integer >= 1, see FIDEProblem).
 
-The problem digest is the SHA-256 of the canonical problem fields (name,
-n, a, alpha, kernel, forcing or mms_exact, ics, kernel_s_power), so it
-identifies the problem independently of the truncation being solved.
+The problem digest is the SHA-256 of ProblemConfig.fields, the canonical
+problem fields (name, n, a, alpha, kernel, forcing or mms_exact, ics,
+kernel_s_power), so it identifies the problem independently of the
+truncation being solved.
 """
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -60,10 +65,6 @@ _CONFIG_KEYS = ("name", "n", "a", "alpha", "kernel", "forcing", "mms_exact",
 _SWEEP_KEYS = ("from", "to", "step")
 
 
-class _ConfigError(ValueError):
-    pass
-
-
 def _format_number(value) -> str:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
@@ -88,7 +89,7 @@ def _dumps_json(value) -> str:
 
 def _require(condition: bool, message: str):
     if not condition:
-        raise _ConfigError(message)
+        raise ValueError(message)
 
 
 def _as_real(value, what: str) -> float:
@@ -102,6 +103,12 @@ def _as_real(value, what: str) -> float:
     return real
 
 
+def _as_reals(value, count: int, what: str) -> list[float]:
+    _require(isinstance(value, list) and len(value) == count,
+             f"{what} must be a list of {count} numbers")
+    return [_as_real(v, f"{what} entry") for v in value]
+
+
 def _as_int(value, what: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool),
              f"{what} must be an integer, got {value!r}")
@@ -110,19 +117,13 @@ def _as_int(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Validated problem configuration (see the module docstring schema)."""
+    """Validated problem configuration (see the module docstring schema):
+    the canonical problem fields, which the digest hashes and build reads,
+    and the config's own truncation N and sweep N_sweep."""
 
-    name: str
-    n: int
-    a: tuple[float, ...]
-    alpha: float
-    kernel: str
-    forcing: str | None
-    mms_exact: tuple[tuple[float, float], ...] | None
-    ics: tuple[float, ...]
+    fields: dict
     truncation: int | None
     sweep: tuple[int, int, int] | None
-    kernel_s_power: int
 
     @staticmethod
     def from_dict(raw: dict) -> "ProblemConfig":
@@ -133,77 +134,55 @@ class ProblemConfig:
         _require(isinstance(name, str), "name must be text")
         n = _as_int(raw.get("n"), "n")
         _require(n >= 1, f"n must be >= 1, got {n}")
-        a_raw = raw.get("a")
-        _require(isinstance(a_raw, list) and len(a_raw) == n + 1,
-                 f"a must be a list of {n + 1} numbers")
-        a = tuple(_as_real(v, "a entry") for v in a_raw)
-        alpha = _as_real(raw.get("alpha"), "alpha")
-        kernel = raw.get("kernel")
-        _require(isinstance(kernel, str), "kernel must be expression text")
-        forcing = raw.get("forcing")
-        mms_raw = raw.get("mms_exact")
+        fields = {"name": name, "n": n, "a": _as_reals(raw.get("a"), n + 1, "a"),
+                  "alpha": _as_real(raw.get("alpha"), "alpha"), "kernel": raw.get("kernel")}
+        _require(isinstance(fields["kernel"], str), "kernel must be expression text")
+        forcing, mms_raw = raw.get("forcing"), raw.get("mms_exact")
         _require((forcing is None) != (mms_raw is None),
                  "config needs exactly one of forcing / mms_exact")
-        mms_exact = None
         if mms_raw is not None:
             _require(isinstance(mms_raw, list) and mms_raw, "mms_exact must be a non-empty list")
-            terms = []
+            fields["mms_exact"] = []
             for item in mms_raw:
                 _require(isinstance(item, list) and len(item) == 2,
                          "mms_exact terms must be [coefficient, exponent] pairs")
-                terms.append((_as_real(item[0], "mms_exact coefficient"),
-                              _as_real(item[1], "mms_exact exponent")))
-            mms_exact = tuple(terms)
+                fields["mms_exact"].append([_as_real(item[0], "mms_exact coefficient"),
+                                            _as_real(item[1], "mms_exact exponent")])
         else:
             _require(isinstance(forcing, str), "forcing must be expression text")
-        ics_raw = raw.get("ics")
-        _require(isinstance(ics_raw, list) and len(ics_raw) == n,
-                 f"ics must be a list of {n} numbers")
-        ics = tuple(_as_real(v, "ics entry") for v in ics_raw)
-        truncation = None
-        if "N" in raw:
-            truncation = _as_int(raw["N"], "N")
+            fields["forcing"] = forcing
+        fields["ics"] = _as_reals(raw.get("ics"), n, "ics")
+        truncation = _as_int(raw["N"], "N") if "N" in raw else None
         sweep = None
         if "N_sweep" in raw:
             sweep_raw = raw["N_sweep"]
             _require(isinstance(sweep_raw, dict) and tuple(sorted(sweep_raw)) == tuple(sorted(_SWEEP_KEYS)),
                      'N_sweep must be an object with keys "from", "to", "step"')
             sweep = tuple(_as_int(sweep_raw[k], f"N_sweep {k}") for k in _SWEEP_KEYS)
-        s_power = 1
-        if "kernel_s_power" in raw:
-            s_power = _as_int(raw["kernel_s_power"], "kernel_s_power")
-            _require(s_power >= 1, "kernel_s_power must be >= 1")
-        return ProblemConfig(name, n, a, alpha, kernel, forcing, mms_exact,
-                             ics, truncation, sweep, s_power)
+        fields["kernel_s_power"] = _as_int(raw.get("kernel_s_power", 1), "kernel_s_power")
+        _require(fields["kernel_s_power"] >= 1, "kernel_s_power must be >= 1")
+        return ProblemConfig(fields, truncation, sweep)
 
-    def to_dict(self, with_resolution: bool = True) -> dict:
-        out = {"name": self.name, "n": self.n, "a": list(self.a),
-               "alpha": self.alpha, "kernel": self.kernel}
-        if self.forcing is not None:
-            out["forcing"] = self.forcing
-        else:
-            out["mms_exact"] = [[q, p] for q, p in self.mms_exact]
-        out["ics"] = list(self.ics)
-        out["kernel_s_power"] = self.kernel_s_power
-        if with_resolution and self.truncation is not None:
+    def to_dict(self) -> dict:
+        out = copy.deepcopy(self.fields)
+        if self.truncation is not None:
             out["N"] = self.truncation
-        if with_resolution and self.sweep is not None:
+        if self.sweep is not None:
             out["N_sweep"] = dict(zip(_SWEEP_KEYS, self.sweep))
         return out
 
     def digest(self) -> str:
-        return hashlib.sha256(
-            _dumps_json(self.to_dict(with_resolution=False)).encode()).hexdigest()
+        return hashlib.sha256(_dumps_json(self.fields).encode()).hexdigest()
 
-    def _compile(self, source: str, allowed: set[str], what: str):
+    def _compile(self, key: str, allowed: set[str]):
         from . import exprlang
         try:
-            tree = exprlang.parse(source)
+            tree = exprlang.parse(self.fields[key])
         except exprlang.ParseError as exc:
-            raise _ConfigError(f"{what} does not parse: {exc}") from None
+            raise ValueError(f"{key} does not parse: {exc}") from None
         free = exprlang.free_variables(tree)
         _require(free <= allowed,
-                 f"{what} may use only {sorted(allowed)}, found {sorted(free - allowed)}")
+                 f"{key} may use only {sorted(allowed)}, found {sorted(free - allowed)}")
         return tree
 
     def build(self) -> tuple[FIDEProblem, object]:
@@ -216,13 +195,13 @@ class ProblemConfig:
         catalog's problems are built by the same code (solver._config_problem).
         """
         from . import exprlang
-        kernel_tree = self._compile(self.kernel, {"t", "s"}, "kernel")
+        kernel_tree = self._compile("kernel", {"t", "s"})
         kernel = lambda tv, sv: exprlang.evaluate(kernel_tree, t=tv, s=sv)
         forcing = None
-        if self.forcing is not None:
-            forcing_tree = self._compile(self.forcing, {"t"}, "forcing")
+        if "forcing" in self.fields:
+            forcing_tree = self._compile("forcing", {"t"})
             forcing = lambda tv: exprlang.evaluate(forcing_tree, t=tv)
-        return _config_problem(self.to_dict(with_resolution=False), kernel, forcing)
+        return _config_problem(self.fields, kernel, forcing)
 
 
 def _load_config_file(path: str) -> ProblemConfig:
@@ -230,37 +209,31 @@ def _load_config_file(path: str) -> ProblemConfig:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
-        raise _ConfigError(f"cannot read config {path!r}: {exc}") from None
+        raise ValueError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise _ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
+        raise ValueError(f"config {path!r} is not valid JSON: {exc}") from None
     except ValueError as exc:  # an integer literal past Python's digit limit
-        raise _ConfigError(f"config {path!r} cannot be read: {exc}") from None
+        raise ValueError(f"config {path!r} cannot be read: {exc}") from None
     return ProblemConfig.from_dict(raw)
 
 
 def _resolve_problem(args) -> tuple[ProblemConfig, FIDEProblem, object]:
     """Turn --config/--example flags into (config, problem, exact)."""
-    if (args.config is None) == (args.example is None):
-        raise _ConfigError("need exactly one of --config PATH or --example ID")
+    _require((args.config is None) != (args.example is None),
+             "need exactly one of --config PATH or --example ID")
     if args.example is not None:
         try:
             ex = builtin_example(args.example, args.variant)
-        except (KeyError, ValueError) as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            raise _ConfigError(message) from None
+        except KeyError as exc:  # str(KeyError) would quote the message
+            raise ValueError(exc.args[0]) from None
         if ex.note is not None:
             print(f"note ({ex.example_id}, {args.variant} forcing): {ex.note}",
                   file=sys.stderr)
         config = ProblemConfig.from_dict(example_config(args.example, args.variant))
         return config, ex.problem, ex.exact
-    if args.variant != "corrected":
-        raise _ConfigError("--variant applies only to --example")
+    _require(args.variant == "corrected", "--variant applies only to --example")
     config = _load_config_file(args.config)
-    try:
-        problem, exact = config.build()
-    except (ValueError, TypeError) as exc:
-        raise _ConfigError(str(exc)) from None
-    return config, problem, exact
+    return config, *config.build()
 
 
 def _write_text(path: str | None, text: str):
@@ -277,7 +250,7 @@ def _parse_sweep(text: str) -> tuple[int, int, int]:
     try:
         start, stop, step = (int(p) for p in parts)
     except ValueError:
-        raise _ConfigError(f"sweep must be three integers, got {text!r}") from None
+        raise ValueError(f"sweep must be three integers, got {text!r}") from None
     return start, stop, step
 
 
@@ -298,10 +271,7 @@ def cmd_solve(args) -> int:
         if args.N is not None:
             emitted["N"] = args.N
         _write_text(args.emit_config, _dumps_json(emitted) + "\n")
-    try:
-        solution = solve_fide(problem, truncation)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
+    solution = solve_fide(problem, truncation)
     payload = {
         "N": solution.truncation,
         "legendre_coeffs": list(solution.coeffs.coeffs),
@@ -309,7 +279,7 @@ def cmd_solve(args) -> int:
         "problem_digest": config.digest(),
     }
     _write_text(args.out, _dumps_json(payload) + "\n")
-    summary = (f"solved {config.name or 'problem'} at N={solution.truncation}, "
+    summary = (f"solved {config.fields['name'] or 'problem'} at N={solution.truncation}, "
                f"condition_estimate={solution.condition_estimate:.6e}")
     if exact is not None:
         l2, largest = error_norms(solution, exact)
@@ -325,10 +295,7 @@ def cmd_convergence(args) -> int:
     sweep = _parse_sweep(args.N_sweep) if args.N_sweep is not None else config.sweep
     _require(sweep is not None, "no sweep: pass --N-sweep FROM:TO:STEP or put N_sweep in the config")
     truncations = _sweep_truncations(sweep)
-    try:
-        report = convergence_study(problem, exact, truncations)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
+    report = convergence_study(problem, exact, truncations)
     lines = ["N,l2_error,max_error"]
     for entry in report.entries:
         if entry.failure is not None:
@@ -355,10 +322,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_opmatrix(args) -> int:
     _require(args.alpha > 0, f"derivative order must be > 0, got {args.alpha!r}")
-    try:
-        matrix = operational_matrix(args.alpha, args.N).entries
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
+    matrix = operational_matrix(args.alpha, args.N).entries
     lines = [",".join(_format_number(v) for v in row) for row in matrix]
     _write_text(args.csv, "\n".join(lines) + "\n")
     return 0
@@ -425,12 +389,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main():

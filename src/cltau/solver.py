@@ -370,12 +370,13 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
     coefficients are I^n v plus those of p = sum_l d_l t^l/l!.
 
     Raises SolverError when a pivot of that LU falls below 1e-14 times the
-    largest matrix entry, or when the solved system's residual exceeds
-    1e-10 * (1 + max |rhs|).  The pivot gate is decided from the inverse
-    that the 1-norm condition estimate computes anyway: every pivot u_kk of
-    partial pivoting has 1/|u_kk| <= size * ||A^-1||_1, so when
-    2 * size * ||A^-1||_1 * 1e-14 * max|A| < 1 no pivot can fail (the 2
-    covers rounding in the computed inverse).  Only when that bound is
+    largest matrix entry, when the solution v is not finite (its residual
+    would be NaN, which no comparison rejects), or when the solved system's
+    residual exceeds 1e-10 * (1 + max |rhs|).  The pivot gate is decided
+    from the inverse that the 1-norm condition estimate computes anyway:
+    every pivot u_kk of partial pivoting has 1/|u_kk| <= size * ||A^-1||_1,
+    so when 2 * size * ||A^-1||_1 * 1e-14 * max|A| < 1 no pivot can fail
+    (the 2 covers rounding in the computed inverse).  Only when that bound is
     inconclusive, or the matrix is exactly singular, does _smallest_pivot
     eliminate explicitly to decide.  condition_estimate is
     ||A||_1 * ||A^-1||_1, the value of numpy.linalg.cond(A, 1).
@@ -426,6 +427,8 @@ def _gated_solve(truncation: int, matrix: np.ndarray,
         if joint is None or scale == 0.0 or pivot_min < _PIVOT_RTOL * scale:
             raise singular(pivot_min)
     coeffs = joint[:, size]
+    if not np.all(np.isfinite(coeffs)):
+        raise SolverError(f"solution is not finite at truncation {truncation}")
     residual = float(np.max(np.abs(matrix @ coeffs - rhs)))
     tolerance = _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(rhs))))
     if residual > tolerance:
@@ -662,8 +665,10 @@ def error_norms(solution, exact: Callable) -> tuple[float, float]:
     """(l2, max) distance between the solution and `exact` on [0, 1] from
     one evaluation of each on _error_grid: the weighted L2 norm by the
     128-point shifted Legendre-Gauss rule, the largest absolute deviation
-    over the 101 equispaced points.  Complex or non-finite samples of
-    `exact` raise ValueError."""
+    over the 101 equispaced points.  Where the weighted sum of squared
+    differences d overflows, the L2 norm is m * sqrt(sum w (d/m)^2) with
+    m = max |d| over the Gauss nodes, so it stays finite.  Complex or
+    non-finite samples of `exact` raise ValueError."""
     series = _as_series(solution)
     return _distances(series(_error_grid()[0]), _exact_samples(exact))
 
@@ -676,8 +681,12 @@ def _exact_samples(exact: Callable) -> np.ndarray:
 def _distances(values: np.ndarray, exact_values: np.ndarray) -> tuple[float, float]:
     """error_norms from samples of the solution and the exact one on _error_grid."""
     diff = values - exact_values
-    gauss = diff[:_ERROR_RULE_POINTS]
-    l2 = math.sqrt(max(float(np.sum(_error_grid()[1] * gauss * gauss)), 0.0))
+    gauss, weights = diff[:_ERROR_RULE_POINTS], _error_grid()[1]
+    with np.errstate(over="ignore"):
+        l2 = math.sqrt(max(float(np.sum(weights * gauss * gauss)), 0.0))
+    if not math.isfinite(l2):  # the squares overflowed: scale by max|d| first
+        scale = float(np.max(np.abs(gauss)))
+        l2 = scale * math.sqrt(float(np.sum(weights * (gauss / scale) ** 2)))
     return l2, float(np.max(np.abs(diff[_ERROR_RULE_POINTS:])))
 
 

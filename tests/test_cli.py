@@ -165,6 +165,22 @@ def test_solve_custom_mms_config_reports_small_error(capsys, tmp_path):
     assert math.isclose(l2, 1.599945e-4, rel_tol=1e-4)
 
 
+@pytest.mark.parametrize("example_id, variant, digest", [
+    ("5.1", "printed", "5f94030448afc9742f88b5c7fc255554ef275c34137ec8ad7ac065789bdee13c"),
+    ("5.1", "corrected", "a161e515f2c5ba6c882496b61cf00d365e61b7c9bc57f7c0796caa93a25f33bc"),
+    ("5.2", "printed", "09b4cf7c6b47b1ba1fbd22d0432961e0c3628ea8ae5bcc73f5b40d2145571b65"),
+    ("5.2", "corrected", "75b10d58910cfeb4b6b6d259b2a6667a109f961b506d90f4ba0d05aa108a9bb1"),
+    ("5.3", "printed", "cf13f4eaf948e171027166c70d66796853cf386ad5c6a182318ad770c1a3d60b"),
+    ("5.3", "corrected", "6d481ed8c194299f0c266cca95dd5419978ae5f54f5a29637dd9655cfbfab784"),
+    ("5.4", "printed", "ff1f87e3c0b018670083bc26734666fa66adb651ee69b4615bc13c6e0ab8fcce"),
+    ("5.4", "corrected", "b7d80df0afeb6e55541e9773b6033d485226f839f7a25a8a4dabdd55723f4406"),
+])
+def test_catalog_problem_digests_are_pinned(example_id, variant, digest):
+    # A digest names a problem across versions: the canonical fields, their
+    # order and their number format may not drift.
+    assert ProblemConfig.from_dict(example_config(example_id, variant)).digest() == digest
+
+
 def test_config_build_passes_kernel_s_power_to_the_forcing():
     # Example 5.3 as a config: the kernel t^2*sqrt(s) is polynomial in
     # sqrt(s), so with kernel_s_power 2 the manufactured forcing is exact,
@@ -286,6 +302,54 @@ def test_solve_singular_system_exits_three(capsys, tmp_path):
     code, _, stderr = _run(capsys, ["solve", "--config", path, "--N", "4"])
     assert code == 3
     assert stderr.startswith("solver error:")
+
+
+# The gesv of this system overflows: its solution v is not finite, though
+# the matrix and the right-hand side are.
+_NON_FINITE_CONFIG = {"n": 1, "a": [0, 1e-300], "alpha": 0.5, "kernel": "1e-300*t*s",
+                      "forcing": "1e10*sqrt(t)", "ics": [0]}
+
+
+def test_solve_with_a_non_finite_solution_exits_three(capsys, tmp_path):
+    path = _write_config(tmp_path, _NON_FINITE_CONFIG)
+    code, stdout, stderr = _run(capsys, ["solve", "--config", path, "--N", "8"])
+    assert (code, stdout) == (3, "")
+    assert stderr == "solver error: solution is not finite at truncation 8\n"
+
+
+def test_error_norms_of_a_solution_near_the_float_range_stay_finite(capsys, tmp_path):
+    # The exact solution 1e300 t^3 squares past the float range.  The problem
+    # is linear in the exact solution (its ics are 0), so its errors are
+    # 1e300 times those of t^3, to the 7 digits printed.
+    config = {"n": 1, "a": [2.44, -3.08], "alpha": 1e-9, "kernel": "gamma(t+s)", "ics": [0]}
+    errors = []
+    for coefficient in (1e300, 1.0):
+        path = _write_config(tmp_path, dict(config, mms_exact=[[coefficient, 3.0]]))
+        code, _, stderr = _run(capsys, ["solve", "--config", path, "--N", "1"])
+        assert code == 0, stderr
+        l2, largest = (float(stderr.split(f"{key}=")[1].split(",")[0])
+                       for key in ("l2_error", "max_error"))
+        errors.append((l2, largest))
+    (l2, largest), (unit_l2, unit_largest) = errors
+    assert math.isfinite(l2)
+    assert l2 == pytest.approx(1e300 * unit_l2, rel=1e-6)
+    assert largest == pytest.approx(1e300 * unit_largest, rel=1e-6)
+
+
+def test_a_sweep_whose_errors_square_past_the_float_range_keeps_its_entries(capsys, tmp_path):
+    # The N = 1 error is about 5e199, whose square overflows; the larger
+    # truncations fail the pivot gate.  Each is an entry, not a lost sweep.
+    config = {"n": 1, "a": [1, 1], "alpha": 2.5, "kernel": "1e200*t*s",
+              "mms_exact": [[1, 3]], "ics": [0]}
+    code, stdout, stderr = _run(capsys, ["convergence", "--config", _write_config(tmp_path, config),
+                                         "--N-sweep", "1:13:4"])
+    assert code == 0, stderr
+    header, first, *failed = stdout.splitlines()
+    assert (header, failed) == ("N,l2_error,max_error", ["5,,", "9,,", "13,,"])
+    l2, largest = (float(v) for v in first.split(",")[1:])
+    assert first.startswith("1,") and 0.0 < l2 <= largest < 1e201
+    failures = [line.split(" failed: ")[0] for line in stderr.splitlines()[1:]]
+    assert failures == ["N=5", "N=9", "N=13"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -145,6 +145,20 @@ def test_cli_prints_the_same_bytes_at_a_fixed_blas_thread_count(threads):
     assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
 
 
+def test_module_entry_reports_a_non_finite_solution_as_a_solver_error(tmp_path):
+    # The exit-code contract outside pytest's warning filter: a solve whose
+    # gesv overflows exits 3 before any RuntimeWarning can be raised.
+    config = tmp_path / "non_finite.json"
+    config.write_text('{"n": 1, "a": [0, 1e-300], "alpha": 0.5, "kernel": "1e-300*t*s", '
+                      '"forcing": "1e10*sqrt(t)", "ics": [0]}', encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cltau.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cltau.cli",
+                             "solve", "--config", str(config), "--N", "8"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("solver error:")
+
+
 _DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 

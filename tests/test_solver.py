@@ -1239,6 +1239,20 @@ def test_a_solvable_system_whose_one_norm_overflows_keeps_its_condition(tmp_path
     assert condition == pytest.approx(expected, rel=1e-12)
 
 
+def test_a_non_finite_solution_fails_the_residual_gate():
+    # A is well conditioned (condition 2), but v = A^-1 rhs overflows to
+    # (-inf, inf); its residual is NaN, which no "residual > tolerance" rejects.
+    matrix = np.array([[1.0, 1.0], [1.0, -1.0]]) * 1e-10
+    with pytest.raises(SolverError, match="^solution is not finite at truncation 4$"):
+        solver._gated_solve(4, matrix, np.array([1e300, -1e300]))
+    # In a sweep each such truncation is a failed entry, not an aborted study.
+    problem = FIDEProblem(n=1, a=(0.0, 1e-300), order=0.5, kernel=lambda t, s: 1e-300 * t * s,
+                          forcing=lambda t: 1e10 * np.sqrt(t), ics=(0.0,))
+    report = convergence_study(problem, np.zeros_like, (4, 8))
+    assert [entry.failure for entry in report.entries] == [
+        f"solution is not finite at truncation {n}" for n in (4, 8)]
+
+
 def _count_calls(monkeypatch, original):
     """Count calls of a package function through every cltau binding of its name."""
     name = original.__name__
