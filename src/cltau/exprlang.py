@@ -14,10 +14,13 @@ with optional fraction and exponent.  The only variables are t and s, the
 constants are pi and e, and the callable names are fixed (see _FUNCTIONS).
 Unknown names and wrong arities are rejected at parse time with an offset.
 
-evaluate binds t and s to floats or numpy arrays and computes each node
-with one numpy ufunc over all points (gamma, which numpy lacks, maps
-math.gamma over the entries).  A node that yields inf or nan from
-finite operands, overflow included, raises EvalError naming it.
+evaluate binds t and s to real, finite floats or numpy arrays and computes
+each node with one numpy ufunc over all points (gamma, which numpy lacks,
+maps math.gamma over the entries).  Failures come from numpy's IEEE
+exception flags: a node whose ufunc raises divide, overflow or invalid
+(underflow is ignored) raises EvalError naming it.  Parsed literals and
+bindings are finite, so that is a node that makes inf or nan from finite
+operands.
 evaluate, to_source and free_variables are one walk, _fold, each with its
 own leaf and combine steps.
 """
@@ -351,39 +354,33 @@ def free_variables(node: Expression) -> set[str]:
                  lambda item, found: set().union(*found))
 
 
-def _check_finite(item: Expression, value, operands: list):
-    """Raise EvalError if item made a non-finite entry from finite operands."""
-    finite = np.isfinite(value)
-    if finite.all():
-        return
-    fresh = ~finite
-    for operand in operands:
-        fresh = fresh & np.isfinite(operand)
-    if not fresh.any():
-        return
-    if isinstance(item, Binary) and item.op == "/" and np.any(fresh & (operands[1] == 0)):
-        raise EvalError("division by zero", item)
-    raise EvalError("domain error", item)
-
-
-@np.errstate(all="ignore")  # non-finite results are checked node by node
 def evaluate(node: Expression, t: float | np.ndarray | None = None,
              s: float | np.ndarray | None = None) -> float | np.ndarray:
     """IEEE double evaluation with bindings for t and s.
 
-    Bindings may be floats or numpy arrays; every node is one numpy ufunc
-    call on the broadcast operands, so a tree is walked once however many
-    points it is evaluated at.  The result is a float when it is a scalar
-    (scalar bindings, or a tree that uses no bound variable) and an array
-    of the broadcast shape of the variables it uses otherwise.
+    Bindings may be floats or numpy arrays, and must be real and finite;
+    every node is one numpy ufunc call on the broadcast operands, so a
+    tree is walked once however many points it is evaluated at.  The
+    result is a float when it is a scalar (scalar bindings, or a tree that
+    uses no bound variable) and an array of the broadcast shape of the
+    variables it uses otherwise.
 
-    Unbound variables and any node that turns finite operands into a
-    non-finite value raise EvalError naming that sub-expression: division
-    by zero, and as "domain error" sqrt of a negative, ln of a
-    non-positive, gamma at a pole, a fractional power of a negative, and
-    overflow to inf.  Trees of any depth evaluate (see _fold).
+    Failures raise EvalError naming the sub-expression: an unbound
+    variable, and a node whose ufunc raises numpy's IEEE divide, overflow
+    or invalid flag (underflow is ignored).  From finite operands that is
+    exactly a node that makes an inf or nan: division by zero, and as
+    "domain error" sqrt of a negative, ln of a non-positive, gamma at a
+    pole, a fractional power of a negative, and overflow to inf.  A
+    complex or non-finite binding raises EvalError naming the variable,
+    before the walk.  Trees of any depth evaluate (see _fold).
     """
-    bindings = {"t": t, "s": s}
+    bindings = {ident: value for ident, value in (("t", t), ("s", s)) if value is not None}
+    for ident, value in bindings.items():
+        if np.iscomplexobj(value):
+            raise EvalError("complex binding", Name(ident))
+        bindings[ident] = np.asarray(value, dtype=float)
+        if not np.isfinite(bindings[ident]).all():
+            raise EvalError("non-finite binding", Name(ident))
 
     def leaf(item: Number | Name):
         if isinstance(item, Number):
@@ -392,23 +389,23 @@ def evaluate(node: Expression, t: float | np.ndarray | None = None,
             return _CONSTANTS[item.ident]
         if item.ident not in _VARIABLES:
             raise EvalError(f"unknown name {item.ident!r}", item)
-        value = bindings[item.ident]
-        if value is None:
+        if item.ident not in bindings:
             raise EvalError(f"unbound variable {item.ident!r}", item)
-        return np.asarray(value, dtype=float)
+        return bindings[item.ident]
 
     def combine(item: Unary | Binary | Call, operands: list):
         if isinstance(item, Unary):
             return -operands[0]
-        if isinstance(item, Binary):
-            value = _BINARY[item.op](*operands)
-        else:
-            try:
-                value = _FUNCTIONS[item.func][1](*operands)
-            except (ValueError, OverflowError) as exc:  # gamma at a pole or overflowing
-                raise EvalError(f"domain error ({exc})", item) from None
-        _check_finite(item, value, operands)
-        return value
+        ufunc = _BINARY[item.op] if isinstance(item, Binary) else _FUNCTIONS[item.func][1]
+        try:
+            return ufunc(*operands)
+        except FloatingPointError:  # finite operands, so this node made the inf or nan
+            if isinstance(item, Binary) and item.op == "/" and np.any(operands[1] == 0):
+                raise EvalError("division by zero", item) from None
+            raise EvalError("domain error", item) from None
+        except (ValueError, OverflowError) as exc:  # gamma at a pole or overflowing
+            raise EvalError(f"domain error ({exc})", item) from None
 
-    value = _fold(node, leaf, combine)
+    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+        value = _fold(node, leaf, combine)
     return float(value) if np.ndim(value) == 0 else value

@@ -241,21 +241,32 @@ def test_to_source_minimal_parentheses():
     assert to_source(Binary("^", Number(-2.0), Number(2.0))) == "(-2.0)^2.0"
 
 
-def _random_tree(rng, depth):
+_DIGITS = tuple(float(digit) for digit in range(10))
+# Literals at the edges of the float range: a negative zero, a tiny and a
+# huge value, and values near exp's and gamma's overflow.  -0.0 prints as
+# unary minus, so trees that must round-trip keep to _DIGITS.
+_EXTREMES = _DIGITS + (-0.0, 1e-300, 1e300, 700.0, 171.5)
+_CALLS = ("exp", "ln", "sqrt", "sin", "cos", "tan", "abs", "gamma", "pow")
+
+
+def _random_tree(rng, depth, literals=_DIGITS):
     if depth == 0 or rng.random() < 0.3:
         pick = rng.random()
         if pick < 0.5:
-            return Number(float(rng.randint(0, 9)))
+            return Number(rng.choice(literals))
         if pick < 0.8:
             return Name(rng.choice(["t", "s"]))
         return Name(rng.choice(["pi", "e"]))
     pick = rng.random()
     if pick < 0.15:
-        return Unary("-", _random_tree(rng, depth - 1))
-    if pick < 0.9:
+        return Unary("-", _random_tree(rng, depth - 1, literals))
+    if pick < 0.7:
         op = rng.choice(["+", "-", "*", "/", "^"])
-        return Binary(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
-    return Call("pow", (_random_tree(rng, depth - 1), _random_tree(rng, depth - 1)))
+        return Binary(op, _random_tree(rng, depth - 1, literals),
+                      _random_tree(rng, depth - 1, literals))
+    func = rng.choice(_CALLS)
+    arity = 2 if func == "pow" else 1
+    return Call(func, tuple(_random_tree(rng, depth - 1, literals) for _ in range(arity)))
 
 
 def test_to_source_round_trips_random_trees():
@@ -287,6 +298,93 @@ def test_array_evaluation_matches_pointwise_evaluation():
         vector = np.broadcast_to(evaluate(node, t=points[0], s=points[1]), (16,))
         assert np.array_equal(vector.view(np.int64), np.array(scalar).view(np.int64)), (
             to_source(node))
+
+
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
+           "pow": np.power, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "sin": np.sin,
+           "cos": np.cos, "tan": np.tan, "abs": np.abs,
+           "gamma": np.vectorize(math.gamma, otypes=[float])}
+
+
+def _scan_rule(node, bindings):
+    """evaluate stated as a scan of each node's result: a node fails where it
+    makes a non-finite entry from finite operands, as a division by zero if
+    it is '/' with a zero denominator there and as a domain error
+    otherwise."""
+    if isinstance(node, Number):
+        return node.value
+    if isinstance(node, Name):
+        return {"pi": math.pi, "e": math.e, **bindings}[node.ident]
+    if isinstance(node, Unary):
+        return -_scan_rule(node.operand, bindings)
+    key, children = ((node.op, (node.left, node.right)) if isinstance(node, Binary)
+                     else (node.func, node.args))
+    operands = [_scan_rule(child, bindings) for child in children]
+    try:
+        with np.errstate(all="ignore"):
+            value = _UFUNCS[key](*operands)
+    except (ValueError, OverflowError) as exc:
+        raise EvalError(f"domain error ({exc})", node) from None
+    fresh = ~np.isfinite(value)
+    for operand in operands:
+        fresh = fresh & np.isfinite(operand)
+    if np.any(fresh):
+        zero = key == "/" and np.any(fresh & (operands[1] == 0))
+        raise EvalError("division by zero" if zero else "domain error", node)
+    return value
+
+
+def _outcome(evaluator, node, bindings):
+    try:
+        value = evaluator(node, bindings)
+    except EvalError as exc:
+        return str(exc)
+    if np.ndim(value) == 0:
+        value = float(value)
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+def test_ieee_flags_blame_the_node_the_finiteness_scan_blames():
+    # evaluate finds a failing node from numpy's divide, overflow and invalid
+    # flags; from finite operands they are raised exactly where a node makes
+    # inf or nan.  Trees with every operator and function and literals at
+    # the edges of the float range give, at a scalar, a 33 x 64 grid and 3
+    # points, the same bits or the same EvalError as the scan.
+    rng = random.Random(20261020)
+    points = [
+        {"t": 0.75, "s": -1.5},
+        {"t": np.linspace(0.0, 2.0, 33)[:, None], "s": np.linspace(-1.0, 1.0, 64)[None, :]},
+        {"t": np.array([0.0, 0.5, -1.0]), "s": np.array([1.0, 2.5, -0.0])},
+    ]
+    failures = 0
+    for _ in range(2000):
+        node = _random_tree(rng, 5, _EXTREMES)
+        for bindings in points:
+            flagged = _outcome(lambda node, b: evaluate(node, **b), node, bindings)
+            scanned = _outcome(_scan_rule, node,
+                               {name: np.asarray(value, dtype=float)
+                                for name, value in bindings.items()})
+            assert flagged == scanned, to_source(node)
+            failures += isinstance(flagged, str)
+    # Both outcomes are well represented.
+    assert 1000 < failures < 5000
+
+
+def test_bindings_must_be_real_and_finite():
+    # Each binding is checked once, before the walk, whether the tree uses
+    # it or not; t*0 with t = inf would otherwise be a nan.
+    cases = [
+        ({"t": math.inf}, "non-finite binding", "t"),
+        ({"t": np.array([0.0, math.nan])}, "non-finite binding", "t"),
+        ({"t": 1.0, "s": np.array([1.0, -math.inf])}, "non-finite binding", "s"),
+        ({"t": 1j}, "complex binding", "t"),
+        ({"t": np.array([1.0, 2.0 + 0j])}, "complex binding", "t"),
+    ]
+    for bindings, reason, source in cases:
+        with pytest.raises(EvalError) as err:
+            _value("t*0", **bindings)
+        assert err.value.reason == reason and err.value.source == source
+    assert _value("t*0", t=2.0) == 0.0  # s stays unbound: it is not used
 
 
 # ---------------------------------------------------------------- totality
