@@ -5,16 +5,16 @@ enter the solver only through the weighted Legendre projections
 f_k = (I_n f, L_{1,k}) of their interpolant I_n f (Don & Gottlieb, SIAM J.
 Numer. Anal. 31, 1994).  I_n f is evaluated by barycentric interpolation
 (Berrut & Trefethen, SIAM Rev. 46, 2004), in one place,
-_barycentric_matrix, at the nodes of the (n + 16)-point shifted
+_barycentric_matrix P, at the nodes of the (n + 16)-point shifted
 Legendre-Gauss rule that also projects the kernel term, and integrated
-against L_{1,k} there; (I_n f) L_{1,k} has degree <= 2n, so the rule is
-exact.  That rule, its weighted Legendre table and the
-sampling-to-projection map depend on n alone and are one entry,
-_legendre_projection, which the solver's kernel term reads too.  The rule
-of any larger n' is exact as well, so a convergence sweep projects the
-interpolants of all its truncations on the rule of its largest one, from
-one call of f on the nodes of every truncation below it
-(_nested_projections).
+against L_{1,k} there: every projection is weighted^T (P f) with the
+rule's weighted Legendre table; (I_n f) L_{1,k} has degree <= 2n, so the
+rule is exact.  That rule, its weighted Legendre table, the Chebyshev nodes
+and P depend on n alone and are one entry, _legendre_projection, which the
+solver's kernel term reads too.  The rule of any larger n' is exact as
+well, so a convergence sweep projects the interpolants of all its
+truncations on the rule of its largest one, from one call of f on the
+nodes of every truncation below it (_nested_projections).
 
 Every table the package reuses, here and in the solver, is kept in one
 store: _stored wraps each builder, keys its tables on (builder, arguments),
@@ -84,17 +84,16 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
 
     Returns the nodes x of the (n + 16)-point shifted Legendre-Gauss rule,
     the weighted table w_x L_{1,r}(x) (indexed [x, r]), the scale 2r + 1,
-    the shifted Chebyshev-Gauss nodes y_j and the forcing map M with
-    M @ f(y) = ((I_n f, L_{1,k}))_k: M = weighted^T P with P the
-    _barycentric_matrix from the y_j to the x_q.
+    the shifted Chebyshev-Gauss nodes y_j and the (n + 16) x (n + 1)
+    _barycentric_matrix P from the y_j to the x_q, so that
+    weighted^T (P f(y)) = ((I_n f, L_{1,k}))_k.
     """
     rule = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
     x = rule.nodes
     weighted = rule.weights[:, None] * shifted_legendre_table(n, x).T
     scale = 2.0 * np.arange(n + 1) + 1.0
     nodes, weights, _ = _chebyshev_nodes((n,))
-    matrix = weighted.T @ _barycentric_matrix(x, nodes, weights)
-    return x, weighted, scale, nodes, matrix
+    return x, weighted, scale, nodes, _barycentric_matrix(x, nodes, weights)
 
 
 def _chebyshev_nodes(ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,14 +153,14 @@ def chebyshev_interpolate(f, n: int) -> np.ndarray:
     f is called once, on the array of nodes, and must broadcast; a result
     that does not depend on its argument (a constant) is broadcast to the
     nodes.  The solver interpolates its forcing here, so complex or
-    non-finite samples raise ValueError naming f the forcing.  The nodes
-    and the sampling-to-projection map depend only on n and come from the
-    table store, so a repeated call evaluates only f and one
-    matrix-vector product.
+    non-finite samples raise ValueError naming f the forcing.  The nodes,
+    the weighted table and the barycentric matrix P depend only on n and
+    come from the table store, so a repeated call evaluates only f and
+    the two matrix-vector products of weighted^T (P f).
     """
-    *_, nodes, matrix = _legendre_projection(
+    _, weighted, _, nodes, interpolation = _legendre_projection(
         _check_integer(n, 0, "truncation must be a non-negative integer"))
-    return matrix @ _forcing_samples(f, nodes)
+    return weighted.T @ (interpolation @ _forcing_samples(f, nodes))
 
 
 def _forcing_samples(f, nodes: np.ndarray) -> np.ndarray:
@@ -175,10 +174,9 @@ def _nested_projections(f, truncations) -> list[np.ndarray]:
     Every n below top is integrated on the rule of _legendre_projection(top):
     (I_n f) L_{1,k} has degree <= 2n, so it gives the same projections up
     to round-off.  f is called once on the nodes of all those n together;
-    each n's interpolant is evaluated at the top + 16 Legendre nodes by
-    its own _barycentric_matrix, so the scratch is a few (top + 16) x
-    (n + 1) arrays at a time, and one product with the weighted table
-    projects them all.
+    each n's projections are weighted[:, :n + 1]^T (P_n f_n), with P_n its
+    own _barycentric_matrix to the top + 16 Legendre nodes, so the scratch
+    is one (top + 16) x (n + 1) array at a time.
     """
     *below, top = truncations
     projections = []
@@ -187,7 +185,6 @@ def _nested_projections(f, truncations) -> list[np.ndarray]:
         nodes, weights, starts = _chebyshev_nodes(below)
         samples = _forcing_samples(f, nodes)
         blocks = [slice(start, start + n + 1) for n, start in zip(below, starts)]
-        stacked = weighted.T @ np.column_stack([
-            _barycentric_matrix(x, nodes[b], weights[b]) @ samples[b] for b in blocks])
-        projections = [stacked[:n + 1, i] for i, n in enumerate(below)]
+        interpolated = (_barycentric_matrix(x, nodes[b], weights[b]) @ samples[b] for b in blocks)
+        projections = [weighted[:, :n + 1].T @ values for n, values in zip(below, interpolated)]
     return projections + [chebyshev_interpolate(f, top)]

@@ -14,13 +14,13 @@ with optional fraction and exponent.  The only variables are t and s, the
 constants are pi and e, and the callable names are fixed (see _FUNCTIONS).
 Unknown names and wrong arities are rejected at parse time with an offset.
 
-evaluate binds t and s to real, finite floats or numpy arrays and computes
-each node with one numpy ufunc over all points (gamma, which numpy lacks,
-maps math.gamma over the entries).  Failures come from numpy's IEEE
-exception flags: a node whose ufunc raises divide, overflow or invalid
-(underflow is ignored) raises EvalError naming it.  Parsed literals and
-bindings are finite, so that is a node that makes inf or nan from finite
-operands.
+evaluate binds t and s to real, finite floats or numpy arrays that
+broadcast together and computes each node with one numpy ufunc over all
+points (gamma, which numpy lacks, maps math.gamma over the entries).
+Failures come from numpy's IEEE exception flags: a node whose ufunc raises
+divide, overflow or invalid (underflow is ignored) raises EvalError naming
+it.  Parsed literals and bindings are finite, so that is a node that makes
+inf or nan from finite operands.
 evaluate, to_source and free_variables are one walk, _fold, each with its
 own leaf and combine steps.
 """
@@ -81,6 +81,10 @@ class Number:
 @dataclass(frozen=True)
 class Name:
     ident: str
+
+    def __post_init__(self):
+        if self.ident not in _VARIABLES and self.ident not in _CONSTANTS:
+            raise ValueError(f"name must be one of t, s, pi, e, not {self.ident!r}")
 
 
 @dataclass(frozen=True)
@@ -185,15 +189,6 @@ class _Parser:
             raise ParseError(token.offset, expected, self.text)
         return self.advance()
 
-    def enter(self):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError(self.peek().offset,
-                             f"nesting no deeper than {_MAX_DEPTH}", self.text)
-
-    def leave(self):
-        self.depth -= 1
-
     def parse_expr(self, level: int = 1) -> Expression:
         # One left-associative chain per binding level below _UNARY (+ -,
         # then * /), parsed iteratively, so only genuine nesting
@@ -208,7 +203,10 @@ class _Parser:
         return node
 
     def parse_factor(self) -> Expression:
-        self.enter()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(self.peek().offset,
+                             f"nesting no deeper than {_MAX_DEPTH}", self.text)
         if self.peek().kind == "-":
             self.advance()
             node = Unary("-", self.parse_factor())
@@ -217,7 +215,7 @@ class _Parser:
             if self.peek().kind == "^":
                 self.advance()
                 node = Binary("^", node, self.parse_factor())
-        self.leave()
+        self.depth -= 1
         return node
 
     def parse_primary(self) -> Expression:
@@ -371,8 +369,9 @@ def evaluate(node: Expression, t: float | np.ndarray | None = None,
     exactly a node that makes an inf or nan: division by zero, and as
     "domain error" sqrt of a negative, ln of a non-positive, gamma at a
     pole, a fractional power of a negative, and overflow to inf.  A
-    complex or non-finite binding raises EvalError naming the variable,
-    before the walk.  Trees of any depth evaluate (see _fold).
+    complex or non-finite binding raises EvalError naming the variable, and
+    bindings whose shapes do not broadcast together raise EvalError naming
+    s, both before the walk.  Trees of any depth evaluate (see _fold).
     """
     bindings = {ident: value for ident, value in (("t", t), ("s", s)) if value is not None}
     for ident, value in bindings.items():
@@ -381,14 +380,17 @@ def evaluate(node: Expression, t: float | np.ndarray | None = None,
         bindings[ident] = np.asarray(value, dtype=float)
         if not np.isfinite(bindings[ident]).all():
             raise EvalError("non-finite binding", Name(ident))
+    try:
+        np.broadcast_shapes(*(value.shape for value in bindings.values()))
+    except ValueError:  # one shape alone always broadcasts, so t and s are both bound
+        raise EvalError(f"bindings do not broadcast: t {bindings['t'].shape}, "
+                        f"s {bindings['s'].shape}", Name("s")) from None
 
     def leaf(item: Number | Name):
         if isinstance(item, Number):
             return item.value
         if item.ident in _CONSTANTS:
             return _CONSTANTS[item.ident]
-        if item.ident not in _VARIABLES:
-            raise EvalError(f"unknown name {item.ident!r}", item)
         if item.ident not in bindings:
             raise EvalError(f"unbound variable {item.ident!r}", item)
         return bindings[item.ident]

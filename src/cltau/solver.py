@@ -9,15 +9,17 @@ Legendre coefficients (Greengard, SIAM J. Numer. Anal. 28, 1991; Olver &
 Townsend, SIAM Rev. 55, 2013).  That is the classical tau solution, without
 rows for the initial values; for alpha <= n the matrix is a_n I plus compact
 terms, so its condition does not grow with N.  The forcing is sampled at
-Chebyshev-Gauss points, and one stored map of cltransform gives the Legendre
-projections of its interpolant.  The kernel term integrates k against the
-exact D^alpha of t^l/l! and I^n L_{1,j} (fracderiv._caputo_basis) by an
-(N + 16)-point Jacobi-Gauss rule that absorbs the s^(ceil(alpha) - alpha)
-factor and an (N + 16)-point Legendre-Gauss rule, exact for kernels
-polynomial in v = s^(1/p) (p the kernel_s_power) of degree
-<= 2 (N + 16) - 1 - p (N - ceil(alpha)); see _kernel_rows.  The system at N
-is the leading block of the one at any larger truncation, up to quadrature,
-so convergence_study assembles once, at its largest N (_nested_systems).
+Chebyshev-Gauss points, and cltransform gives the Legendre projections of
+its interpolant as weighted^T (P f), with P the stored barycentric matrix
+to the (N + 16)-point Legendre-Gauss rule.  The kernel term integrates k
+against the exact D^alpha of t^l/l! and I^n L_{1,j}
+(fracderiv._caputo_basis) by an (N + 16)-point Jacobi-Gauss rule that
+absorbs the s^(ceil(alpha) - alpha) factor and an (N + 16)-point
+Legendre-Gauss rule, exact for kernels polynomial in v = s^(1/p) (p the
+kernel_s_power) of degree <= 2 (N + 16) - 1 - p (N - ceil(alpha)); see
+_kernel_rows.  The system at N is the leading block of the one at any
+larger truncation, up to quadrature, so convergence_study assembles once,
+at its largest N (_nested_systems).
 
 The system is solved by one LAPACK gesv through numpy.linalg.solve (LU with
 partial pivoting) behind two gates: every LU pivot must reach 1e-14 times the

@@ -26,10 +26,9 @@ import time
 
 import numpy as np
 
-from test_cltransform import chebyshev_dct, projection_40_digits, transform_pair
+from test_cltransform import applied_map, chebyshev_dct, projection_40_digits, transform_pair
 from test_fracderiv import _oracle_matrix
 
-from cltau import cltransform
 from cltau.cltransform import chebyshev_interpolate
 from cltau.fracderiv import operational_matrix
 from cltau.orthopoly import LegendreSeries, MonomialSeries
@@ -202,8 +201,9 @@ def test_08_transform_inverse_and_round_trip():
     # The Chebyshev<->Legendre coefficient transforms must be exact
     # inverses to 1e-12, carry the exact structural zero pattern, and
     # round-trip polynomial samples to 1e-10.  The pair is built in the
-    # tests; the package carries samples straight to Legendre projections
-    # with one cached map, which must be diag(1/(2k+1)) B (Chebyshev DCT)
+    # tests; the package carries samples straight to Legendre projections,
+    # weighted^T (P f) in chebyshev_interpolate, and the map that applies
+    # to the unit sample vectors must be diag(1/(2k+1)) B (Chebyshev DCT)
     # to 1e-15 beyond that product's own distance from the exact map
     # (float64 B and DCT drift from it by up to 6.2e-15 at n = 32).
     for n in (4, 8, 16, 32):
@@ -221,7 +221,7 @@ def test_08_transform_inverse_and_round_trip():
         product = (pair.b / norms[:, None]) @ chebyshev_dct(n)
         scale = float(np.max(np.abs(product)))
         drift = float(np.max(np.abs(product - projection_40_digits(identity, n)))) / scale
-        deviation = float(np.max(np.abs(cltransform._legendre_projection(n)[4] - product))) / scale
+        deviation = float(np.max(np.abs(applied_map(n) - product))) / scale
         assert deviation <= 1e-15 + drift, (
             f"n={n}: map deviation {deviation:.3e}, product drift {drift:.3e}")
 

@@ -1,6 +1,7 @@
-"""Chebyshev interpolation in the Legendre frame: chebyshev_interpolate and
-its stored sampling-to-projection map against a 40-digit projection of the
-same interpolant, polynomial reproduction and spectral accuracy.  The
+"""Chebyshev interpolation in the Legendre frame: chebyshev_interpolate,
+weighted^T (P f) with the stored barycentric matrix P, and the map it
+applies to unit samples, against a 40-digit projection of the same
+interpolant; polynomial reproduction and spectral accuracy.  The
 Chebyshev<->Legendre coefficient transform pair and the Chebyshev discrete
 transform are test oracles here (the acceptance and solver tests use them
 too); their own checks are the inverse-pair identities, the
@@ -114,6 +115,13 @@ def projection_40_digits(values, n: int) -> np.ndarray:
                     target[k] += value * basis[k]
         result = np.array([[float(v) for v in target] for target in out]).T
     return result.reshape(values.shape)
+
+
+def applied_map(n: int) -> np.ndarray:
+    """The (n+1) x (n+1) map from samples at the Chebyshev nodes to
+    projections as the package applies it: column j is chebyshev_interpolate
+    of the unit sample vector e_j."""
+    return np.column_stack([chebyshev_interpolate(lambda t, e=e: e, n) for e in np.eye(n + 1)])
 
 
 def _interpolant(f, n: int) -> LegendreSeries:
@@ -304,26 +312,30 @@ def test_forcing_map_validation_and_caching():
 
 @pytest.mark.parametrize("n", [16, 48, 96])
 def test_forcing_map_matches_a_40_digit_projection(n):
-    # Each catalog forcing's float samples, mapped by the cached float64
-    # matrix, against the exact projection of their interpolant.  The
-    # deviation is measured against the largest sample, the scale of the
-    # map's rounding: problem 5.2 has samples up to 6.4 and projections
-    # below 1.
+    # Each catalog forcing projected by chebyshev_interpolate, weighted^T
+    # (P f) in float64, against the exact projection of the interpolant of
+    # the same float samples.  The deviation is measured against the
+    # largest sample, the scale of the projection's rounding: problem 5.2
+    # has samples up to 6.4 and projections below 1.
     nodes = cltransform._chebyshev_nodes((n,))[0]
     for example_id in ("5.1", "5.2", "5.3", "5.4"):
-        samples = builtin_example(example_id).problem.forcing(nodes)
+        forcing = builtin_example(example_id).problem.forcing
+        samples = forcing(nodes)
         reference = projection_40_digits(samples, n)
-        deviation = np.max(np.abs(cltransform._legendre_projection(n)[4] @ samples - reference))
+        deviation = np.max(np.abs(chebyshev_interpolate(forcing, n) - reference))
         assert deviation <= 1e-15 * np.max(np.abs(samples)), f"{example_id}: {deviation:.3e}"
 
 
 def test_forcing_map_is_finite_and_read_only_for_every_size():
     # The barycentric denominators x_q - y_j never vanish: the Chebyshev
-    # rule holds an exact 0.5 for even n, the Legendre rule for odd n.
+    # rule holds an exact 0.5 for even n, the Legendre rule for odd n.  So
+    # the stored (n + 16) x (n + 1) matrix P, and the map the package
+    # applies to every unit sample vector, are finite.
     for n in range(257):
-        *_, nodes, matrix = cltransform._legendre_projection(n)
-        assert matrix.shape == (n + 1, n + 1) and np.all(np.isfinite(matrix)), f"n={n}"
-        assert not nodes.flags.writeable and not matrix.flags.writeable
+        *_, nodes, interpolation = cltransform._legendre_projection(n)
+        assert interpolation.shape == (n + 16, n + 1), f"n={n}"
+        assert np.all(np.isfinite(applied_map(n))), f"n={n}"
+        assert not nodes.flags.writeable and not interpolation.flags.writeable
 
 
 def test_the_table_store_keeps_its_bound_under_threads(monkeypatch):

@@ -154,10 +154,13 @@ def test_function_name_without_a_call_fails_at_parse_time():
     (lambda: Call("nope", (Number(1.0),)), "'nope' with 1 argument"),
     (lambda: Call("exp", (Number(1.0), Number(2.0))), "'exp' with 2 argument"),
     (lambda: Call("pow", (Number(1.0),)), "'pow' with 1 argument"),
-], ids=["unary-plus", "binary-modulo", "unknown-function", "exp-arity", "pow-arity"])
+    (lambda: Name("x"), "name must be one of t, s, pi, e, not 'x'"),
+], ids=["unary-plus", "binary-modulo", "unknown-function", "exp-arity", "pow-arity",
+        "unknown-name"])
 def test_hand_built_nodes_outside_the_grammar_are_rejected(build, message):
     # parse never builds these; built by hand they used to evaluate or print
-    # wrongly (+1 as -1, % as ^) or fail with a bare KeyError or TypeError.
+    # wrongly (+1 as -1, % as ^), fail with a bare KeyError or TypeError, or
+    # (an unknown name) fail only when evaluated.
     with pytest.raises(ValueError, match=message) as err:
         build()
     assert type(err.value) is ValueError
@@ -385,6 +388,18 @@ def test_bindings_must_be_real_and_finite():
             _value("t*0", **bindings)
         assert err.value.reason == reason and err.value.source == source
     assert _value("t*0", t=2.0) == 0.0  # s stays unbound: it is not used
+
+
+def test_bindings_that_do_not_broadcast_are_reported_as_such():
+    # The caller's shapes are at fault, not the domain of the first node
+    # that combines them; like the other binding checks this runs before
+    # the walk, whether the tree uses both variables or not.
+    for source in ("t + s", "pow(t, s)", "t"):
+        with pytest.raises(EvalError) as err:
+            _value(source, t=np.ones(3), s=np.ones(4))
+        assert err.value.reason == "bindings do not broadcast: t (3,), s (4,)"
+        assert err.value.source == "s"
+    assert _value("t + s", t=np.ones((3, 1)), s=np.ones(4)).shape == (3, 4)
 
 
 # ---------------------------------------------------------------- totality

@@ -1330,20 +1330,29 @@ def _held_truncations(builder):
 
 
 def test_the_table_store_is_bounded_in_bytes(monkeypatch):
-    # A 4 MiB budget holds the tables of two of these truncations, not
-    # three, so every new truncation past the second evicts, least recently
-    # used first; at 1 MiB the projection tables of N = 260 (1.1 MB) are not
-    # kept at all.  No eviction changes a bit of any solution.
+    # The budget, derived from the measured entry sizes, holds the tables
+    # of the two largest of these truncations but not of the three
+    # smallest, so every new truncation past the second evicts, least
+    # recently used first; at 1 MiB the projection tables of N = 260
+    # (1.16 MB) are not kept at all.  No eviction changes a bit of any
+    # solution.
     problem = builtin_example("5.4").problem
-    expected = {}
+    expected, sizes = {}, {}
     for truncation in (200, 220, 240, 260):
         cltransform._tables.clear()
         expected[truncation] = solve_fide(problem, truncation).coeffs.coeffs.tobytes()
+        sizes[truncation] = {builder.__name__: sum(array.nbytes for array in tables)
+                             for (builder, _), (tables, _) in cltransform._tables.items()}
+    # Every entry is charged at least budget / 512, below 16 KiB while the
+    # budget is below 8 MiB.
+    budget = sum(max(size, 16 << 10) for n in (240, 260) for size in sizes[n].values())
+    assert budget < min(8 << 20, sum(sum(sizes[n].values()) for n in (200, 220, 240)))
+    assert sizes[260]["_legendre_projection"] > 1 << 20
     monkeypatch.setattr(cltransform, "_tables", OrderedDict())
-    monkeypatch.setattr(cltransform, "_TABLE_BYTES", 4 << 20)
+    monkeypatch.setattr(cltransform, "_TABLE_BYTES", budget)
     for truncation in (200, 220, 200, 240, 260):
         assert solve_fide(problem, truncation).coeffs.coeffs.tobytes() == expected[truncation]
-        assert sum(size for _, size in cltransform._tables.values()) <= 4 << 20
+        assert sum(size for _, size in cltransform._tables.values()) <= budget
         if truncation == 240:  # 200 was used after 220, so 220 went first
             assert _held_truncations(solver._integral_rows) == {200, 240}
     assert _held_truncations(solver._integral_rows) == {240, 260}
