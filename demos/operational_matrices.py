@@ -27,12 +27,12 @@ def show_matrix(label, matrix):
 def main():
     print("Integer orders collapse to classical derivative matrices")
     print("=" * 60)
-    show_matrix("alpha = 1, N = 3:", operational_matrix(1.0, 3).entries)
-    show_matrix("alpha = 2, N = 3:", operational_matrix(2.0, 3).entries)
+    show_matrix("alpha = 1, N = 3:", operational_matrix(1.0, 3))
+    show_matrix("alpha = 2, N = 3:", operational_matrix(2.0, 3))
 
     print("\n\nFractional order alpha = 1/2, N = 3")
     print("=" * 60)
-    half = operational_matrix(0.5, 3).entries
+    half = operational_matrix(0.5, 3)
     show_matrix("entries (first row annihilated):", half)
     known = 8.0 / (3.0 * math.sqrt(math.pi))
     print(f"\n    entry (1, 0) = {half[1, 0]:.10f}")

@@ -322,7 +322,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_opmatrix(args) -> int:
     _require(args.alpha > 0, f"derivative order must be > 0, got {args.alpha!r}")
-    matrix = operational_matrix(args.alpha, args.N).entries
+    matrix = operational_matrix(args.alpha, args.N)
     lines = [",".join(_format_number(v) for v in row) for row in matrix]
     _write_text(args.csv, "\n".join(lines) + "\n")
     return 0

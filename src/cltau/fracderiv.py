@@ -28,7 +28,6 @@ __all__ = [
     "caputo_power_rule",
     "caputo_apply",
     "caputo_legendre_factors",
-    "OperationalMatrix",
     "operational_matrix",
 ]
 
@@ -137,32 +136,19 @@ def _caputo_basis(order: CaputoOrder, n: int, degree: int, x: np.ndarray) -> np.
     return np.concatenate((taylor, factors * x ** (n + lift - m)))
 
 
-@dataclass(frozen=True)
-class OperationalMatrix:
-    """entries[i, j]: coefficient of L_{1,j} in the projection of D^alpha L_{1,i}.
-
-    Row i of `entries` expands the derivative of basis element i, so
-    coefficient vectors transform by entries.T: entries.T @ c holds the
-    Legendre coefficients of the projected D^alpha of the series c.
-    The first m rows are exactly zero.
-    """
-
-    alpha: float
-    m: int
-    n: int
-    entries: np.ndarray
-
-
-def operational_matrix(order, n: int) -> OperationalMatrix:
+def operational_matrix(order, n: int) -> np.ndarray:
     """Operational matrix of D^alpha on shifted Legendre coefficients, degree <= n:
-    S(i,j) = (2j+1) int_0^1 D^alpha L_{1,i} L_{1,j} dx in float64.
+    the (n+1) x (n+1) float64 array S(i,j) = (2j+1) int_0^1 D^alpha L_{1,i}
+    L_{1,j} dx, the coefficient of L_{1,j} in the projection of D^alpha L_{1,i}.
 
-    `order` is a CaputoOrder, a positive real, or a non-negative integer;
-    order 0 is the identity by convention.  The projection does not depend
-    on n, so the matrix for a smaller n is the leading block of the one for
-    a larger n: bit for bit at integer orders, to rounding at fractional
-    ones.  Built afresh on every call; the solver stores the tables it
-    derives from it.
+    Row i expands the derivative of basis element i, so coefficient vectors
+    transform by S.T: S.T @ c holds the Legendre coefficients of the
+    projected D^alpha of the series c.  The first ceil(alpha) rows are exact
+    zeros.  `order` is a CaputoOrder, a positive real, or a non-negative
+    integer; order 0 is the identity by convention.  The projection does not
+    depend on n, so the matrix for a smaller n is the leading block of the
+    one for a larger n: bit for bit at integer orders, to rounding at
+    fractional ones.  Built afresh on every call.
 
     Integer alpha = m: the m-th power of the first-derivative matrix of
     _legendre_derivative_coeffs (m = 0: exactly the identity).  Its entries
@@ -176,20 +162,17 @@ def operational_matrix(order, n: int) -> OperationalMatrix:
     polynomial of degree i - m (caputo_legendre_factors), so
     S(i,j) = (2j+1) sum_q w_q g_i(s_q) L_{1,j}(s_q) over the (n+2)-point
     Jacobi-Gauss rule for the weight x^(m-alpha), which is exact because
-    g_i L_{1,j} has degree at most 2n.  Rows below m are exact zeros.
+    g_i L_{1,j} has degree at most 2n.
     """
     n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
     if not isinstance(order, CaputoOrder) and float(order) == 0.0:
-        alpha, m = 0.0, 0
-    else:
-        order = _as_order(order)
-        alpha, m = order.alpha, order.m
-    if alpha == m:
-        entries = _legendre_derivative_coeffs(n, m)
-    else:
-        rule = jacobi_gauss_rule(n + 1, m - alpha)
-        factors = caputo_legendre_factors(order, n, rule.nodes) * rule.weights
-        basis = shifted_legendre_table(n, rule.nodes)
-        entries = (factors @ basis.T) * (2.0 * np.arange(n + 1) + 1.0)
-        entries[:m] = 0.0
-    return OperationalMatrix(alpha=alpha, m=m, n=n, entries=entries)
+        return _legendre_derivative_coeffs(n, 0)
+    order = _as_order(order)
+    if order.alpha == order.m:
+        return _legendre_derivative_coeffs(n, order.m)
+    rule = jacobi_gauss_rule(n + 1, order.m - order.alpha)
+    factors = caputo_legendre_factors(order, n, rule.nodes) * rule.weights
+    basis = shifted_legendre_table(n, rule.nodes)
+    entries = (factors @ basis.T) * (2.0 * np.arange(n + 1) + 1.0)
+    entries[:order.m] = 0.0
+    return entries

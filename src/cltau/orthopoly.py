@@ -88,7 +88,8 @@ class MonomialSeries:
     (-1, 0), an integrable singularity at x = 0).  Evaluation is one broadcast,
     x[..., None] ** p @ q, over float64 copies of the terms made once at
     construction; it keeps the shape of x and returns a float for a
-    scalar.
+    scalar.  A sum past the float range is inf or NaN, without a warning:
+    the callers check samples for finiteness and name the function.
     """
 
     terms: tuple[tuple[float, float], ...]
@@ -106,7 +107,7 @@ class MonomialSeries:
     def __call__(self, x):
         x = _check_domain(x)
         q, p = self._qp
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = (x[..., None] ** p) @ q
         return float(out) if out.ndim == 0 else out
 

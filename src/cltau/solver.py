@@ -372,9 +372,12 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
     coefficients are I^n v plus those of p = sum_l d_l t^l/l!.
 
     Raises SolverError when a pivot of that LU falls below 1e-14 times the
-    largest matrix entry, when the solution v is not finite (its residual
-    would be NaN, which no comparison rejects), or when the solved system's
-    residual exceeds 1e-10 * (1 + max |rhs|).  The pivot gate is decided
+    largest matrix entry, when the solution v or its lift y is not finite,
+    or when the solved system's residual is not at most
+    1e-10 * (1 + max |rhs|): a NaN residual fails, and one that overflows
+    is re-evaluated on A / max|A| so the message carries a number.
+    Overflows become inf under one numpy.errstate, so none warns; a system
+    with non-finite entries raises ValueError.  The pivot gate is decided
     from the inverse that the 1-norm condition estimate computes anyway:
     every pivot u_kk of partial pivoting has 1/|u_kk| <= size * ||A^-1||_1,
     so when 2 * size * ||A^-1||_1 * 1e-14 * max|A| < 1 no pivot can fail
@@ -384,8 +387,11 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
     ||A||_1 * ||A^-1||_1, the value of numpy.linalg.cond(A, 1).
     """
     truncation = _check_truncation(truncation)
-    coeffs, condition = _gated_solve(truncation, *assemble_system(problem, truncation))
-    series = _lift(np.concatenate((coeffs, np.zeros(problem.n))), problem.ics)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, condition = _gated_solve(truncation, *assemble_system(problem, truncation))
+        series = _lift(np.concatenate((coeffs, np.zeros(problem.n))), problem.ics)
+    if not np.isfinite(series).all():
+        raise SolverError(f"solution is not finite at truncation {truncation}")
     return SpectralSolution(truncation, LegendreSeries(series), condition)
 
 
@@ -403,7 +409,8 @@ def _lift(padded: np.ndarray, ics) -> np.ndarray:
 def _gated_solve(truncation: int, matrix: np.ndarray,
                  rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """The gesv and the two gates of solve_fide on one assembled system:
-    the solution v and the 1-norm condition estimate."""
+    the solution v and the 1-norm condition estimate.  Its callers hold the
+    numpy.errstate under which an overflow becomes inf without a warning."""
     absolute = np.abs(matrix)
     scale = float(absolute.max())
     if not (math.isfinite(scale) and np.all(np.isfinite(rhs))):
@@ -421,24 +428,25 @@ def _gated_solve(truncation: int, matrix: np.ndarray,
     try:
         joint = np.linalg.solve(matrix, joint)
     except np.linalg.LinAlgError:  # an exactly zero pivot
-        joint = None
+        raise singular(_smallest_pivot(matrix)) from None
     # ||.||_1 as numpy.linalg.norm(., 1) computes it: the largest column sum of |.|.
-    inverse_norm = math.inf if joint is None else float(np.abs(joint[:, :size]).sum(axis=0).max())
+    inverse_norm = float(np.abs(joint[:, :size]).sum(axis=0).max())
     if not 2.0 * size * inverse_norm * _PIVOT_RTOL * scale < 1.0:
         pivot_min = _smallest_pivot(matrix)
-        if joint is None or scale == 0.0 or pivot_min < _PIVOT_RTOL * scale:
+        if pivot_min < _PIVOT_RTOL * scale:
             raise singular(pivot_min)
     coeffs = joint[:, size]
     if not np.all(np.isfinite(coeffs)):
         raise SolverError(f"solution is not finite at truncation {truncation}")
     residual = float(np.max(np.abs(matrix @ coeffs - rhs)))
+    if not math.isfinite(residual):  # the product overflowed: scale by max|A| first
+        residual = scale * float(np.max(np.abs((matrix / scale) @ coeffs - rhs / scale)))
     tolerance = _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(rhs))))
-    if residual > tolerance:
+    if not residual <= tolerance:  # a NaN residual fails too
         raise SolverError(
             f"solve residual {residual:.3e} exceeds {tolerance:.3e} at "
             f"truncation {truncation}")
-    with np.errstate(over="ignore"):
-        condition = float(absolute.sum(axis=0).max()) * inverse_norm
+    condition = float(absolute.sum(axis=0).max()) * inverse_norm
     if not math.isfinite(condition):  # ||A||_1 itself overflowed: scale by max|A| first
         condition = float((absolute / scale).sum(axis=0).max()) * (scale * inverse_norm)
     return coeffs, condition
@@ -700,7 +708,7 @@ def initial_condition_residuals(problem: FIDEProblem, solution) -> np.ndarray:
     signs = (-1.0) ** np.arange(size)
     residuals = np.empty(problem.n)
     for i in range(problem.n):
-        at_zero = series.coeffs @ (operational_matrix(i, series.degree).entries @ signs)
+        at_zero = series.coeffs @ (operational_matrix(i, series.degree) @ signs)
         residuals[i] = abs(at_zero - problem.ics[i])
     return residuals
 
@@ -713,7 +721,7 @@ def tau_residuals(problem: FIDEProblem, solution) -> np.ndarray:
     degree, rows = series.degree, series.degree - problem.n + 1
     if rows < 1:
         raise ValueError(f"degree {degree} is below the derivative order {problem.n}")
-    operator = sum(coeff * operational_matrix(i, degree).entries
+    operator = sum(coeff * operational_matrix(i, degree)
                    for i, coeff in enumerate(problem.a) if coeff != 0.0) - fredholm_block(
         problem.kernel, problem.order, degree, problem.kernel_s_power)
     applied = (operator.T @ series.coeffs)[:rows] / (2.0 * np.arange(rows) + 1.0)
@@ -776,11 +784,11 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     Legendre table of degree N_max, so their errors can differ from
     error_norms(solve_fide(N)) in the last digits.
 
-    Solver failures at individual truncations are recorded on their
-    entries without aborting the sweep.  Errors below 1e-12 are treated
-    as the machine floor and excluded from the decay fit; a sweep that
-    sinks below the floor before three errors lie above it is "resolved"
-    (see DecayFit).
+    Solver failures at individual truncations, a lifted solution that is
+    not finite among them, are recorded on their entries without aborting
+    the sweep.  Errors below 1e-12 are treated as the machine floor and
+    excluded from the decay fit; a sweep that sinks below the floor before
+    three errors lie above it is "resolved" (see DecayFit).
     """
     ns = [_check_truncation(n) for n in truncations]
     if not ns:
@@ -791,14 +799,20 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
         raise ValueError(f"smallest truncation {ns[0]} is below derivative order {problem.n}")
     exact_values = _exact_samples(exact)
     padded, failures = np.zeros((ns[-1] + 1, len(ns))), {}
-    for column, (n, matrix, rhs) in enumerate(_nested_systems(problem, ns)):
-        try:
-            coeffs, _ = _gated_solve(n, matrix, rhs)
-        except SolverError as exc:
-            failures[n] = str(exc)
-            continue
-        padded[:coeffs.size, column] = coeffs
-    values = _lift(padded, problem.ics).T @ shifted_legendre_table(ns[-1], _error_grid()[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column, (n, matrix, rhs) in enumerate(_nested_systems(problem, ns)):
+            try:
+                coeffs, _ = _gated_solve(n, matrix, rhs)
+            except SolverError as exc:
+                failures[n] = str(exc)
+                continue
+            padded[:coeffs.size, column] = coeffs
+        lifted = _lift(padded, problem.ics)
+    finite = np.isfinite(lifted).all(axis=0)
+    for n in np.compress(~finite, ns):
+        failures.setdefault(int(n), f"solution is not finite at truncation {n}")
+    lifted[:, ~finite] = 0.0
+    values = lifted.T @ shifted_legendre_table(ns[-1], _error_grid()[0])
     entries = tuple(ConvergenceEntry(n, None, None, failures[n]) if n in failures
                     else ConvergenceEntry(n, *_distances(row, exact_values))
                     for n, row in zip(ns, values))

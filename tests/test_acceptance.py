@@ -188,7 +188,7 @@ def test_07_operational_matrix_oracle_equivalence():
     # (test_fracderiv._oracle_matrix: 40-digit accumulation, substituted
     # 64-point rule).  sigma clears the fractional exponents of D^alpha.
     for alpha, sigma in ((0.25, 4), (0.5, 2), (0.75, 4), (1.5, 2), (2.5, 2)):
-        built = operational_matrix(alpha, 12).entries
+        built = operational_matrix(alpha, 12)
         oracle = _oracle_matrix(alpha, 12, sigma)
         deviation = float(np.max(np.abs(built - oracle)))
         assert deviation <= 1e-9, f"alpha={alpha}: deviation {deviation:.3e}"

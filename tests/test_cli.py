@@ -317,6 +317,61 @@ def test_solve_with_a_non_finite_solution_exits_three(capsys, tmp_path):
     assert stderr == "solver error: solution is not finite at truncation 8\n"
 
 
+# Configs at the edge of the float range, each with its command, exit code
+# and complete stderr.  The stderr equality also shows that no
+# RuntimeWarning was printed before the message.
+_EDGE_CASES = {
+    # v is finite, but adding the initial value 1.7e308 to the lifted series overflows.
+    "lifted-solution-overflows": (
+        {"n": 1, "a": [0, 1], "alpha": 0.5, "kernel": "0*t*s", "forcing": "1e308",
+         "ics": [1.7e308]},
+        ["solve", "--N", "4"], 3, "solver error: solution is not finite at truncation 4\n"),
+    # v is finite (max 2.5e11) and max|A| = 3e297, so A v - rhs overflows to
+    # NaN entries, which "residual > tolerance" passed.  Taken on A / max|A|,
+    # the residual misses the tolerance by 400 times.
+    "residual-overflows-to-nan": (
+        {"n": 6, "a": [0.33032792991697624, -1e300, 2.01434350358671, -5.227607847687116,
+                       -2.0443358000818233, -0.0751530574271027, -1.0],
+         "alpha": 1.0, "kernel": "t^2*s^2", "forcing": "1",
+         "ics": [4.157635754311458, 0.846798394129189, -2.243263797692079, 5.416131981392696,
+                 0.0, 2.802955845982559]},
+        ["solve", "--N", "16"], 3,
+        "solver error: solve residual 2.599e+292 exceeds 6.512e+289 at truncation 16\n"),
+    # The kernel term's moment product overflows: the system is not finite.
+    "kernel-term-overflows": (
+        {"n": 3, "a": [-0.54704067817418, 3.0, -2.8220480920929427, -1.07538812372661],
+         "alpha": 7.3, "kernel": "exp(700*t*s)", "forcing": "exp(t)",
+         "ics": [-4.922040353119332, 3.896189127633442, 0.004285564078624748]},
+        ["solve", "--N", "16"], 2, "error: tau system has non-finite entries at truncation 16\n"),
+    # The manufactured forcing's projection overflows below the sweep's top.
+    "forcing-projection-overflows": (
+        {"n": 1, "a": [1e308, 1e300], "alpha": 1.5, "kernel": "1e200*t*s",
+         "mms_exact": [[1.772110377251753, 1.0]], "ics": [0.0]},
+        ["convergence", "--N-sweep", "1:13:4"], 2,
+        "error: tau system has non-finite entries at truncation 1\n"),
+    # The kernel product of the manufactured forcing overflows.
+    "manufactured-forcing-overflows": (
+        {"n": 1, "a": [-4.301746304480553, 5e-324], "alpha": 1e-9, "kernel": "1e200*t*s",
+         "mms_exact": [[5.032802246942804, 8.0], [3.0698162932938025, 3.0], [1e300, 5.0]],
+         "ics": [0.0]},
+        ["convergence", "--N-sweep", "1:13:4"], 2,
+        "error: non-finite forcing sample at the interpolation nodes\n"),
+    # The exact solution 1e308 (1 + t) overflows on the error grid.
+    "exact-solution-overflows": (
+        {"n": 1, "a": [0, 1], "alpha": 0.5, "kernel": "0*t*s",
+         "mms_exact": [[1e308, 0], [1e308, 1]], "ics": [1e308]},
+        ["convergence", "--N-sweep", "2:6:2"], 2,
+        "error: non-finite exact solution sample on the error grid\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_configs_at_the_float_range_exit_with_their_code_and_no_warning(capsys, tmp_path, case):
+    config, command, expected_code, expected_stderr = _EDGE_CASES[case]
+    path = _write_config(tmp_path, config)
+    assert _run(capsys, command + ["--config", path]) == (expected_code, "", expected_stderr)
+
+
 def test_error_norms_of_a_solution_near_the_float_range_stay_finite(capsys, tmp_path):
     # The exact solution 1e300 t^3 squares past the float range.  The problem
     # is linear in the exact solution (its ics are 0), so its errors are

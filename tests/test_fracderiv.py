@@ -139,19 +139,19 @@ def test_operational_matrix_matches_first_principles_oracle(alpha, sigma):
     n = 12
     matrix = operational_matrix(alpha, n)
     oracle = _oracle_matrix(alpha, n, sigma)
-    assert np.max(np.abs(matrix.entries - oracle)) <= 1e-9
+    assert np.max(np.abs(matrix - oracle)) <= 1e-9
     # Rows below m = ceil(alpha) are exactly zero, not merely small.
     m = math.ceil(alpha)
-    assert np.all(matrix.entries[:m] == 0.0)
-    assert matrix.m == m and matrix.n == n
+    assert np.all(matrix[:m] == 0.0)
+    assert matrix.shape == (n + 1, n + 1)
 
 
 def test_operational_matrix_integer_collapse():
     # alpha = 1: D L_1 = 2 L_0 and D L_2 = 6 L_1.
-    first = operational_matrix(1.0, 2).entries
+    first = operational_matrix(1.0, 2)
     assert np.allclose(first, [[0, 0, 0], [2, 0, 0], [0, 6, 0]], rtol=0, atol=1e-12)
     # alpha = 2: D^2 L_2 = 12 L_0 and D^2 L_3 = 60 L_1.
-    second = operational_matrix(2.0, 3).entries
+    second = operational_matrix(2.0, 3)
     expected = np.zeros((4, 4))
     expected[2, 0] = 12.0
     expected[3, 1] = 60.0
@@ -162,7 +162,7 @@ def test_operational_matrix_half_order_known_entry():
     # D^(1/2) L_{1,1} = D^(1/2) (2x - 1) = (4 / sqrt pi) sqrt(x), whose L_0
     # coefficient is int_0^1 of it: 8 / (3 sqrt pi).
     matrix = operational_matrix(0.5, 2)
-    assert matrix.entries[1, 0] == pytest.approx(8.0 / (3.0 * _SQRT_PI), rel=1e-13)
+    assert matrix[1, 0] == pytest.approx(8.0 / (3.0 * _SQRT_PI), rel=1e-13)
 
 
 def test_operational_matrix_large_truncation_stays_finite():
@@ -171,12 +171,12 @@ def test_operational_matrix_large_truncation_stays_finite():
     # must stay bounded (entries grow like the derivative norms, nothing
     # worse) and keep the zero rows exact.
     matrix = operational_matrix(0.5, 32)
-    assert np.all(np.isfinite(matrix.entries))
-    assert np.all(matrix.entries[0] == 0.0)
+    assert np.all(np.isfinite(matrix))
+    assert np.all(matrix[0] == 0.0)
     # Projection coefficients do not depend on the truncation, so the
     # top-left block must match the N = 12 oracle.
     oracle = _oracle_matrix(0.5, 12, 2)
-    assert np.max(np.abs(matrix.entries[:13, :13] - oracle)) <= 1e-9
+    assert np.max(np.abs(matrix[:13, :13] - oracle)) <= 1e-9
 
 
 def _mpmath_double_sum(alpha: float, n: int) -> np.ndarray:
@@ -212,7 +212,7 @@ def test_fractional_matrix_matches_extended_precision_double_sum(alpha, n):
     # Row-normalised, since rows grow like the derivative norms (~1e5 at
     # n = 64, alpha = 2.7); measured worst 4.0e-13.
     reference = _mpmath_double_sum(alpha, n)
-    entries = operational_matrix(alpha, n).entries
+    entries = operational_matrix(alpha, n)
     scale = np.max(np.abs(reference), axis=1, keepdims=True)
     m = math.ceil(alpha)
     assert np.all(entries[:m] == 0.0)
@@ -238,14 +238,14 @@ def test_integer_matrix_is_exact_integers(m):
     n = 128
     exact = _exact_derivative_matrix(n, m)
     assert max(abs(int(v)) for v in exact.flat) < 2 ** 53
-    entries = operational_matrix(m, n).entries
+    entries = operational_matrix(m, n)
     assert np.array_equal(entries, exact.astype(float))
 
 
 def test_integer_matrix_leading_block_does_not_depend_on_truncation():
     for m in (1, 2, 3):
-        small = operational_matrix(m, 12).entries
-        large = operational_matrix(m, 24).entries
+        small = operational_matrix(m, 12)
+        large = operational_matrix(m, 24)
         assert np.array_equal(small, large[:13, :13])
 
 
@@ -272,7 +272,7 @@ def test_caputo_legendre_factors_match_power_rule(alpha):
 
 
 def test_operational_matrix_transpose_projects_derivative():
-    # y = 14x has Legendre coefficients (7, 7, 0, ...); entries.T times them
+    # y = 14x has Legendre coefficients (7, 7, 0, ...); matrix.T times them
     # must give the exact projection coefficients of D^(1/2) y =
     # (28 / sqrt pi) sqrt(x), whose closed form uses the beta integral
     # int x^(1/2) L_j = Gamma(3/2)^2 / (Gamma(3/2 - j) Gamma(j + 5/2)).
@@ -281,7 +281,7 @@ def test_operational_matrix_transpose_projects_derivative():
     coeffs = np.zeros(n + 1)
     coeffs[0] = 7.0
     coeffs[1] = 7.0
-    result = matrix.entries.T @ coeffs
+    result = matrix.T @ coeffs
     g = math.gamma
     scale = 28.0 / _SQRT_PI
     for j in range(n + 1):
@@ -335,7 +335,7 @@ def test_single_sum_printed_form_disagrees():
     # projection matrix; the corrected gamma placement reproduces it.  The
     # frozen magnitudes document how wrong the printed form is.
     for alpha, printed_dev in ((0.5, 1.58e3), (1.5, 3.59e4)):
-        exact = operational_matrix(alpha, 8).entries
+        exact = operational_matrix(alpha, 8)
         printed = _single_sum_entries(alpha, 8)
         corrected = _single_sum_entries(alpha, 8, corrected=True)
         dev = np.max(np.abs(printed - exact))
@@ -348,7 +348,7 @@ def test_single_sum_printed_value_spot_check():
     # projection gives 8 / (3 sqrt pi) = 1.5045.
     printed = _single_sum_entries(0.5, 2)
     assert printed[1, 0] == pytest.approx(2.2567583, rel=1e-6)
-    assert operational_matrix(0.5, 2).entries[1, 0] == pytest.approx(1.5045055, rel=1e-6)
+    assert operational_matrix(0.5, 2)[1, 0] == pytest.approx(1.5045055, rel=1e-6)
 
 
 def test_operational_matrix_validation():
@@ -363,6 +363,6 @@ def test_order_zero_is_the_cached_float64_identity(n):
     # Order 0 is the zeroth power of the first-derivative matrix: the
     # identity bit for bit.
     matrix = operational_matrix(0, n)
-    assert (matrix.alpha, matrix.m, matrix.n) == (0.0, 0, n)
-    assert matrix.entries.dtype == np.float64
-    assert matrix.entries.tobytes() == np.eye(n + 1).tobytes()
+    assert matrix.shape == (n + 1, n + 1)
+    assert matrix.dtype == np.float64
+    assert matrix.tobytes() == np.eye(n + 1).tobytes()

@@ -247,6 +247,13 @@ def test_monomial_series_matches_termwise_sum():
     assert empty(np.ones((2, 3)) / 2).shape == (2, 3)
 
 
+def test_monomial_series_overflows_to_inf_without_a_warning():
+    # Callers check the samples for finiteness and name the function; the
+    # suite's filter turns an overflow warning into a failure.
+    series = MonomialSeries(((1e308, 0.0), (1e308, 1.0)))
+    assert series(np.array([0.0, 0.5, 1.0])).tolist() == [1e308, 1.5e308, np.inf]
+
+
 @pytest.mark.parametrize("coeffs, message", [
     ([[1.0, 2.0]], "one-dimensional and non-empty"),
     ([], "one-dimensional and non-empty"),

@@ -169,7 +169,7 @@ def test_fredholm_block_equals_projected_product_for_polynomial_kernels(alpha, t
     # kernel moments there.
     for kernel in (lambda t, s: t * s, lambda t, s: 1.0 + t * s ** 2 - 0.5 * t ** 2):
         block = fredholm_block(kernel, alpha, truncation)
-        product = (operational_matrix(alpha, truncation).entries
+        product = (operational_matrix(alpha, truncation)
                    @ kernel_moments(kernel, truncation).entries)
         assert block.shape == product.shape
         assert np.max(np.abs(block - product)) <= 1e-12 * np.max(np.abs(product))
@@ -1001,7 +1001,7 @@ def _classical_tau_coeffs(problem, truncation):
     fredholm_block, divided by 2k + 1, then n initial-condition rows
     d^i L_{1,j}(0) = (-1)^(j-i) (j+i)! / (i! (j-i)!) in closed form."""
     rows = truncation - problem.n + 1
-    operator = sum(coeff * operational_matrix(i, truncation).entries
+    operator = sum(coeff * operational_matrix(i, truncation)
                    for i, coeff in enumerate(problem.a))
     operator = operator - fredholm_block(problem.kernel, problem.order, truncation,
                                          problem.kernel_s_power)
@@ -1248,6 +1248,18 @@ def test_a_non_finite_solution_fails_the_residual_gate():
     # In a sweep each such truncation is a failed entry, not an aborted study.
     problem = FIDEProblem(n=1, a=(0.0, 1e-300), order=0.5, kernel=lambda t, s: 1e-300 * t * s,
                           forcing=lambda t: 1e10 * np.sqrt(t), ics=(0.0,))
+    report = convergence_study(problem, np.zeros_like, (4, 8))
+    assert [entry.failure for entry in report.entries] == [
+        f"solution is not finite at truncation {n}" for n in (4, 8)]
+
+
+def test_a_lifted_solution_that_overflows_is_a_solver_error():
+    # v is finite, but adding the initial value 1.7e308 to the lifted
+    # series overflows.  No errstate: an overflow warning fails the test.
+    problem = FIDEProblem(n=1, a=(0.0, 1.0), order=0.5, kernel=lambda t, s: 0.0 * t * s,
+                          forcing=lambda t: np.full_like(t, 1e308), ics=(1.7e308,))
+    with pytest.raises(SolverError, match="^solution is not finite at truncation 4$"):
+        solve_fide(problem, 4)
     report = convergence_study(problem, np.zeros_like, (4, 8))
     assert [entry.failure for entry in report.entries] == [
         f"solution is not finite at truncation {n}" for n in (4, 8)]
