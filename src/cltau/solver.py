@@ -26,7 +26,9 @@ partial pivoting) behind two gates: every LU pivot must reach 1e-14 times the
 largest matrix entry, and the residual must stay below 1e-10 * (1 + max |rhs|).
 The pivot gate is certified from the inverse that the 1-norm condition
 estimate computes anyway, from the same factorization, and decided by explicit
-elimination only when that bound is inconclusive; see solve_fide.
+elimination only when that bound is inconclusive; see _gated_solve.  One loop,
+_solve_systems, runs that solve for solve_fide and for every truncation of
+convergence_study, and lifts the solutions to y.
 
 Kernels, forcings and exact solutions must accept numpy arrays, broadcast
 (wrap scalar callables in numpy.vectorize if needed) and return real, finite
@@ -250,12 +252,14 @@ def _kernel_rows(kernel: Callable, order: CaputoOrder, truncation: int, s_power:
     _caputo_quadrature, the outer one that of _legendre_projection; both are
     stored, so a repeat evaluates only the kernel.  Exact for kernels
     polynomial in x of degree <= truncation + 31 and in v = s**(1/s_power)
-    of degree <= 2 (truncation + 16) - 1 - s_power (truncation - m).
+    of degree <= 2 (truncation + 16) - 1 - s_power (truncation - m).  A
+    product that overflows stays in the block as inf or NaN without a warning.
     """
     s, table = _caputo_quadrature(order.alpha, s_power, truncation, n)
     x, weighted, scale, *_ = _legendre_projection(truncation)
-    inner = _kernel_grid(kernel, x, s) @ table.T
-    return (inner.T @ weighted[:, :truncation - n + 1]) * scale[:truncation - n + 1]
+    grid = _kernel_grid(kernel, x, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((grid @ table.T).T @ weighted[:, :truncation - n + 1]) * scale[:truncation - n + 1]
 
 
 def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -> np.ndarray:
@@ -274,12 +278,13 @@ def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -
 
 
 def _integrate(coeffs: np.ndarray) -> np.ndarray:
-    """Legendre coefficients (axis 0) of the integral from 0 of the series
-    coeffs, by I L_{1,0} = (L_{1,0} + L_{1,1})/2 and I L_{1,j} =
-    (L_{1,j+1} - L_{1,j-1}) / (2 (2j + 1)); the last coefficient must be 0."""
-    half = (coeffs.T / (4.0 * np.arange(len(coeffs)) + 2.0)).T
-    return (np.concatenate((half[:1], half[:-1]))
-            - np.concatenate((half[1:], np.zeros_like(half[:1]))))
+    """Legendre coefficients (axis 0) of the integrals from 0 of the series
+    in the columns of coeffs, by I L_{1,0} = (L_{1,0} + L_{1,1})/2 and
+    I L_{1,j} = (L_{1,j+1} - L_{1,j-1}) / (2 (2j + 1)); the last row must be 0."""
+    half = coeffs / (4.0 * np.arange(len(coeffs)) + 2.0)[:, None]
+    out = np.concatenate((half[:1], half[:-1]))
+    out[:-1] -= half[1:]
+    return out
 
 
 @_stored
@@ -366,54 +371,85 @@ def _smallest_pivot(matrix: np.ndarray) -> float:
 
 
 def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
-    """Assemble and solve the tau system by dense LU with partial pivoting:
-    one LAPACK gesv through numpy.linalg.solve against [I | rhs] yields A^-1
-    (the first size columns, as numpy.linalg.inv) and v; the solution's
-    coefficients are I^n v plus those of p = sum_l d_l t^l/l!.
+    """Assemble the tau system at truncation and solve it through
+    _solve_systems: one gesv behind the pivot and residual gates of
+    _gated_solve, then the lift to y = p + I^n v, whose coefficients the
+    solution carries.  condition_estimate is ||A||_1 * ||A^-1||_1, the value
+    of numpy.linalg.cond(A, 1).
 
-    Raises SolverError when a pivot of that LU falls below 1e-14 times the
-    largest matrix entry, when the solution v or its lift y is not finite,
-    or when the solved system's residual is not at most
-    1e-10 * (1 + max |rhs|): a NaN residual fails, and one that overflows
-    is re-evaluated on A / max|A| so the message carries a number.
-    Overflows become inf under one numpy.errstate, so none warns; a system
-    with non-finite entries raises ValueError.  The pivot gate is decided
-    from the inverse that the 1-norm condition estimate computes anyway:
-    every pivot u_kk of partial pivoting has 1/|u_kk| <= size * ||A^-1||_1,
-    so when 2 * size * ||A^-1||_1 * 1e-14 * max|A| < 1 no pivot can fail
-    (the 2 covers rounding in the computed inverse).  Only when that bound is
-    inconclusive, or the matrix is exactly singular, does _smallest_pivot
-    eliminate explicitly to decide.  condition_estimate is
-    ||A||_1 * ||A^-1||_1, the value of numpy.linalg.cond(A, 1).
+    Raises SolverError when a gate trips or the lifted solution is not
+    finite, and ValueError when the system has non-finite entries; no
+    overflow warns.
     """
     truncation = _check_truncation(truncation)
+    # A generator, so that the system is assembled under the loop's errstate.
+    lifted, (outcome,) = _solve_systems((truncation,), problem.ics, (
+        (n, *assemble_system(problem, n)) for n in (truncation,)))
+    if isinstance(outcome, str):
+        raise SolverError(outcome)
+    return SpectralSolution(truncation, LegendreSeries(lifted[:, 0]), outcome)
+
+
+def _solve_systems(truncations, ics, systems) -> tuple[np.ndarray, list]:
+    """The one solve loop of solve_fide and convergence_study.
+
+    systems yields (truncation, matrix, rhs) for the strictly increasing
+    truncations, each system of size truncation - n + 1 for v of
+    y = p + I^n v, n = len(ics); it is built, solved and lifted under one
+    numpy.errstate, so an overflow becomes inf or NaN without a warning.
+    Each system goes through _gated_solve and its v is zero-padded to
+    degree max(truncations); all columns are lifted together to
+    y = d_0 + I(d_1 + I(... + I(d_(n-1) + I v))).  Returns the lifted
+    columns, (max(truncations) + 1) x len(truncations), and one outcome
+    per truncation: the condition estimate, or the SolverError message of a
+    gate that tripped or of a lifted column that is not finite.  A failed
+    column is zero.  A ValueError (a non-finite system) propagates at its
+    truncation, so no later system is built.
+    """
+    lifted, outcomes = np.zeros((truncations[-1] + 1, len(truncations))), []
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, condition = _gated_solve(truncation, *assemble_system(problem, truncation))
-        series = _lift(np.concatenate((coeffs, np.zeros(problem.n))), problem.ics)
-    if not np.isfinite(series).all():
-        raise SolverError(f"solution is not finite at truncation {truncation}")
-    return SpectralSolution(truncation, LegendreSeries(series), condition)
-
-
-def _lift(padded: np.ndarray, ics) -> np.ndarray:
-    """Legendre coefficients (axis 0) of y = p + I^n v from those of v,
-    padded with at least n = len(ics) trailing zeros:
-    y = d_0 + I(d_1 + I(... + I(d_(n-1) + I v)))."""
-    series = padded
-    for d in reversed(ics):
-        series = _integrate(series)
-        series[0] += d
-    return series
+        for column, (truncation, matrix, rhs) in enumerate(systems):
+            try:
+                coeffs, outcome = _gated_solve(truncation, matrix, rhs)
+                lifted[:coeffs.size, column] = coeffs
+            except SolverError as exc:
+                outcome = str(exc)
+            outcomes.append(outcome)
+        for d in reversed(ics):
+            lifted = _integrate(lifted)
+            lifted[0] += d
+    if not np.isfinite(lifted).all():
+        finite = np.isfinite(lifted).all(axis=0)
+        for column in np.flatnonzero(~finite):
+            if not isinstance(outcomes[column], str):
+                outcomes[column] = f"solution is not finite at truncation {truncations[column]}"
+        lifted[:, ~finite] = 0.0
+    return lifted, outcomes
 
 
 def _gated_solve(truncation: int, matrix: np.ndarray,
                  rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """The gesv and the two gates of solve_fide on one assembled system:
-    the solution v and the 1-norm condition estimate.  Its callers hold the
-    numpy.errstate under which an overflow becomes inf without a warning."""
+    """One LAPACK gesv through numpy.linalg.solve against [I | rhs], LU
+    with partial pivoting, yields A^-1 (the first size columns, as
+    numpy.linalg.inv) and v behind two gates; returns v and the 1-norm
+    condition estimate ||A||_1 * ||A^-1||_1.
+
+    Raises SolverError when a pivot of that LU falls below 1e-14 times the
+    largest matrix entry, when v is not finite, or when the residual is not
+    at most 1e-10 * (1 + max |rhs|): a NaN residual fails, and one that
+    overflows is re-evaluated on A / max|A| so the message carries a number.
+    A system with non-finite entries raises ValueError.  The pivot gate is
+    decided from the inverse: every pivot u_kk of partial pivoting has
+    1/|u_kk| <= size * ||A^-1||_1, so when 2 * size * ||A^-1||_1 * 1e-14 *
+    max|A| < 1 no pivot can fail (the 2 covers rounding in the computed
+    inverse).  Only when that bound is inconclusive, or the matrix is
+    exactly singular, does _smallest_pivot eliminate explicitly to decide.
+    _solve_systems holds the numpy.errstate under which an overflow becomes
+    inf without a warning.
+    """
     absolute = np.abs(matrix)
     scale = float(absolute.max())
-    if not (math.isfinite(scale) and np.all(np.isfinite(rhs))):
+    if not (math.isfinite(scale) and np.isfinite(rhs).all()):
         raise ValueError(f"tau system has non-finite entries at truncation {truncation}")
 
     def singular(pivot_min: float) -> SolverError:
@@ -436,12 +472,12 @@ def _gated_solve(truncation: int, matrix: np.ndarray,
         if pivot_min < _PIVOT_RTOL * scale:
             raise singular(pivot_min)
     coeffs = joint[:, size]
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise SolverError(f"solution is not finite at truncation {truncation}")
-    residual = float(np.max(np.abs(matrix @ coeffs - rhs)))
+    residual = float(np.abs(matrix @ coeffs - rhs).max())
     if not math.isfinite(residual):  # the product overflowed: scale by max|A| first
         residual = scale * float(np.max(np.abs((matrix / scale) @ coeffs - rhs / scale)))
-    tolerance = _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(rhs))))
+    tolerance = _RESIDUAL_RTOL * (1.0 + float(np.abs(rhs).max()))
     if not residual <= tolerance:  # a NaN residual fails too
         raise SolverError(
             f"solve residual {residual:.3e} exceeds {tolerance:.3e} at "
@@ -763,26 +799,27 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     and classify the decay of the L2 errors.
 
     One assembly serves the whole sweep (_nested_systems): every truncation
-    N solves the leading block of the system at the largest one, N_max,
-    through the gesv and both gates of solve_fide, with its own condition
-    estimate, in increasing N.  The forcing of each N still interpolates at
-    N's own Chebyshev nodes and is projected exactly; it is sampled twice
-    per sweep, at N_max and on the nodes of every smaller N together.  The
-    cost: below N_max the kernel term is integrated by N_max's rules, not
-    N's.  For kernels both rules integrate exactly
-    (polynomial in t and in s**(1/kernel_s_power), as in the catalog) an
-    entry equals a standalone solve_fide(N) to round-off: at most 1.6e-15 of
-    the coefficients, max-normalised, on 5.1-5.4 at N = 4..128 and on
-    t e^t with kernel exp(t - s) for n = 4..6.  For other kernels the sweep
-    entry is the more accurate one, off a standalone solve by that solve's
-    quadrature error.  For alpha > n the systems are ill-conditioned and the
-    gap grows with the condition: on that t e^t problem 3.9e-13 at n = 1,
-    alpha = 1.5 and up to 6.0e-9 at (1, 2.5) and (2, 3.5), N = 4..128.
-    `exact` is sampled once on _error_grid.  The solutions v of all
-    truncations, zero-padded to degree N_max, are lifted to y = p + I^n v
-    as one matrix and evaluated on _error_grid by one product with the
-    Legendre table of degree N_max, so their errors can differ from
-    error_norms(solve_fide(N)) in the last digits.
+    N solves the leading block of the system at the largest one, N_max, in
+    increasing N, through the one solve loop of solve_fide (_solve_systems:
+    gesv, gates, lift), with its own condition estimate.  The forcing of
+    each N still interpolates at N's own Chebyshev nodes and is projected
+    exactly; it is sampled twice per sweep, at N_max and on the nodes of
+    every smaller N together.  The cost: below N_max the kernel term is
+    integrated by N_max's rules, not N's.  For kernels both rules integrate
+    exactly (polynomial in t and in s**(1/kernel_s_power), as in the
+    catalog) an entry equals a standalone solve_fide(N) to round-off: at
+    most 1.6e-15 of the coefficients, max-normalised, on 5.1-5.4 at
+    N = 4..128 and on t e^t with kernel exp(t - s) for n = 4..6.  For other
+    kernels the sweep entry is the more accurate one, off a standalone solve
+    by that solve's quadrature error.  For alpha > n the systems are
+    ill-conditioned and the gap grows with the condition: on that t e^t
+    problem 3.9e-13 at n = 1, alpha = 1.5 and up to 6.0e-9 at (1, 2.5) and
+    (2, 3.5), N = 4..128.
+    `exact` is sampled once on _error_grid.  The lifted solutions of all
+    truncations, one matrix from _solve_systems, are evaluated on
+    _error_grid by one product with the Legendre table of degree N_max, so
+    their errors can differ from error_norms(solve_fide(N)) in the last
+    digits.
 
     Solver failures at individual truncations, a lifted solution that is
     not finite among them, are recorded on their entries without aborting
@@ -798,22 +835,9 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     if ns[0] < problem.n:
         raise ValueError(f"smallest truncation {ns[0]} is below derivative order {problem.n}")
     exact_values = _exact_samples(exact)
-    padded, failures = np.zeros((ns[-1] + 1, len(ns))), {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for column, (n, matrix, rhs) in enumerate(_nested_systems(problem, ns)):
-            try:
-                coeffs, _ = _gated_solve(n, matrix, rhs)
-            except SolverError as exc:
-                failures[n] = str(exc)
-                continue
-            padded[:coeffs.size, column] = coeffs
-        lifted = _lift(padded, problem.ics)
-    finite = np.isfinite(lifted).all(axis=0)
-    for n in np.compress(~finite, ns):
-        failures.setdefault(int(n), f"solution is not finite at truncation {n}")
-    lifted[:, ~finite] = 0.0
+    lifted, outcomes = _solve_systems(ns, problem.ics, _nested_systems(problem, ns))
     values = lifted.T @ shifted_legendre_table(ns[-1], _error_grid()[0])
-    entries = tuple(ConvergenceEntry(n, None, None, failures[n]) if n in failures
+    entries = tuple(ConvergenceEntry(n, None, None, outcome) if isinstance(outcome, str)
                     else ConvergenceEntry(n, *_distances(row, exact_values))
-                    for n, row in zip(ns, values))
+                    for n, outcome, row in zip(ns, outcomes, values))
     return ConvergenceReport(entries, _fit_decay(entries))

@@ -694,31 +694,27 @@ def test_convergence_study_evaluates_each_solution_once(monkeypatch):
 
 def _sweep_solutions(monkeypatch, problem, truncations) -> dict:
     """(coefficients, condition estimate) of every truncation of one
-    convergence_study, from its one lift of all the slice solutions.
+    convergence_study, from the lifted columns and outcomes of its one call
+    of _solve_systems.
 
-    The recording patches are undone before returning, so that later
-    solve_fide calls neither go through them nor overwrite what they kept.
+    The recording patch is undone before returning, so that later
+    solve_fide calls neither go through it nor overwrite what it kept.
     """
-    conditions, lifted, gated, lift = {}, [], solver._gated_solve, solver._lift
+    returned, solve_systems = [], solver._solve_systems
 
-    def record_solve(truncation, matrix, rhs):
-        coeffs, conditions[truncation] = gated(truncation, matrix, rhs)
-        return coeffs, conditions[truncation]
-
-    def record_lift(padded, ics):
-        lifted.append(lift(padded, ics))
-        return lifted[-1]
+    def record(*args):
+        returned.append(solve_systems(*args))
+        return returned[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_gated_solve", record_solve)
-        patch.setattr(solver, "_lift", record_lift)
+        patch.setattr(solver, "_solve_systems", record)
         report = convergence_study(problem, lambda t: np.zeros_like(t), truncations)
     assert [entry.failure for entry in report.entries] == [None] * len(truncations)
-    (series,) = lifted
+    ((series, conditions),) = returned
     assert series.shape == (truncations[-1] + 1, len(truncations))
     for column, truncation in enumerate(truncations):
         assert not series[truncation + 1:, column].any()
-    return {truncation: (series[:truncation + 1, column], conditions[truncation])
+    return {truncation: (series[:truncation + 1, column], conditions[column])
             for column, truncation in enumerate(truncations)}
 
 
@@ -1195,9 +1191,24 @@ def test_overflowing_system_is_rejected():
     # a_1 + a_0 / 2 (the L_0 part of I L_0 is 1/2) overflows.  Without the
     # check the overflowed system would solve to NaN coefficients that slip
     # past the residual gate (NaN > tol is False).
+    # No errstate: the solve raises without an overflow warning.
     problem = FIDEProblem(**_OVERFLOWING)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         solve_fide(problem, 8)
+
+
+def test_an_overflowing_kernel_term_is_inf_without_a_warning():
+    # exp(700 t s) is finite on the grid, but the kernel term's products
+    # overflow.  No errstate: the RuntimeWarning filter of the suite turns a
+    # warning from fredholm_block, assemble_system or solve_fide into a failure.
+    kernel = lambda t, s: np.exp(700.0 * t * s)
+    assert not np.isfinite(fredholm_block(kernel, 7.3, 16)).all()
+    problem = FIDEProblem(n=3, a=(1.0, 0.0, -1.0, 3.0), order=7.3, kernel=kernel,
+                          forcing=np.exp, ics=(0.0, 0.0, 0.0))
+    matrix, _ = assemble_system(problem, 16)
+    assert not np.isfinite(matrix).all()
+    with pytest.raises(ValueError, match="non-finite entries at truncation 16"):
+        solve_fide(problem, 16)
 
 
 def test_overflowing_coefficient_is_rejected_without_a_warning(tmp_path, capsys):
