@@ -14,30 +14,35 @@ with optional fraction and exponent.  The only variables are t and s, the
 constants are pi and e, and the callable names are fixed (see _FUNCTIONS).
 Unknown names and wrong arities are rejected at parse time with an offset.
 
+parse returns an expression as its post-order program, a flat tuple of
+items, each after its operands: ("num", value) for a literal, ("name",
+ident) for a variable or constant, ("neg", "-") for unary minus, ("bin",
+op) for a binary operator and ("call", func) for a call.  So t*(1 + s) is
+(("name", "t"), ("num", 1.0), ("name", "s"), ("bin", "+"), ("bin", "*")).
+Programs compare, hash and print as plain tuples, at any length.
+
+evaluate, to_source and free_variables are one walk, _fold: a loop over a
+value stack, with its own leaf and combine steps for each.  The walk
+rejects, with ValueError, any item outside the grammar and a program that
+does not leave exactly one value, so hand-built programs are checked too
+(a literal must be a finite float, as parse makes it).
+
 evaluate binds t and s to real, finite floats or numpy arrays that
-broadcast together and computes each node with one numpy ufunc over all
+broadcast together and computes each item with one numpy ufunc over all
 points (gamma, which numpy lacks, maps math.gamma over the entries).
-Failures come from numpy's IEEE exception flags: a node whose ufunc raises
+Failures come from numpy's IEEE exception flags: an item whose ufunc raises
 divide, overflow or invalid (underflow is ignored) raises EvalError naming
-it.  Parsed literals and bindings are finite, so that is a node that makes
-inf or nan from finite operands.
-evaluate, to_source and free_variables are one walk, _fold, each with its
-own leaf and combine steps.
+its sub-expression.  Literals and bindings are finite, so that is an
+item that makes inf or nan from finite operands.
 """
 
 import math
 import re
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "Number",
-    "Name",
-    "Unary",
-    "Binary",
-    "Call",
     "Expression",
     "ParseError",
     "EvalError",
@@ -72,53 +77,13 @@ _UNARY, _ATOM = 3, 5
 # parsed iteratively and do not count against it.
 _MAX_DEPTH = 100
 
-
-@dataclass(frozen=True)
-class Number:
-    value: float
-
-
-@dataclass(frozen=True)
-class Name:
-    ident: str
-
-    def __post_init__(self):
-        if self.ident not in _VARIABLES and self.ident not in _CONSTANTS:
-            raise ValueError(f"name must be one of t, s, pi, e, not {self.ident!r}")
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: "Expression"
-
-    def __post_init__(self):  # parse builds only valid nodes; hand-built ones are checked
-        if self.op != "-":
-            raise ValueError(f"unary operator must be '-', not {self.op!r}")
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: "Expression"
-    right: "Expression"
-
-    def __post_init__(self):
-        if self.op not in _BINARY:
-            raise ValueError(f"binary operator must be one of {''.join(_BINARY)}, not {self.op!r}")
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple["Expression", ...]
-
-    def __post_init__(self):
-        if _FUNCTIONS.get(self.func, (None,))[0] != len(self.args):
-            raise ValueError(f"{self.func!r} with {len(self.args)} argument(s) is not a known call")
-
-
-Expression = Union[Number, Name, Unary, Binary, Call]
+# An expression's post-order program (see the module docstring).
+Expression = tuple[tuple[str, float | str], ...]
+# Every item of the grammar but a number literal, with its operand count.
+_ARITY = {("neg", "-"): 1,
+          **{("name", ident): 0 for ident in (*_VARIABLES, *_CONSTANTS)},
+          **{("bin", op): 2 for op in _BINARY},
+          **{("call", func): arity for func, (arity, _) in _FUNCTIONS.items()}}
 
 
 class ParseError(ValueError):
@@ -135,10 +100,14 @@ class ParseError(ValueError):
 class EvalError(ValueError):
     """Evaluation failure, naming the offending sub-expression."""
 
-    def __init__(self, reason: str, node: "Expression"):
+    def __init__(self, reason: str, program: Expression):
         self.reason = reason
-        self.source = to_source(node)
+        self.source = to_source(program)
         super().__init__(f"{reason} in {self.source!r}")
+
+
+class _Fault(Exception):
+    """An evaluation step's failure; _fold names its sub-expression."""
 
 
 class _Token(NamedTuple):
@@ -169,11 +138,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent that appends each item to program once its
+    operands are there."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.position = 0
         self.depth = 0
+        self.program = []
 
     def peek(self) -> _Token:
         return self.tokens[self.position]
@@ -189,225 +162,238 @@ class _Parser:
             raise ParseError(token.offset, expected, self.text)
         return self.advance()
 
-    def parse_expr(self, level: int = 1) -> Expression:
+    def parse_expr(self, level: int = 1) -> None:
         # One left-associative chain per binding level below _UNARY (+ -,
         # then * /), parsed iteratively, so only genuine nesting
         # (parentheses, unary minus, '^', call arguments) costs depth; the
         # counting happens in parse_factor, which every nesting path re-enters.
         if level == _UNARY:
             return self.parse_factor()
-        node = self.parse_expr(level + 1)
+        self.parse_expr(level + 1)
         while _BINDING.get(self.peek().kind) == level:
             op = self.advance().kind
-            node = Binary(op, node, self.parse_expr(level + 1))
-        return node
+            self.parse_expr(level + 1)
+            self.program.append(("bin", op))
 
-    def parse_factor(self) -> Expression:
+    def parse_factor(self) -> None:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ParseError(self.peek().offset,
                              f"nesting no deeper than {_MAX_DEPTH}", self.text)
         if self.peek().kind == "-":
             self.advance()
-            node = Unary("-", self.parse_factor())
+            self.parse_factor()
+            self.program.append(("neg", "-"))
         else:
-            node = self.parse_primary()
+            self.parse_primary()
             if self.peek().kind == "^":
                 self.advance()
-                node = Binary("^", node, self.parse_factor())
+                self.parse_factor()
+                self.program.append(("bin", "^"))
         self.depth -= 1
-        return node
 
-    def parse_primary(self) -> Expression:
+    def parse_primary(self) -> None:
         token = self.peek()
         if token.kind == "number":
             self.advance()
             value = float(token.text)
             if not math.isfinite(value):
                 raise ParseError(token.offset, "a representable number literal", self.text)
-            return Number(value)
-        if token.kind == "ident":
+            self.program.append(("num", value))
+        elif token.kind == "ident":
             self.advance()
             if self.peek().kind == "(":
-                return self.parse_call(token)
-            if token.text in _VARIABLES or token.text in _CONSTANTS:
-                return Name(token.text)
-            if token.text in _FUNCTIONS:
-                raise ParseError(token.offset,
-                                 f"'(' after function name {token.text!r}", self.text)
-            raise ParseError(token.offset,
-                             f"a known name, not {token.text!r}", self.text)
-        if token.kind == "(":
+                self.parse_call(token)
+            elif token.text in _VARIABLES or token.text in _CONSTANTS:
+                self.program.append(("name", token.text))
+            else:
+                expected = (f"'(' after function name {token.text!r}" if token.text in _FUNCTIONS
+                            else f"a known name, not {token.text!r}")
+                raise ParseError(token.offset, expected, self.text)
+        elif token.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            self.parse_expr()
             self.expect(")", "')'")
-            return node
-        raise ParseError(token.offset, "a number, name, or '('", self.text)
+        else:
+            raise ParseError(token.offset, "a number, name, or '('", self.text)
 
-    def parse_call(self, name: _Token) -> Expression:
+    def parse_call(self, name: _Token) -> None:
         if name.text not in _FUNCTIONS:
             raise ParseError(name.offset,
                              f"a known function name, not {name.text!r}", self.text)
         self.expect("(", "'('")
-        args = [self.parse_expr()]
+        self.parse_expr()
+        count = 1
         while self.peek().kind == ",":
             self.advance()
-            args.append(self.parse_expr())
+            self.parse_expr()
+            count += 1
         self.expect(")", "')'")
         arity = _FUNCTIONS[name.text][0]
-        if len(args) != arity:
+        if count != arity:
             raise ParseError(
                 name.offset,
-                f"{arity} argument(s) to {name.text!r}, not {len(args)}", self.text)
-        return Call(name.text, tuple(args))
+                f"{arity} argument(s) to {name.text!r}, not {count}", self.text)
+        self.program.append(("call", name.text))
 
 
 def parse(text: str) -> Expression:
-    """Parse source text to an Expression; raise ParseError on the first
+    """Parse source text to its program; raise ParseError on the first
     violation (syntax, unknown name, or wrong arity), with its offset."""
     if not isinstance(text, str):
         raise TypeError(f"expression source must be str, got {type(text).__name__}")
     parser = _Parser(text)
-    node = parser.parse_expr()
+    parser.parse_expr()
     token = parser.peek()
     if token.kind != "end":
         raise ParseError(token.offset, "end of input", text)
-    return node
+    return tuple(parser.program)
 
 
-def _fold(node: Expression, leaf, combine):
-    """The one walk of a tree, in post-order: leaf(item) for each Number and
-    Name, combine(item, values) for each Unary, Binary and Call with its
-    children's values left to right.  It is iterative, so trees of any
-    depth (long operator chains in particular) are walked without
-    exhausting the interpreter stack."""
+def _fold(program: Expression, leaf, combine):
+    """The one walk of a program, a loop over a value stack: leaf(item)
+    gives each literal's and name's value, combine(item, operands) each
+    other item's from its operands' values, left to right.
+
+    An item outside the grammar, an item short of operands and a program
+    that does not leave exactly one value raise ValueError.  A _Fault
+    raised by either step becomes an EvalError naming the sub-expression
+    that ends at its item.
+    """
     values: list = []
-    work: list = [(node, None)]  # (item, None) to visit, (item, arity) to combine
-    while work:
-        item, arity = work.pop()
-        if arity is not None:
-            operands = values[len(values) - arity:]
-            del values[len(values) - arity:]
-            values.append(combine(item, operands))
-            continue
-        if isinstance(item, (Number, Name)):
-            values.append(leaf(item))
-            continue
-        if isinstance(item, Unary):
-            children = (item.operand,)
-        elif isinstance(item, Binary):
-            children = (item.left, item.right)
-        elif isinstance(item, Call):
-            children = item.args
-        else:
-            raise TypeError(f"not an Expression node: {item!r}")
-        work.append((item, len(children)))
-        for child in reversed(children):
-            work.append((child, None))
+    for end, item in enumerate(program):
+        try:
+            arity = _ARITY[item]
+        except (KeyError, TypeError):  # a number literal, or no item of the grammar
+            if not (isinstance(item, tuple) and len(item) == 2 and item[0] == "num"
+                    and isinstance(item[1], float) and math.isfinite(item[1])):
+                raise ValueError(f"{item!r} is not an expression item") from None
+            arity = 0
+        if len(values) < arity:
+            raise ValueError(f"{item!r} needs {arity} operand(s), not {len(values)}")
+        try:
+            if arity:
+                operands = values[-arity:]
+                del values[-arity:]
+                values.append(combine(item, operands))
+            else:
+                values.append(leaf(item))
+        except _Fault as fault:
+            raise EvalError(str(fault), program[_start(program, end):end + 1]) from None
+    if len(values) != 1:
+        raise ValueError(f"{program[-1:]!r} leaves {len(values)} values, not one")
     return values[0]
 
 
-def _precedence(node: Expression) -> int:
-    if isinstance(node, Binary):
-        return _BINDING[node.op]
+def _start(program: Expression, end: int) -> int:
+    """Where the sub-expression that ends at program[end] starts: walking
+    back, each item fills one pending operand and adds its own."""
+    start, pending = end, _ARITY.get(program[end], 0)
+    while pending:
+        start -= 1
+        pending += _ARITY.get(program[start], 0) - 1
+    return start
+
+
+def _fence(part: tuple[str, int], minimum: int) -> str:
+    text, level = part
+    return f"({text})" if level < minimum else text
+
+
+def _print_leaf(item) -> tuple[str, int]:
+    kind, value = item
+    if kind == "name":
+        return value, _ATOM
     # A negative literal prints with a leading '-', so it binds as unary minus.
-    if isinstance(node, Unary) or (isinstance(node, Number)
-                                   and math.copysign(1.0, node.value) < 0):
-        return _UNARY
-    return _ATOM
+    return repr(value), _UNARY if math.copysign(1.0, value) < 0 else _ATOM
 
 
-def _fence(source: str, node: Expression, minimum: int) -> str:
-    return f"({source})" if _precedence(node) < minimum else source
-
-
-def _print_node(item: Unary | Binary | Call, parts: list[str]) -> str:
-    if isinstance(item, Unary):
-        return "-" + _fence(parts[0], item.operand, _UNARY)
-    if isinstance(item, Call):
-        return item.func + "(" + ", ".join(parts) + ")"
-    level = _BINDING[item.op]
+def _print_item(item, parts: list[tuple[str, int]]) -> tuple[str, int]:
+    kind, name = item
+    if kind == "neg":
+        return "-" + _fence(parts[0], _UNARY), _UNARY
+    if kind == "call":
+        return name + "(" + ", ".join(text for text, _ in parts) + ")", _ATOM
+    level = _BINDING[name]
     # '^' is right-associative: strict on the left, loose on the right; the
     # others the other way round.  Only + and - are printed with spaces.
-    left, right = (level + 1, level) if item.op == "^" else (level, level + 1)
-    op = f" {item.op} " if level == 1 else item.op
-    return _fence(parts[0], item.left, left) + op + _fence(parts[1], item.right, right)
+    left, right = (level + 1, level) if name == "^" else (level, level + 1)
+    op = f" {name} " if level == 1 else name
+    return _fence(parts[0], left) + op + _fence(parts[1], right), level
 
 
-def to_source(node: Expression) -> str:
-    """Render a tree back to source with minimal parentheses.
+def to_source(program: Expression) -> str:
+    """Render a program back to source with minimal parentheses.
 
     Parenthesization matches the grammar exactly, so
-    to_source(parse(to_source(tree))) == to_source(tree).  Trees of any
-    depth print (see _fold).
+    parse(to_source(program)) == program for every parsed program.
+    Programs of any length print (see _fold).
     """
-    return _fold(node, lambda item: repr(item.value) if isinstance(item, Number) else item.ident,
-                 _print_node)
+    return _fold(program, _print_leaf, _print_item)[0]
 
 
-def free_variables(node: Expression) -> set[str]:
-    """The set of variables (among t, s) appearing in the tree."""
-    return _fold(node,
-                 lambda item: {item.ident} & set(_VARIABLES) if isinstance(item, Name) else set(),
+def free_variables(program: Expression) -> set[str]:
+    """The set of variables (among t, s) appearing in the program."""
+    return _fold(program, lambda item: {item[1]} & set(_VARIABLES),
                  lambda item, found: set().union(*found))
 
 
-def evaluate(node: Expression, t: float | np.ndarray | None = None,
+def evaluate(program: Expression, t: float | np.ndarray | None = None,
              s: float | np.ndarray | None = None) -> float | np.ndarray:
     """IEEE double evaluation with bindings for t and s.
 
     Bindings may be floats or numpy arrays, and must be real and finite;
-    every node is one numpy ufunc call on the broadcast operands, so a
-    tree is walked once however many points it is evaluated at.  The
-    result is a float when it is a scalar (scalar bindings, or a tree that
-    uses no bound variable) and an array of the broadcast shape of the
+    every item is one numpy ufunc call on the broadcast operands, so a
+    program is walked once however many points it is evaluated at.  The
+    result is a float when it is a scalar (scalar bindings, or a program
+    that uses no bound variable) and an array of the broadcast shape of the
     variables it uses otherwise.
 
     Failures raise EvalError naming the sub-expression: an unbound
-    variable, and a node whose ufunc raises numpy's IEEE divide, overflow
+    variable, and an item whose ufunc raises numpy's IEEE divide, overflow
     or invalid flag (underflow is ignored).  From finite operands that is
-    exactly a node that makes an inf or nan: division by zero, and as
+    exactly an item that makes an inf or nan: division by zero, and as
     "domain error" sqrt of a negative, ln of a non-positive, gamma at a
     pole, a fractional power of a negative, and overflow to inf.  A
     complex or non-finite binding raises EvalError naming the variable, and
     bindings whose shapes do not broadcast together raise EvalError naming
-    s, both before the walk.  Trees of any depth evaluate (see _fold).
+    s, both before the walk.  Programs of any length evaluate (see _fold).
     """
     bindings = {ident: value for ident, value in (("t", t), ("s", s)) if value is not None}
     for ident, value in bindings.items():
         if np.iscomplexobj(value):
-            raise EvalError("complex binding", Name(ident))
+            raise EvalError("complex binding", (("name", ident),))
         bindings[ident] = np.asarray(value, dtype=float)
         if not np.isfinite(bindings[ident]).all():
-            raise EvalError("non-finite binding", Name(ident))
+            raise EvalError("non-finite binding", (("name", ident),))
     try:
         np.broadcast_shapes(*(value.shape for value in bindings.values()))
     except ValueError:  # one shape alone always broadcasts, so t and s are both bound
         raise EvalError(f"bindings do not broadcast: t {bindings['t'].shape}, "
-                        f"s {bindings['s'].shape}", Name("s")) from None
+                        f"s {bindings['s'].shape}", (("name", "s"),)) from None
+    names = {**_CONSTANTS, **bindings}
 
-    def leaf(item: Number | Name):
-        if isinstance(item, Number):
-            return item.value
-        if item.ident in _CONSTANTS:
-            return _CONSTANTS[item.ident]
-        if item.ident not in bindings:
-            raise EvalError(f"unbound variable {item.ident!r}", item)
-        return bindings[item.ident]
+    def leaf(item):
+        if item[0] == "num":
+            return item[1]
+        if item[1] not in names:
+            raise _Fault(f"unbound variable {item[1]!r}")
+        return names[item[1]]
 
-    def combine(item: Unary | Binary | Call, operands: list):
-        if isinstance(item, Unary):
+    def combine(item, operands: list):
+        kind, name = item
+        if kind == "neg":
             return -operands[0]
-        ufunc = _BINARY[item.op] if isinstance(item, Binary) else _FUNCTIONS[item.func][1]
+        ufunc = _BINARY[name] if kind == "bin" else _FUNCTIONS[name][1]
         try:
             return ufunc(*operands)
-        except FloatingPointError:  # finite operands, so this node made the inf or nan
-            if isinstance(item, Binary) and item.op == "/" and np.any(operands[1] == 0):
-                raise EvalError("division by zero", item) from None
-            raise EvalError("domain error", item) from None
+        except FloatingPointError:  # finite operands, so this item made the inf or nan
+            if name == "/" and np.any(operands[1] == 0):
+                raise _Fault("division by zero") from None
+            raise _Fault("domain error") from None
         except (ValueError, OverflowError) as exc:  # gamma at a pole or overflowing
-            raise EvalError(f"domain error ({exc})", item) from None
+            raise _Fault(f"domain error ({exc})") from None
 
     with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-        value = _fold(node, leaf, combine)
+        value = _fold(program, leaf, combine)
     return float(value) if np.ndim(value) == 0 else value

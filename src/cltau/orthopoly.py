@@ -123,7 +123,8 @@ def _check_coeffs(coeffs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LegendreSeries:
-    """u(x) = sum_j coeffs[j] L_{1,j}(x) on [0, 1]."""
+    """u(x) = sum_j coeffs[j] L_{1,j}(x) on [0, 1].  A sum past the float
+    range is inf or NaN, without a warning, as for MonomialSeries."""
 
     coeffs: np.ndarray
 
@@ -136,6 +137,7 @@ class LegendreSeries:
 
     def __call__(self, x):
         # Summed as _jacobi_rows yields each row: no (degree + 1) x points table.
-        out = sum(c * row for c, row in zip(self.coeffs, _jacobi_rows(0.0, self.degree,
-                                                                       _check_domain(x))))
+        rows = _jacobi_rows(0.0, self.degree, _check_domain(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = sum(c * row for c, row in zip(self.coeffs, rows))
         return float(out) if np.ndim(out) == 0 else out

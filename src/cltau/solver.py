@@ -272,7 +272,8 @@ def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -
     operational matrix times the Legendre kernel moments, since projecting
     D^alpha L_{1,j} onto degree <= truncation is then free.
     """
-    block = _kernel_rows(kernel, _as_order(order), _check_truncation(truncation), s_power, 0)
+    block = _kernel_rows(kernel, _as_order(order), _check_truncation(truncation),
+                         _check_s_power(s_power), 0)
     block.flags.writeable = False
     return block
 

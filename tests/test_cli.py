@@ -372,6 +372,17 @@ def test_configs_at_the_float_range_exit_with_their_code_and_no_warning(capsys, 
     assert _run(capsys, command + ["--config", path]) == (expected_code, "", expected_stderr)
 
 
+def test_a_solved_series_that_overflows_on_the_error_grid_does_not_warn(capsys, tmp_path):
+    # The solve gives finite coefficients near 1.5e308, and their series
+    # passes the float range on the error grid, as the exact solution
+    # 1e308 (1 + t) does; only the exact solution's failure is reported.
+    config = {"n": 1, "a": [0, 1], "alpha": 0.5, "kernel": "0*t*s",
+              "mms_exact": [[1e308, 0], [1e308, 1]], "ics": [1e308]}
+    code, _, stderr = _run(capsys, ["solve", "--config", _write_config(tmp_path, config),
+                                    "--N", "4"])
+    assert (code, stderr) == (2, "error: non-finite exact solution sample on the error grid\n")
+
+
 def test_error_norms_of_a_solution_near_the_float_range_stay_finite(capsys, tmp_path):
     # The exact solution 1e300 t^3 squares past the float range.  The problem
     # is linear in the exact solution (its ics are 0), so its errors are

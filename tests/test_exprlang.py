@@ -9,19 +9,7 @@ import string
 import numpy as np
 import pytest
 
-from cltau.exprlang import (
-    Binary,
-    Call,
-    EvalError,
-    Name,
-    Number,
-    ParseError,
-    Unary,
-    evaluate,
-    free_variables,
-    parse,
-    to_source,
-)
+from cltau.exprlang import EvalError, ParseError, evaluate, free_variables, parse, to_source
 
 
 def _value(src, **bindings):
@@ -103,7 +91,7 @@ def test_functions():
 
 def test_tan():
     node = parse("tan(t)")
-    assert node == Call("tan", (Name("t"),))
+    assert node == (("name", "t"), ("call", "tan"))
     for t in (0.0, 0.3, 1.0, -1.2):
         assert evaluate(node, t=t) == np.tan(t)
         # numpy's tan and libm's may differ in the last bit (they do at 0.3).
@@ -148,22 +136,26 @@ def test_function_name_without_a_call_fails_at_parse_time():
     assert err.value.expected == "'(' after function name 'exp'"
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: Unary("+", Number(1.0)), "unary operator must be '-'"),
-    (lambda: Binary("%", Number(1.0), Number(2.0)), r"binary operator must be one of \+-\*/\^"),
-    (lambda: Call("nope", (Number(1.0),)), "'nope' with 1 argument"),
-    (lambda: Call("exp", (Number(1.0), Number(2.0))), "'exp' with 2 argument"),
-    (lambda: Call("pow", (Number(1.0),)), "'pow' with 1 argument"),
-    (lambda: Name("x"), "name must be one of t, s, pi, e, not 'x'"),
+@pytest.mark.parametrize("program, message", [
+    ((("num", 1.0), ("neg", "+")), "('neg', '+') is not an expression item"),
+    ((("num", 1.0), ("num", 2.0), ("bin", "%")), "('bin', '%') is not an expression item"),
+    ((("num", 1.0), ("call", "nope")), "('call', 'nope') is not an expression item"),
+    ((("num", 1.0), ("num", 2.0), ("call", "exp")), "(('call', 'exp'),) leaves 2 values, not one"),
+    ((("num", 1.0), ("call", "pow")), "('call', 'pow') needs 2 operand(s), not 1"),
+    ((("name", "x"),), "('name', 'x') is not an expression item"),
+    ((("num", math.inf), ("num", 1.0), ("bin", "+")), "('num', inf) is not an expression item"),
 ], ids=["unary-plus", "binary-modulo", "unknown-function", "exp-arity", "pow-arity",
-        "unknown-name"])
-def test_hand_built_nodes_outside_the_grammar_are_rejected(build, message):
-    # parse never builds these; built by hand they used to evaluate or print
-    # wrongly (+1 as -1, % as ^), fail with a bare KeyError or TypeError, or
-    # (an unknown name) fail only when evaluated.
-    with pytest.raises(ValueError, match=message) as err:
-        build()
-    assert type(err.value) is ValueError
+        "unknown-name", "infinite-literal"])
+def test_hand_built_nodes_outside_the_grammar_are_rejected(program, message):
+    # parse never builds these; walked without a check they would evaluate
+    # or print wrongly (+1 as -1, % as ^), fail with a bare KeyError or
+    # IndexError, fail only when evaluated (an unknown name), or evaluate
+    # to inf without an EvalError (an infinite literal).  Each walk rejects
+    # them alike.
+    for walk in (evaluate, to_source, free_variables):
+        with pytest.raises(ValueError) as err:
+            walk(program)
+        assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_trailing_and_empty_input():
@@ -240,36 +232,37 @@ def test_to_source_minimal_parentheses():
     ]
     for src, printed in cases:
         assert to_source(parse(src)) == printed
-    # A negative literal, which only a hand-built tree holds, binds as unary minus.
-    assert to_source(Binary("^", Number(-2.0), Number(2.0))) == "(-2.0)^2.0"
+    # A negative literal, which only a hand-built program holds, binds as unary minus.
+    assert to_source((("num", -2.0), ("num", 2.0), ("bin", "^"))) == "(-2.0)^2.0"
 
 
 _DIGITS = tuple(float(digit) for digit in range(10))
 # Literals at the edges of the float range: a negative zero, a tiny and a
 # huge value, and values near exp's and gamma's overflow.  -0.0 prints as
-# unary minus, so trees that must round-trip keep to _DIGITS.
+# unary minus, so programs that must round-trip keep to _DIGITS.
 _EXTREMES = _DIGITS + (-0.0, 1e-300, 1e300, 700.0, 171.5)
 _CALLS = ("exp", "ln", "sqrt", "sin", "cos", "tan", "abs", "gamma", "pow")
 
 
 def _random_tree(rng, depth, literals=_DIGITS):
+    """The post-order program of a random expression of at most depth levels."""
     if depth == 0 or rng.random() < 0.3:
         pick = rng.random()
         if pick < 0.5:
-            return Number(rng.choice(literals))
+            return (("num", rng.choice(literals)),)
         if pick < 0.8:
-            return Name(rng.choice(["t", "s"]))
-        return Name(rng.choice(["pi", "e"]))
+            return (("name", rng.choice(["t", "s"])),)
+        return (("name", rng.choice(["pi", "e"])),)
     pick = rng.random()
     if pick < 0.15:
-        return Unary("-", _random_tree(rng, depth - 1, literals))
+        return _random_tree(rng, depth - 1, literals) + (("neg", "-"),)
     if pick < 0.7:
         op = rng.choice(["+", "-", "*", "/", "^"])
-        return Binary(op, _random_tree(rng, depth - 1, literals),
-                      _random_tree(rng, depth - 1, literals))
+        return (_random_tree(rng, depth - 1, literals) + _random_tree(rng, depth - 1, literals)
+                + (("bin", op),))
     func = rng.choice(_CALLS)
     arity = 2 if func == "pow" else 1
-    return Call(func, tuple(_random_tree(rng, depth - 1, literals) for _ in range(arity)))
+    return sum((_random_tree(rng, depth - 1, literals) for _ in range(arity)), ()) + (("call", func),)
 
 
 def test_to_source_round_trips_random_trees():
@@ -309,32 +302,38 @@ _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^":
            "gamma": np.vectorize(math.gamma, otypes=[float])}
 
 
-def _scan_rule(node, bindings):
-    """evaluate stated as a scan of each node's result: a node fails where it
-    makes a non-finite entry from finite operands, as a division by zero if
-    it is '/' with a zero denominator there and as a domain error
-    otherwise."""
-    if isinstance(node, Number):
-        return node.value
-    if isinstance(node, Name):
-        return {"pi": math.pi, "e": math.e, **bindings}[node.ident]
-    if isinstance(node, Unary):
-        return -_scan_rule(node.operand, bindings)
-    key, children = ((node.op, (node.left, node.right)) if isinstance(node, Binary)
-                     else (node.func, node.args))
-    operands = [_scan_rule(child, bindings) for child in children]
-    try:
-        with np.errstate(all="ignore"):
-            value = _UFUNCS[key](*operands)
-    except (ValueError, OverflowError) as exc:
-        raise EvalError(f"domain error ({exc})", node) from None
-    fresh = ~np.isfinite(value)
-    for operand in operands:
-        fresh = fresh & np.isfinite(operand)
-    if np.any(fresh):
-        zero = key == "/" and np.any(fresh & (operands[1] == 0))
-        raise EvalError("division by zero" if zero else "domain error", node)
-    return value
+def _scan_rule(program, bindings):
+    """evaluate stated as a scan of each item's result: an item fails where
+    it makes a non-finite entry from finite operands, as a division by zero
+    if it is '/' with a zero denominator there and as a domain error
+    otherwise.  Its own loop keeps, beside each value, where the
+    sub-expression that made it starts."""
+    stack = []  # (value, index of the first item of its sub-expression)
+    for end, (kind, key) in enumerate(program):
+        if kind in ("num", "name"):
+            stack.append((key if kind == "num" else {"pi": math.pi, "e": math.e, **bindings}[key],
+                          end))
+            continue
+        arity = 2 if kind == "bin" or key == "pow" else 1
+        start = stack[-arity][1]
+        operands = [value for value, _ in stack[-arity:]]
+        del stack[-arity:]
+        if kind == "neg":
+            stack.append((-operands[0], start))
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                value = _UFUNCS[key](*operands)
+        except (ValueError, OverflowError) as exc:
+            raise EvalError(f"domain error ({exc})", program[start:end + 1]) from None
+        fresh = ~np.isfinite(value)
+        for operand in operands:
+            fresh = fresh & np.isfinite(operand)
+        if np.any(fresh):
+            zero = key == "/" and np.any(fresh & (operands[1] == 0))
+            raise EvalError("division by zero" if zero else "domain error", program[start:end + 1])
+        stack.append((value, start))
+    return stack[0][0]
 
 
 def _outcome(evaluator, node, bindings):
@@ -428,6 +427,14 @@ def test_fuzz_large_inputs():
     # A syntactically valid 4 KiB expression parses fine.
     long_sum = " + ".join(["t"] * 1200)
     assert evaluate(parse(long_sum), t=1.0) == 1200.0
+
+
+def test_a_5000_term_program_compares_hashes_and_prints():
+    # A program is a flat tuple, so its ==, hash and repr need no recursion.
+    program = parse("+".join(["t"] * 5000))
+    again = parse(to_source(program))
+    assert again == program and hash(again) == hash(program)
+    assert repr(program).count("('bin', '+')") == 4999
 
 
 def test_fuzz_eval_totality():

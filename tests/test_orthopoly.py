@@ -254,6 +254,12 @@ def test_monomial_series_overflows_to_inf_without_a_warning():
     assert series(np.array([0.0, 0.5, 1.0])).tolist() == [1e308, 1.5e308, np.inf]
 
 
+def test_legendre_series_overflows_to_inf_without_a_warning():
+    # As for MonomialSeries: the sum near x = 1 passes the float range.
+    series = LegendreSeries([1e308] * 3)
+    assert series(np.array([0.0, 0.5, 0.95, 1.0])).tolist() == [1e308, 5e307, np.inf, np.inf]
+
+
 @pytest.mark.parametrize("coeffs, message", [
     ([[1.0, 2.0]], "one-dimensional and non-empty"),
     ([], "one-dimensional and non-empty"),

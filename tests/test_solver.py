@@ -123,6 +123,14 @@ def test_kernel_moments_s_power_substitution():
     assert 1e-8 < worst < 1e-4
 
 
+@pytest.mark.parametrize("s_power", [1.5, 0, True, 2.0])
+def test_fredholm_block_checks_s_power(s_power):
+    # As FIDEProblem and mms_forcing do, before the table store, which takes
+    # True and 1 for one key.
+    with pytest.raises(ValueError, match="kernel_s_power must be an integer >= 1"):
+        fredholm_block(lambda t, s: t * s, 0.5, 8, s_power)
+
+
 def test_fredholm_block_rejects_non_finite_kernel():
     with pytest.raises(ValueError, match="non-finite kernel"):
         fredholm_block(lambda t, s: np.full(np.broadcast(t, s).shape, np.nan), 0.5, 2)
