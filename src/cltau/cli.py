@@ -19,7 +19,9 @@ Python too, depends on that thread count in its last bits.
 Exit codes: 0 success, 2 configuration or argument error, 3 solver error.
 Each is decided in `main` alone: a ValueError (a bad config, flag or sweep,
 or a problem the solver rejects as posed) exits 2, a SolverError (a gate of
-the solve tripped, a non-finite solution included) exits 3.
+the solve tripped, a non-finite solution included) exits 3.  A solve that
+exits 2 or 3 writes nothing to stdout or --out: its error norms are taken
+before the solution JSON is written.
 
 Config schema (JSON object): name (text), n (integer >= 1), a (n+1 reals),
 alpha (real > 0), kernel (expression in t and s), exactly one of forcing
@@ -49,6 +51,7 @@ from .fracderiv import operational_matrix
 from .solver import (
     FIDEProblem,
     SolverError,
+    _catalog_entry,
     _config_problem,
     builtin_example,
     builtin_example_ids,
@@ -174,34 +177,11 @@ class ProblemConfig:
     def digest(self) -> str:
         return hashlib.sha256(_dumps_json(self.fields).encode()).hexdigest()
 
-    def _compile(self, key: str, allowed: set[str]):
-        from . import exprlang
-        try:
-            tree = exprlang.parse(self.fields[key])
-        except exprlang.ParseError as exc:
-            raise ValueError(f"{key} does not parse: {exc}") from None
-        free = exprlang.free_variables(tree)
-        _require(free <= allowed,
-                 f"{key} may use only {sorted(allowed)}, found {sorted(free - allowed)}")
-        return tree
-
     def build(self) -> tuple[FIDEProblem, object]:
-        """Compile expressions and construct the problem.
-
-        Returns (problem, exact) where exact is the manufactured solution
-        callable for mms_exact configs and None otherwise.  Each initial
-        value d_i of an mms_exact config must match the i-th derivative of
-        the exact solution at 0 to 1e-12 * max(1, |derivative|).  The
-        catalog's problems are built by the same code (solver._config_problem).
-        """
-        from . import exprlang
-        kernel_tree = self._compile("kernel", {"t", "s"})
-        kernel = lambda tv, sv: exprlang.evaluate(kernel_tree, t=tv, s=sv)
-        forcing = None
-        if "forcing" in self.fields:
-            forcing_tree = self._compile("forcing", {"t"})
-            forcing = lambda tv: exprlang.evaluate(forcing_tree, t=tv)
-        return _config_problem(self.fields, kernel, forcing)
+        """(problem, exact) by solver._config_problem, which compiles the
+        expressions and checks an mms_exact config's ics; exact is the
+        manufactured solution for mms_exact configs and None otherwise."""
+        return _config_problem(self.fields)
 
 
 def _load_config_file(path: str) -> ProblemConfig:
@@ -272,18 +252,18 @@ def cmd_solve(args) -> int:
             emitted["N"] = args.N
         _write_text(args.emit_config, _dumps_json(emitted) + "\n")
     solution = solve_fide(problem, truncation)
-    payload = {
+    text = _dumps_json({
         "N": solution.truncation,
         "legendre_coeffs": list(solution.coeffs.coeffs),
         "condition_estimate": solution.condition_estimate,
         "problem_digest": config.digest(),
-    }
-    _write_text(args.out, _dumps_json(payload) + "\n")
+    }) + "\n"
     summary = (f"solved {config.fields['name'] or 'problem'} at N={solution.truncation}, "
                f"condition_estimate={solution.condition_estimate:.6e}")
-    if exact is not None:
+    if exact is not None:  # before any output, so a failed norm writes none
         l2, largest = error_norms(solution, exact)
         summary += f", l2_error={l2:.6e}, max_error={largest:.6e}"
+    _write_text(args.out, text)
     print(summary, file=sys.stderr)
     return 0
 
@@ -331,12 +311,12 @@ def cmd_opmatrix(args) -> int:
 def cmd_examples(args) -> int:
     lines = []
     for example_id in builtin_example_ids():
-        ex = builtin_example(example_id, "printed")
-        lines.append(f"{example_id}  {ex.description}")
-        if ex.note is None:
+        entry = _catalog_entry(example_id, "printed")
+        lines.append(f"{example_id}  {entry['description']}")
+        if entry["note"] is None:
             lines.append("     variants: printed == corrected (transcribed forcing is consistent)")
         else:
-            lines.append(f"     variants: printed, corrected (default); {ex.note}")
+            lines.append(f"     variants: printed, corrected (default); {entry['note']}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

@@ -375,12 +375,16 @@ def test_configs_at_the_float_range_exit_with_their_code_and_no_warning(capsys, 
 def test_a_solved_series_that_overflows_on_the_error_grid_does_not_warn(capsys, tmp_path):
     # The solve gives finite coefficients near 1.5e308, and their series
     # passes the float range on the error grid, as the exact solution
-    # 1e308 (1 + t) does; only the exact solution's failure is reported.
+    # 1e308 (1 + t) does; only the exact solution's failure is reported,
+    # and no solution is written, to stdout or to --out.
     config = {"n": 1, "a": [0, 1], "alpha": 0.5, "kernel": "0*t*s",
               "mms_exact": [[1e308, 0], [1e308, 1]], "ics": [1e308]}
-    code, _, stderr = _run(capsys, ["solve", "--config", _write_config(tmp_path, config),
-                                    "--N", "4"])
-    assert (code, stderr) == (2, "error: non-finite exact solution sample on the error grid\n")
+    command = ["solve", "--config", _write_config(tmp_path, config), "--N", "4"]
+    error = "error: non-finite exact solution sample on the error grid\n"
+    assert _run(capsys, command) == (2, "", error)
+    out = tmp_path / "solution.json"
+    assert _run(capsys, [*command, "--out", str(out)]) == (2, "", error)
+    assert not out.exists()
 
 
 def test_error_norms_of_a_solution_near_the_float_range_stay_finite(capsys, tmp_path):
@@ -527,13 +531,20 @@ def test_convergence_to_an_odd_truncation_prints_the_same_bytes_twice(capsys):
 def test_example_and_its_config_print_the_same_bytes(capsys, tmp_path, example_id):
     # --example ID and --config on example_config(ID) pose the same problem
     # with the same exact solution, so stdout and the last stderr line (the
-    # solve summary, the fitted decay) match byte for byte.
+    # solve summary, the fitted decay) match byte for byte.  The printed
+    # variant's config has no mms_exact, so only its solve's stdout is
+    # compared.
     path = _write_config(tmp_path, example_config(example_id))
     for command in (["solve", "--N", "17"], ["convergence", "--N-sweep", "4:32:4"]):
         code, stdout, stderr = _run(capsys, [*command, "--example", example_id])
         assert code == 0
         assert _run(capsys, [*command, "--config", path]) == (
             0, stdout, stderr.splitlines(keepends=True)[-1]), command
+    printed = _write_config(tmp_path, example_config(example_id, "printed"), "printed.json")
+    code, stdout, _ = _run(capsys, ["solve", "--N", "17", "--example", example_id,
+                                    "--variant", "printed"])
+    assert code == 0
+    assert _run(capsys, ["solve", "--N", "17", "--config", printed])[:2] == (0, stdout)
 
 
 def test_convergence_with_every_truncation_failed_exits_three(capsys, monkeypatch):

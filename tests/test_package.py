@@ -116,16 +116,17 @@ def test_cli_solves_without_scipy():
 
 
 def test_cli_import_loads_no_scipy():
-    # Nor the expression parser, which only a config's expressions need:
-    # not at import, not for a solve of a catalog example, and not for the
-    # kernel of a printed example, whose forcing parses at its first call.
+    # Nor the expression parser, which only an expression's text needs: not
+    # at import, not for a solve of a corrected catalog example, and not to
+    # list the catalog; a printed example parses its forcing when built.
     loaded = ("print(sorted(m for m in sys.modules if m.startswith('scipy') "
               "or m == 'cltau.exprlang'))")
     printed = ("problem = cltau.solver.builtin_example('5.2', 'printed').problem; "
                "problem.kernel(0.5, 0.5); ")
     for solve, modules in (("", "[]"),
                            ("cltau.cli.main(['solve', '--example', '5.4', '--N', '16']); ", "[]"),
-                           (printed, "[]"),
+                           ("cltau.cli.main(['examples']); ", "[]"),
+                           (printed, "['cltau.exprlang']"),
                            (printed + "problem.forcing(0.5); ", "['cltau.exprlang']")):
         result = _run_fresh("import sys, cltau.cli; " + solve + loaded)
         assert result.returncode == 0, result.stderr
