@@ -5,8 +5,10 @@ Commands and file formats:
 
     solve        --config FILE | --example ID [--variant V] --N K
                  writes solution JSON {N, legendre_coeffs, condition_estimate,
-                 problem_digest} to --out or stdout
-    convergence  --N-sweep FROM:TO:STEP, writes CSV `N,l2_error,max_error`
+                 problem_digest} to --out or stdout, and with --emit-config
+                 PATH the problem's canonical config (what the digest hashes)
+    convergence  --config FILE | --example ID [--variant V]
+                 --N-sweep FROM:TO:STEP, writes CSV `N,l2_error,max_error`
                  to --csv or stdout (empty error fields for truncations
                  whose solve failed)
     opmatrix     --alpha A --N K, row-major CSV dump of the operational matrix
@@ -20,16 +22,23 @@ Exit codes: 0 success, 2 configuration or argument error, 3 solver error.
 Each is decided in `main` alone: a ValueError (a bad config, flag or sweep,
 or a problem the solver rejects as posed) exits 2, a SolverError (a gate of
 the solve tripped, a non-finite solution included) exits 3.  A solve that
-exits 2 or 3 writes nothing to stdout or --out: its error norms are taken
-before the solution JSON is written.
+exits 2 or 3 writes nothing to stdout, --out or --emit-config: its error
+norms are taken before either file is written.
 
 Config schema (JSON object): name (text), n (integer >= 1), a (n+1 reals),
 alpha (real > 0), kernel (expression in t and s), exactly one of forcing
 (expression in t) or mms_exact (list of [coefficient, exponent] monomial
 terms for the exact solution, from which the forcing is rebuilt), ics
 (n reals; with mms_exact, the exact solution's derivatives at 0), optional
-N (integer), optional N_sweep {"from", "to", "step"}, optional
-kernel_s_power (integer >= 1, see FIDEProblem).
+kernel_s_power (integer >= 1, see FIDEProblem).  A config holds the problem
+alone: the truncation comes from --N and the sweep from --N-sweep.
+
+A kernel with a fractional power of s needs kernel_s_power = p, with the
+kernel smooth in s**(1/p) (p = 2 for t^2*sqrt(s)).  Without it the kernel
+term is integrated inexactly and the solve still exits 0, with no warning:
+the catalog's 5.3 config (t^2*sqrt(s)) errs by 9.6e-11 in L2 at N = 8 and
+1.3e-12 at N = 32 without the key, and by 6.8e-16 and 6.6e-16 with
+"kernel_s_power": 2.
 
 The problem digest is the SHA-256 of ProblemConfig.fields, the canonical
 problem fields (name, n, a, alpha, kernel, forcing or mms_exact, ics,
@@ -38,7 +47,6 @@ truncation being solved.
 """
 
 import argparse
-import copy
 import hashlib
 import json
 import math
@@ -64,8 +72,7 @@ from .solver import (
 __all__ = ["ProblemConfig", "main", "console_main"]
 
 _CONFIG_KEYS = ("name", "n", "a", "alpha", "kernel", "forcing", "mms_exact",
-                "ics", "N", "N_sweep", "kernel_s_power")
-_SWEEP_KEYS = ("from", "to", "step")
+                "ics", "kernel_s_power")
 
 
 def _format_number(value) -> str:
@@ -121,12 +128,9 @@ def _as_int(value, what: str) -> int:
 @dataclass(frozen=True)
 class ProblemConfig:
     """Validated problem configuration (see the module docstring schema):
-    the canonical problem fields, which the digest hashes and build reads,
-    and the config's own truncation N and sweep N_sweep."""
+    the canonical problem fields, which the digest hashes and build reads."""
 
     fields: dict
-    truncation: int | None
-    sweep: tuple[int, int, int] | None
 
     @staticmethod
     def from_dict(raw: dict) -> "ProblemConfig":
@@ -155,24 +159,9 @@ class ProblemConfig:
             _require(isinstance(forcing, str), "forcing must be expression text")
             fields["forcing"] = forcing
         fields["ics"] = _as_reals(raw.get("ics"), n, "ics")
-        truncation = _as_int(raw["N"], "N") if "N" in raw else None
-        sweep = None
-        if "N_sweep" in raw:
-            sweep_raw = raw["N_sweep"]
-            _require(isinstance(sweep_raw, dict) and tuple(sorted(sweep_raw)) == tuple(sorted(_SWEEP_KEYS)),
-                     'N_sweep must be an object with keys "from", "to", "step"')
-            sweep = tuple(_as_int(sweep_raw[k], f"N_sweep {k}") for k in _SWEEP_KEYS)
         fields["kernel_s_power"] = _as_int(raw.get("kernel_s_power", 1), "kernel_s_power")
         _require(fields["kernel_s_power"] >= 1, "kernel_s_power must be >= 1")
-        return ProblemConfig(fields, truncation, sweep)
-
-    def to_dict(self) -> dict:
-        out = copy.deepcopy(self.fields)
-        if self.truncation is not None:
-            out["N"] = self.truncation
-        if self.sweep is not None:
-            out["N_sweep"] = dict(zip(_SWEEP_KEYS, self.sweep))
-        return out
+        return ProblemConfig(fields)
 
     def digest(self) -> str:
         return hashlib.sha256(_dumps_json(self.fields).encode()).hexdigest()
@@ -224,18 +213,13 @@ def _write_text(path: str | None, text: str):
             handle.write(text)
 
 
-def _parse_sweep(text: str) -> tuple[int, int, int]:
+def _sweep_truncations(text: str) -> list[int]:
     parts = text.split(":")
     _require(len(parts) == 3, f"sweep must be FROM:TO:STEP, got {text!r}")
     try:
         start, stop, step = (int(p) for p in parts)
     except ValueError:
         raise ValueError(f"sweep must be three integers, got {text!r}") from None
-    return start, stop, step
-
-
-def _sweep_truncations(sweep: tuple[int, int, int]) -> list[int]:
-    start, stop, step = sweep
     _require(step >= 1, f"sweep step must be >= 1, got {step}")
     truncations = list(range(start, stop + 1, step))
     _require(bool(truncations), f"sweep {start}:{stop}:{step} is empty")
@@ -244,14 +228,7 @@ def _sweep_truncations(sweep: tuple[int, int, int]) -> list[int]:
 
 def cmd_solve(args) -> int:
     config, problem, exact = _resolve_problem(args)
-    truncation = args.N if args.N is not None else config.truncation
-    _require(truncation is not None, "no truncation: pass --N or put N in the config")
-    if args.emit_config is not None:
-        emitted = config.to_dict()
-        if args.N is not None:
-            emitted["N"] = args.N
-        _write_text(args.emit_config, _dumps_json(emitted) + "\n")
-    solution = solve_fide(problem, truncation)
+    solution = solve_fide(problem, args.N)
     text = _dumps_json({
         "N": solution.truncation,
         "legendre_coeffs": list(solution.coeffs.coeffs),
@@ -263,18 +240,18 @@ def cmd_solve(args) -> int:
     if exact is not None:  # before any output, so a failed norm writes none
         l2, largest = error_norms(solution, exact)
         summary += f", l2_error={l2:.6e}, max_error={largest:.6e}"
+    if args.emit_config is not None:
+        _write_text(args.emit_config, _dumps_json(config.fields) + "\n")
     _write_text(args.out, text)
     print(summary, file=sys.stderr)
     return 0
 
 
 def cmd_convergence(args) -> int:
-    config, problem, exact = _resolve_problem(args)
+    _, problem, exact = _resolve_problem(args)
     _require(exact is not None,
              "convergence needs a known exact solution: use --example or an mms_exact config")
-    sweep = _parse_sweep(args.N_sweep) if args.N_sweep is not None else config.sweep
-    _require(sweep is not None, "no sweep: pass --N-sweep FROM:TO:STEP or put N_sweep in the config")
-    truncations = _sweep_truncations(sweep)
+    truncations = _sweep_truncations(args.N_sweep)
     report = convergence_study(problem, exact, truncations)
     lines = ["N,l2_error,max_error"]
     for entry in report.entries:
@@ -337,16 +314,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = commands.add_parser("solve", help="solve at one truncation")
     add_problem_flags(solve)
-    solve.add_argument("--N", type=int, help="truncation (overrides config N)")
+    solve.add_argument("--N", type=int, required=True, help="truncation")
     solve.add_argument("--out", help="solution JSON path (default stdout)")
     solve.add_argument("--emit-config", dest="emit_config",
-                       help="also write the resolved problem config JSON here")
+                       help="also write the problem config JSON (what the digest hashes) here")
     solve.set_defaults(handler=cmd_solve)
 
     conv = commands.add_parser("convergence", help="error sweep over truncations")
     add_problem_flags(conv)
-    conv.add_argument("--N-sweep", dest="N_sweep",
-                      help="FROM:TO:STEP inclusive sweep (overrides config N_sweep)")
+    conv.add_argument("--N-sweep", dest="N_sweep", required=True,
+                      help="FROM:TO:STEP inclusive sweep")
     conv.add_argument("--csv", help="CSV output path (default stdout)")
     conv.set_defaults(handler=cmd_convergence)
 

@@ -349,10 +349,10 @@ def _nested_systems(problem: FIDEProblem, truncations):
         cols = truncation - n + 1
         forcing = forcing[:cols]
         with np.errstate(over="ignore", invalid="ignore"):
+            matrix = classical[:cols, :cols] - kernel_term[taylor:taylor + cols, :cols].T
             rhs = (2.0 * np.arange(cols) + 1.0) * forcing - lower[:cols] @ problem.ics
             rhs += kernel_term[:taylor, :cols].T @ problem.ics[m:]
-        yield (truncation, classical[:cols, :cols] - kernel_term[taylor:taylor + cols, :cols].T,
-               rhs)
+        yield truncation, matrix, rhs
 
 
 def _smallest_pivot(matrix: np.ndarray) -> float:

@@ -133,22 +133,11 @@ def test_emit_config_round_trips_digest_and_coefficients(capsys, tmp_path):
                                "--out", str(out_a), "--emit-config", str(emitted)])
     assert code == 0
     resolved = json.loads(emitted.read_text(encoding="utf-8"))
-    assert resolved["N"] == 8
-    code, _, _ = _run(capsys, ["solve", "--config", str(emitted),
+    assert "N" not in resolved
+    code, _, _ = _run(capsys, ["solve", "--config", str(emitted), "--N", "8",
                                "--out", str(out_b)])
     assert code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-
-
-def test_emit_config_keeps_the_configs_own_truncation_and_sweep(capsys, tmp_path):
-    config = dict(_FORCING_CONFIG, N=6, N_sweep={"from": 4, "to": 8, "step": 2})
-    emitted = tmp_path / "resolved.json"
-    code, _, _ = _run(capsys, ["solve", "--config", _write_config(tmp_path, config),
-                               "--emit-config", str(emitted)])
-    assert code == 0
-    resolved = json.loads(emitted.read_text(encoding="utf-8"))
-    assert (resolved["N"], resolved["N_sweep"]) == (6, {"from": 4, "to": 8, "step": 2})
-    assert ProblemConfig.from_dict(resolved) == ProblemConfig.from_dict(config)
 
 
 def test_solve_custom_mms_config_reports_small_error(capsys, tmp_path):
@@ -294,7 +283,7 @@ def test_solve_requires_truncation(capsys, tmp_path):
     path = _write_config(tmp_path, _FORCING_CONFIG)
     code, _, stderr = _run(capsys, ["solve", "--config", path])
     assert code == 2
-    assert "no truncation" in stderr
+    assert "the following arguments are required: --N" in stderr
 
 
 def test_solve_singular_system_exits_three(capsys, tmp_path):
@@ -376,15 +365,16 @@ def test_a_solved_series_that_overflows_on_the_error_grid_does_not_warn(capsys, 
     # The solve gives finite coefficients near 1.5e308, and their series
     # passes the float range on the error grid, as the exact solution
     # 1e308 (1 + t) does; only the exact solution's failure is reported,
-    # and no solution is written, to stdout or to --out.
+    # and nothing is written, to stdout, to --out or to --emit-config.
     config = {"n": 1, "a": [0, 1], "alpha": 0.5, "kernel": "0*t*s",
               "mms_exact": [[1e308, 0], [1e308, 1]], "ics": [1e308]}
     command = ["solve", "--config", _write_config(tmp_path, config), "--N", "4"]
     error = "error: non-finite exact solution sample on the error grid\n"
     assert _run(capsys, command) == (2, "", error)
-    out = tmp_path / "solution.json"
-    assert _run(capsys, [*command, "--out", str(out)]) == (2, "", error)
-    assert not out.exists()
+    out, emitted = tmp_path / "solution.json", tmp_path / "resolved.json"
+    assert _run(capsys, [*command, "--out", str(out), "--emit-config", str(emitted)]) == (
+        2, "", error)
+    assert not out.exists() and not emitted.exists()
 
 
 def test_error_norms_of_a_solution_near_the_float_range_stay_finite(capsys, tmp_path):
@@ -425,6 +415,11 @@ def test_a_sweep_whose_errors_square_past_the_float_range_keeps_its_entries(caps
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--config", "{kernel}", "--N", "4"], "error: kernel does not parse: offset 2:"),
     (["solve", "--config", "{forcing}", "--N", "4"], "error: forcing does not parse: offset 3:"),
+    (["solve", "--config", "{forcing_s}", "--N", "4"],
+     "error: forcing may use only ['t'], found ['s']"),
+    (["solve", "--config", "{truncation}", "--N", "4"], "error: unknown config key 'N'"),
+    (["convergence", "--config", "{sweep}", "--N-sweep", "4:8:2"],
+     "error: unknown config key 'N_sweep'"),
     (["solve", "--config", "{not_json}", "--N", "4"], "is not valid JSON"),
     (["solve", "--N", "4"], "need exactly one of --config PATH or --example ID"),
     (["solve", "--config", "{kernel}", "--example", "5.1", "--N", "4"],
@@ -432,11 +427,15 @@ def test_a_sweep_whose_errors_square_past_the_float_range_keeps_its_entries(caps
     (["convergence", "--example", "5.1", "--N-sweep", "4:x:4"],
      "sweep must be three integers, got '4:x:4'"),
     (["opmatrix", "--alpha", "0.5", "--N", "-1"], "must be a non-negative integer, got -1"),
-], ids=["kernel-parse", "forcing-parse", "not-json", "neither", "both", "sweep-integers",
-        "opmatrix-negative"])
+], ids=["kernel-parse", "forcing-parse", "forcing-uses-s", "config-N", "config-N_sweep",
+        "not-json", "neither", "both", "sweep-integers", "opmatrix-negative"])
 def test_malformed_invocation_is_config_error(capsys, tmp_path, argv, message):
     paths = {"kernel": _write_config(tmp_path, dict(_FORCING_CONFIG, kernel="t**s"), "k.json"),
              "forcing": _write_config(tmp_path, dict(_FORCING_CONFIG, forcing="1 +"), "f.json"),
+             "forcing_s": _write_config(tmp_path, dict(_FORCING_CONFIG, forcing="t*s"), "fs.json"),
+             "truncation": _write_config(tmp_path, dict(_FORCING_CONFIG, N=6), "n.json"),
+             "sweep": _write_config(tmp_path, dict(_MMS_CONFIG, N_sweep={"from": 4, "to": 8,
+                                                                         "step": 2}), "sw.json"),
              "not_json": str(tmp_path / "broken.json")}
     (tmp_path / "broken.json").write_text('{"n": 1,', encoding="utf-8")
     code, stdout, stderr = _run(capsys, [arg.format(**paths) for arg in argv])
@@ -570,17 +569,6 @@ def test_convergence_reports_resolved_sweep(capsys):
                                     "--N-sweep", "4:64:4"])
     assert code == 0
     assert "fitted decay: resolved at N=12" in stderr
-
-
-def test_convergence_uses_config_sweep(capsys, tmp_path):
-    payload = dict(_MMS_CONFIG)
-    payload["N_sweep"] = {"from": 4, "to": 8, "step": 2}
-    path = _write_config(tmp_path, payload)
-    code, stdout, _ = _run(capsys, ["convergence", "--config", path])
-    assert code == 0
-    lines = stdout.splitlines()
-    assert lines[0] == "N,l2_error,max_error"
-    assert [line.split(",")[0] for line in lines[1:]] == ["4", "6", "8"]
 
 
 def test_convergence_requires_exact_solution(capsys, tmp_path):

@@ -1217,6 +1217,15 @@ def test_an_overflowing_kernel_term_is_inf_without_a_warning():
     assert not np.isfinite(matrix).all()
     with pytest.raises(ValueError, match="non-finite entries at truncation 16"):
         solve_fide(problem, 16)
+    # A kernel term of -1.7e308 is finite, but the matrix subtracts it
+    # from the classical rows' 1.7e308.
+    huge = lambda t, s: np.full(np.broadcast(t, s).shape, -1.7e308)
+    problem = FIDEProblem(n=1, a=(0.0, 1.7e308), order=0.5, kernel=huge,
+                          forcing=np.ones_like, ics=(0.0,))
+    matrix, _ = assemble_system(problem, 4)
+    assert np.isinf(matrix).any()
+    with pytest.raises(ValueError, match="non-finite entries at truncation 4"):
+        solve_fide(problem, 4)
 
 
 def test_overflowing_coefficient_is_rejected_without_a_warning(tmp_path, capsys):
