@@ -18,12 +18,20 @@ All numbers are written with 17 significant digits, '.' decimal separator,
 LF line endings.  Identical invocations produce byte-identical output on the
 same numpy/BLAS build with the same BLAS thread count; solve_fide, called from
 Python too, depends on that thread count in its last bits.
-Exit codes: 0 success, 2 configuration or argument error, 3 solver error.
-Each is decided in `main` alone: a ValueError (a bad config, flag or sweep,
-or a problem the solver rejects as posed) exits 2, a SolverError (a gate of
-the solve tripped, a non-finite solution included) exits 3.  A solve that
-exits 2 or 3 writes nothing to stdout, --out or --emit-config: its error
-norms are taken before either file is written.
+Exit codes: 0 success, 2 configuration, argument or output error, 3 solver
+error.  Each is decided in `main` alone: a ValueError (a bad config, flag or
+sweep, or a problem the solver rejects as posed) exits 2, an OSError (an
+output path that cannot be written) exits 2 with `error: cannot write: ...`,
+a SolverError (a gate of the solve tripped, a non-finite solution included)
+exits 3.  A solve that exits 3, or 2 on a ValueError, writes nothing to
+stdout, --out or --emit-config: its error norms are taken before either
+file is written.  A solve writes --emit-config first, then the solution to
+--out or stdout, and its summary to stderr last.  So when --emit-config
+cannot be written it writes nothing; when --out cannot be written the
+--emit-config file is complete and stays, stdout gets nothing and no
+summary is printed.  A convergence run whose --csv cannot be written
+prints only the catalog note, if any, and no fit.  A path that opens but
+fails mid-write (a full disk) may be left with part of its text.
 
 Config schema (JSON object): name (text), n (integer >= 1), a (n+1 reals),
 alpha (real > 0), kernel (expression in t and s), exactly one of forcing
@@ -351,6 +359,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write: {exc}", file=sys.stderr)
         return 2
 
 

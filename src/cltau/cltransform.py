@@ -14,7 +14,8 @@ and P depend on n alone and are one entry, _legendre_projection, which the
 solver's kernel term reads too.  The rule of any larger n' is exact as
 well, so a convergence sweep projects the interpolants of all its
 truncations on the rule of its largest one, from one call of f on the
-nodes of every truncation below it (_nested_projections).
+nodes of every truncation below it (_nested_projections); those nodes
+depend on the sweep's truncations alone and the solver stores them.
 
 Every table the package reuses, here and in the solver, is kept in one
 store: _stored wraps each builder, keys its tables on (builder, arguments),
@@ -101,7 +102,7 @@ def _chebyshev_nodes(ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     j = 0..n, of every n in ns, concatenated, each block exactly symmetric;
     their barycentric weights (-1)^j sin((2j + 1) pi / (2n + 2)) (Chebyshev
     points of the first kind); and where each n's block starts."""
-    sizes = np.asarray(ns) + 1
+    sizes = np.asarray(ns, dtype=int) + 1
     starts = np.cumsum(sizes) - sizes
     start, n = np.repeat(starts, sizes), np.repeat(sizes - 1, sizes)
     j = np.arange(sizes.sum()) - start
@@ -167,22 +168,24 @@ def _forcing_samples(f, nodes: np.ndarray) -> np.ndarray:
     return _real_samples(f(nodes), nodes.shape, "forcing", "at the interpolation nodes")
 
 
-def _nested_projections(f, truncations) -> list[np.ndarray]:
+def _nested_projections(f, truncations, below_nodes) -> list[np.ndarray]:
     """chebyshev_interpolate(f, n) for each n of the strictly increasing
     truncations, the largest, top, by chebyshev_interpolate itself.
 
-    Every n below top is integrated on the rule of _legendre_projection(top):
+    below_nodes is _chebyshev_nodes(truncations[:-1]), which the caller
+    keeps for a whole ladder (unread for a single truncation).  Every n
+    below top is integrated on the rule of _legendre_projection(top):
     (I_n f) L_{1,k} has degree <= 2n, so it gives the same projections up
     to round-off.  f is called once on the nodes of all those n together;
     each n's projections are weighted[:, :n + 1]^T (P_n f_n), with P_n its
-    own _barycentric_matrix to the top + 16 Legendre nodes, so the scratch
-    is one (top + 16) x (n + 1) array at a time.
+    own _barycentric_matrix to the top + 16 Legendre nodes, built here and
+    not stored, so the scratch is one (top + 16) x (n + 1) array at a time.
     """
     *below, top = truncations
     projections = []
     if below:
         x, weighted, *_ = _legendre_projection(top)
-        nodes, weights, starts = _chebyshev_nodes(below)
+        nodes, weights, starts = below_nodes
         samples = _forcing_samples(f, nodes)
         blocks = [slice(start, start + n + 1) for n, start in zip(below, starts)]
         interpolated = (_barycentric_matrix(x, nodes[b], weights[b]) @ samples[b] for b in blocks)

@@ -42,8 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cltransform import (_KERNEL_EXTRA_POINTS, _legendre_projection, _nested_projections,
-                          _real_samples, _stored, chebyshev_interpolate)
+from .cltransform import (_KERNEL_EXTRA_POINTS, _chebyshev_nodes, _legendre_projection,
+                          _nested_projections, _real_samples, _stored, chebyshev_interpolate)
 from .fracderiv import CaputoOrder, _as_order, _caputo_basis, caputo_apply, operational_matrix
 from .orthopoly import LegendreSeries, MonomialSeries, _check_integer, shifted_legendre_table
 from .quadrature import jacobi_gauss_rule, legendre_gauss_rule
@@ -323,11 +323,11 @@ def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, 
     if truncation < problem.n:
         raise ValueError(
             f"truncation {truncation} leaves no room for {problem.n} initial conditions")
-    (_, matrix, rhs), = _nested_systems(problem, (truncation,))
+    (_, matrix, rhs), = _nested_systems(problem, (truncation,), None)
     return matrix, rhs
 
 
-def _nested_systems(problem: FIDEProblem, truncations):
+def _nested_systems(problem: FIDEProblem, truncations, below_nodes):
     """(truncation, matrix, rhs) of assemble_system for each of the strictly
     increasing truncations (all >= n), every one sliced from one assembly at
     the largest, top.  The system at N is the leading (N - n + 1)^2 block of
@@ -336,16 +336,17 @@ def _nested_systems(problem: FIDEProblem, truncations):
     rows and leading block of _kernel_rows at top, integrated on top's rules,
     and its forcing interpolates f at N's own N + 1 Chebyshev nodes and
     projects on top's Legendre rule.  The forcing is sampled twice per
-    sweep, on the nodes of every N below top together and at top
-    (_nested_projections).  At N = top this is the one-truncation assembly,
-    so a single solve does not depend on the sweep.
+    sweep, on the nodes of every N below top together, below_nodes (see
+    _nested_projections), and at top.  At N = top this is the
+    one-truncation assembly, so a single solve does not depend on the sweep.
     """
     n, m = problem.n, problem.order.m
     top = truncations[-1]
     classical, lower = _integral_rows(problem.a, top)
     kernel_term = _kernel_rows(problem.kernel, problem.order, top, problem.kernel_s_power, n)
     taylor = max(n - m, 0)  # rows of t^l/l!, l = m..n-1, then those of I^n L_{1,j}
-    for truncation, forcing in zip(truncations, _nested_projections(problem.forcing, truncations)):
+    projections = _nested_projections(problem.forcing, truncations, below_nodes)
+    for truncation, forcing in zip(truncations, projections):
         cols = truncation - n + 1
         forcing = forcing[:cols]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -719,6 +720,16 @@ def _error_grid() -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((rule.nodes, np.linspace(0.0, 1.0, _MAX_ERROR_POINTS))), rule.weights
 
 
+@_stored
+def _ladder_tables(truncations: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The tables of a convergence_study that depend on its strictly
+    increasing truncations alone; stored: the Legendre table of degree
+    max(truncations) on _error_grid, then the Chebyshev nodes, weights and
+    block starts of every truncation below it (_chebyshev_nodes)."""
+    *below, top = truncations
+    return (shifted_legendre_table(top, _error_grid()[0]), *_chebyshev_nodes(below))
+
+
 def error_norms(solution, exact: Callable) -> tuple[float, float]:
     """(l2, max) distance between the solution and `exact` on [0, 1] from
     one evaluation of each on _error_grid: the weighted L2 norm by the
@@ -740,16 +751,21 @@ def _exact_samples(exact: Callable) -> np.ndarray:
     return _real_samples(exact(grid), grid.shape, "exact solution", "on the error grid")
 
 
-def _distances(values: np.ndarray, exact_values: np.ndarray) -> tuple[float, float]:
-    """error_norms from samples of the solution and the exact one on _error_grid."""
-    diff = values - exact_values
-    gauss, weights = diff[:_ERROR_RULE_POINTS], _error_grid()[1]
+def _distances(values: np.ndarray, exact_values: np.ndarray) -> tuple:
+    """error_norms from samples of the solution and the exact one on
+    _error_grid: (l2, max) as floats for one solution (values 1-D), as
+    lists of floats for one solution per row of values, from one set of
+    reductions over the rows; a row whose squares overflow is rescaled on
+    its own."""
+    diff = np.atleast_2d(values - exact_values)
+    gauss, weights = diff[:, :_ERROR_RULE_POINTS], _error_grid()[1]
     with np.errstate(over="ignore"):
-        l2 = math.sqrt(max(float(np.sum(weights * gauss * gauss)), 0.0))
-    if not math.isfinite(l2):  # the squares overflowed: scale by max|d| first
-        scale = float(np.max(np.abs(gauss)))
-        l2 = scale * math.sqrt(float(np.sum(weights * (gauss / scale) ** 2)))
-    return l2, float(np.max(np.abs(diff[_ERROR_RULE_POINTS:])))
+        l2 = np.sqrt(np.sum(weights * gauss * gauss, axis=1))
+    for row in np.flatnonzero(~np.isfinite(l2)):  # the squares overflowed: scale by max|d| first
+        scale = np.max(np.abs(gauss[row]))
+        l2[row] = scale * np.sqrt(np.sum(weights * (gauss[row] / scale) ** 2))
+    l2, largest = l2.tolist(), np.max(np.abs(diff[:, _ERROR_RULE_POINTS:]), axis=1).tolist()
+    return (l2, largest) if values.ndim > 1 else (l2[0], largest[0])
 
 
 def initial_condition_residuals(problem: FIDEProblem, solution) -> np.ndarray:
@@ -781,13 +797,14 @@ def tau_residuals(problem: FIDEProblem, solution) -> np.ndarray:
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else (
-        0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot)
-    return float(slope), r_squared
+    """Slope and R^2 of the least-squares line through (x, y), x not all
+    equal, by the closed form on the centred data."""
+    dx, dy = x - np.mean(x), y - np.mean(y)
+    slope = float(dx @ dy) / float(dx @ dx)
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    ss_tot = float(dy @ dy)
+    # ss_res <= ss_tot, so ss_tot = 0 is an exact fit.
+    return slope, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
 def _fit_decay(entries: tuple[ConvergenceEntry, ...]) -> DecayFit:
@@ -835,7 +852,10 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     truncations, one matrix from _solve_systems, are evaluated on
     _error_grid by one product with the Legendre table of degree N_max, so
     their errors can differ from error_norms(solve_fide(N)) in the last
-    digits.
+    digits; one call of _distances scores every row, bit for bit as row by
+    row.  That table and the Chebyshev nodes of every N below N_max depend
+    on the truncations alone: they are one stored entry, _ladder_tables,
+    which another study over the same truncations reads back.
 
     Solver failures at individual truncations, a lifted solution that is
     not finite among them, are recorded on their entries without aborting
@@ -851,9 +871,10 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     if ns[0] < problem.n:
         raise ValueError(f"smallest truncation {ns[0]} is below derivative order {problem.n}")
     exact_values = _exact_samples(exact)
-    lifted, outcomes = _solve_systems(ns, problem.ics, _nested_systems(problem, ns))
-    values = lifted.T @ shifted_legendre_table(ns[-1], _error_grid()[0])
+    table, *below_nodes = _ladder_tables(tuple(ns))
+    lifted, outcomes = _solve_systems(ns, problem.ics, _nested_systems(problem, ns, below_nodes))
+    errors = zip(*_distances(lifted.T @ table, exact_values))
     entries = tuple(ConvergenceEntry(n, None, None, outcome) if isinstance(outcome, str)
-                    else ConvergenceEntry(n, *_distances(row, exact_values))
-                    for n, outcome, row in zip(ns, outcomes, values))
+                    else ConvergenceEntry(n, *error)
+                    for n, outcome, error in zip(ns, outcomes, errors))
     return ConvergenceReport(entries, _fit_decay(entries))

