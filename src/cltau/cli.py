@@ -48,6 +48,16 @@ the catalog's 5.3 config (t^2*sqrt(s)) errs by 9.6e-11 in L2 at N = 8 and
 1.3e-12 at N = 32 without the key, and by 6.8e-16 and 6.6e-16 with
 "kernel_s_power": 2.
 
+A convergence sweep assembles once, at its largest truncation N_max, so
+below N_max an entry integrates the kernel term with N_max's rules.  For
+kernels that neither rule integrates exactly (|t-s|, ln|t-s|,
+1/(1+c(t-s)^2)) an entry can read far below the error of `solve --N` at
+that N.  On y' + y with kernel |t-s|, alpha = 0.5 and exact solution
+t^2 + t^3, every entry of the sweep N = 8, 16, ..., 256 errs by 7.8e-7 in
+L2, while the solve at N = 8 errs by 9.95e-5.  The catalog's kernels are
+exact on both rules, so their entries are the standalone solves to
+round-off.
+
 The problem digest is the SHA-256 of ProblemConfig.fields, the canonical
 problem fields (name, n, a, alpha, kernel, forcing or mms_exact, ics,
 kernel_s_power), so it identifies the problem independently of the

@@ -14,8 +14,7 @@ and P depend on n alone and are one entry, _legendre_projection, which the
 solver's kernel term reads too.  The rule of any larger n' is exact as
 well, so a convergence sweep projects the interpolants of all its
 truncations on the rule of its largest one, from one call of f on the
-nodes of every truncation below it (_nested_projections); those nodes
-depend on the sweep's truncations alone and the solver stores them.
+nodes of every truncation below it (_nested_projections).
 
 Every table the package reuses, here and in the solver, is kept in one
 store: _stored wraps each builder, keys its tables on (builder, arguments),
@@ -168,13 +167,11 @@ def _forcing_samples(f, nodes: np.ndarray) -> np.ndarray:
     return _real_samples(f(nodes), nodes.shape, "forcing", "at the interpolation nodes")
 
 
-def _nested_projections(f, truncations, below_nodes) -> list[np.ndarray]:
+def _nested_projections(f, truncations) -> list[np.ndarray]:
     """chebyshev_interpolate(f, n) for each n of the strictly increasing
     truncations, the largest, top, by chebyshev_interpolate itself.
 
-    below_nodes is _chebyshev_nodes(truncations[:-1]), which the caller
-    keeps for a whole ladder (unread for a single truncation).  Every n
-    below top is integrated on the rule of _legendre_projection(top):
+    Every n below top is integrated on the rule of _legendre_projection(top):
     (I_n f) L_{1,k} has degree <= 2n, so it gives the same projections up
     to round-off.  f is called once on the nodes of all those n together;
     each n's projections are weighted[:, :n + 1]^T (P_n f_n), with P_n its
@@ -185,7 +182,7 @@ def _nested_projections(f, truncations, below_nodes) -> list[np.ndarray]:
     projections = []
     if below:
         x, weighted, *_ = _legendre_projection(top)
-        nodes, weights, starts = below_nodes
+        nodes, weights, starts = _chebyshev_nodes(below)
         samples = _forcing_samples(f, nodes)
         blocks = [slice(start, start + n + 1) for n, start in zip(below, starts)]
         interpolated = (_barycentric_matrix(x, nodes[b], weights[b]) @ samples[b] for b in blocks)

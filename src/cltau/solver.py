@@ -18,8 +18,9 @@ absorbs the s^(ceil(alpha) - alpha) factor and an (N + 16)-point
 Legendre-Gauss rule, exact for kernels polynomial in v = s^(1/p) (p the
 kernel_s_power) of degree <= 2 (N + 16) - 1 - p (N - ceil(alpha)); see
 _kernel_rows.  The system at N is the leading block of the one at any
-larger truncation, up to quadrature, so convergence_study assembles once,
-at its largest N (_nested_systems).
+larger truncation, up to quadrature, so a ladder of truncations is
+assembled once, at its largest N, and every rung is a view of that
+matrix (_nested_systems).
 
 The system is solved by one LAPACK gesv through numpy.linalg.solve (LU with
 partial pivoting) behind two gates: every LU pivot must reach 1e-14 times the
@@ -27,8 +28,9 @@ largest matrix entry, and the residual must stay below 1e-10 * (1 + max |rhs|).
 The pivot gate is certified from the inverse that the 1-norm condition
 estimate computes anyway, from the same factorization, and decided by explicit
 elimination only when that bound is inconclusive; see _gated_solve.  One loop,
-_solve_systems, runs that solve for solve_fide and for every truncation of
-convergence_study, and lifts the solutions to y.
+_solve_systems(problem, truncations), assembles the ladder, runs that solve
+at each of its truncations and lifts the solutions to y; solve_fide calls it
+with one truncation and convergence_study with its sweep.
 
 Kernels, forcings and exact solutions must accept numpy arrays, broadcast
 (wrap scalar callables in numpy.vectorize if needed) and return real, finite
@@ -42,8 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cltransform import (_KERNEL_EXTRA_POINTS, _chebyshev_nodes, _legendre_projection,
-                          _nested_projections, _real_samples, _stored, chebyshev_interpolate)
+from .cltransform import (_KERNEL_EXTRA_POINTS, _legendre_projection, _nested_projections,
+                          _real_samples, _stored, chebyshev_interpolate)
 from .fracderiv import CaputoOrder, _as_order, _caputo_basis, caputo_apply, operational_matrix
 from .orthopoly import LegendreSeries, MonomialSeries, _check_integer, shifted_legendre_table
 from .quadrature import jacobi_gauss_rule, legendre_gauss_rule
@@ -56,7 +58,6 @@ __all__ = [
     "DecayFit",
     "ConvergenceReport",
     "fredholm_block",
-    "assemble_system",
     "solve_fide",
     "mms_forcing",
     "BuiltinExample",
@@ -290,7 +291,7 @@ def _integrate(coeffs: np.ndarray) -> np.ndarray:
 
 @_stored
 def _integral_rows(a: tuple[float, ...], truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel-free tables of assemble_system, stored per (a, truncation);
+    """The kernel-free tables of _nested_systems, stored per (a, truncation);
     n = len(a) - 1, M = truncation - n and k, j <= M:
     classical[k, j] is the L_{1,k}-coefficient of sum_i a_i I^(n-i) L_{1,j},
     lower[k, l] that of sum_i a_i (t^l/l!)^(i), with t^l/l! = I^l L_{1,0}.
@@ -310,50 +311,40 @@ def _integral_rows(a: tuple[float, ...], truncation: int) -> tuple[np.ndarray, n
     return classical, lower
 
 
-def assemble_system(problem: FIDEProblem, truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense tau system (matrix, rhs) for v of y = p + I^n v: row k,
-    k <= truncation - n, is the L_{1,k}-coefficient (not divided by 2k + 1) of
+def _nested_systems(problem: FIDEProblem, truncations):
+    """(truncation, matrix, rhs) of the dense tau system for v of
+    y = p + I^n v at each of the strictly increasing truncations, every one
+    sliced from one assembly at the largest, top.  Row k, k <= truncation - n,
+    is the L_{1,k}-coefficient (not divided by 2k + 1) of
     sum_i a_i I^(n-i) v - K D^alpha I^n v = f - sum_i a_i p^(i) + K D^alpha p,
-    K the kernel operator.  The forcing enters as (2k+1) f_k from
-    chebyshev_interpolate, the rest from the stored _integral_rows(a,
-    truncation) and _kernel_rows, so a repeat evaluates only k and f.  It is
-    the one-truncation case of _nested_systems.
-    """
-    truncation = _check_truncation(truncation)
-    if truncation < problem.n:
-        raise ValueError(
-            f"truncation {truncation} leaves no room for {problem.n} initial conditions")
-    (_, matrix, rhs), = _nested_systems(problem, (truncation,), None)
-    return matrix, rhs
+    K the kernel operator.  A truncation below n raises ValueError before
+    any table is built.
 
-
-def _nested_systems(problem: FIDEProblem, truncations, below_nodes):
-    """(truncation, matrix, rhs) of assemble_system for each of the strictly
-    increasing truncations (all >= n), every one sliced from one assembly at
-    the largest, top.  The system at N is the leading (N - n + 1)^2 block of
-    the one at top, up to quadrature: its classical rows are the leading
-    block of _integral_rows(a, top) (bit for bit), its kernel term the Taylor
-    rows and leading block of _kernel_rows at top, integrated on top's rules,
-    and its forcing interpolates f at N's own N + 1 Chebyshev nodes and
-    projects on top's Legendre rule.  The forcing is sampled twice per
-    sweep, on the nodes of every N below top together, below_nodes (see
-    _nested_projections), and at top.  At N = top this is the
-    one-truncation assembly, so a single solve does not depend on the sweep.
+    The system at N is the leading (N - n + 1)^2 block of the one at top, up
+    to quadrature, so the matrix is formed once, at top, and each N gets a
+    view of its leading block: classical rows bit for bit those of
+    _integral_rows(a, N), minus the kernel term of _kernel_rows integrated
+    on top's rules.  The forcing enters as (2k+1) f_k from
+    _nested_projections, which interpolates f at N's own N + 1 Chebyshev
+    nodes and projects on top's Legendre rule.  The tables at top are
+    stored, so a repeat evaluates only k and f there.  At N = top this is
+    the one-truncation assembly, so a single solve does not depend on the
+    sweep.
     """
-    n, m = problem.n, problem.order.m
-    top = truncations[-1]
+    n, m, top = problem.n, problem.order.m, truncations[-1]
+    if truncations[0] < n:
+        raise ValueError(f"truncation {truncations[0]} is below the derivative order {n}")
     classical, lower = _integral_rows(problem.a, top)
     kernel_term = _kernel_rows(problem.kernel, problem.order, top, problem.kernel_s_power, n)
     taylor = max(n - m, 0)  # rows of t^l/l!, l = m..n-1, then those of I^n L_{1,j}
-    projections = _nested_projections(problem.forcing, truncations, below_nodes)
-    for truncation, forcing in zip(truncations, projections):
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = classical - kernel_term[taylor:].T
+    for truncation, forcing in zip(truncations, _nested_projections(problem.forcing, truncations)):
         cols = truncation - n + 1
-        forcing = forcing[:cols]
         with np.errstate(over="ignore", invalid="ignore"):
-            matrix = classical[:cols, :cols] - kernel_term[taylor:taylor + cols, :cols].T
-            rhs = (2.0 * np.arange(cols) + 1.0) * forcing - lower[:cols] @ problem.ics
+            rhs = (2.0 * np.arange(cols) + 1.0) * forcing[:cols] - lower[:cols] @ problem.ics
             rhs += kernel_term[:taylor, :cols].T @ problem.ics[m:]
-        yield truncation, matrix, rhs
+        yield truncation, matrix[:cols, :cols], rhs
 
 
 def _smallest_pivot(matrix: np.ndarray) -> float:
@@ -384,20 +375,18 @@ def solve_fide(problem: FIDEProblem, truncation: int) -> SpectralSolution:
     overflow warns.
     """
     truncation = _check_truncation(truncation)
-    # A generator, so that the system is assembled under the loop's errstate.
-    lifted, (outcome,) = _solve_systems((truncation,), problem.ics, (
-        (n, *assemble_system(problem, n)) for n in (truncation,)))
+    lifted, (outcome,) = _solve_systems(problem, (truncation,))
     if isinstance(outcome, str):
         raise SolverError(outcome)
     return SpectralSolution(truncation, LegendreSeries(lifted[:, 0]), outcome)
 
 
-def _solve_systems(truncations, ics, systems) -> tuple[np.ndarray, list]:
+def _solve_systems(problem: FIDEProblem, truncations) -> tuple[np.ndarray, list]:
     """The one solve loop of solve_fide and convergence_study.
 
-    systems yields (truncation, matrix, rhs) for the strictly increasing
-    truncations, each system of size truncation - n + 1 for v of
-    y = p + I^n v, n = len(ics); it is built, solved and lifted under one
+    _nested_systems assembles the problem's system for each of the strictly
+    increasing truncations, of size truncation - n + 1 for v of
+    y = p + I^n v; each is built, solved and lifted under one
     numpy.errstate, so an overflow becomes inf or NaN without a warning.
     Each system goes through _gated_solve and its v is zero-padded to
     degree max(truncations); all columns are lifted together to
@@ -409,6 +398,7 @@ def _solve_systems(truncations, ics, systems) -> tuple[np.ndarray, list]:
     truncation, so no later system is built.
     """
     lifted, outcomes = np.zeros((truncations[-1] + 1, len(truncations))), []
+    systems = _nested_systems(problem, truncations)
     with np.errstate(over="ignore", invalid="ignore"):
         for column, (truncation, matrix, rhs) in enumerate(systems):
             try:
@@ -417,7 +407,7 @@ def _solve_systems(truncations, ics, systems) -> tuple[np.ndarray, list]:
             except SolverError as exc:
                 outcome = str(exc)
             outcomes.append(outcome)
-        for d in reversed(ics):
+        for d in reversed(problem.ics):
             lifted = _integrate(lifted)
             lifted[0] += d
     if not np.isfinite(lifted).all():
@@ -721,13 +711,11 @@ def _error_grid() -> tuple[np.ndarray, np.ndarray]:
 
 
 @_stored
-def _ladder_tables(truncations: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The tables of a convergence_study that depend on its strictly
-    increasing truncations alone; stored: the Legendre table of degree
-    max(truncations) on _error_grid, then the Chebyshev nodes, weights and
-    block starts of every truncation below it (_chebyshev_nodes)."""
-    *below, top = truncations
-    return (shifted_legendre_table(top, _error_grid()[0]), *_chebyshev_nodes(below))
+def _error_table(degree: int) -> tuple[np.ndarray]:
+    """The shifted Legendre table of degree on _error_grid, with which
+    convergence_study scores a sweep whose largest truncation is degree;
+    stored."""
+    return (shifted_legendre_table(degree, _error_grid()[0]),)
 
 
 def error_norms(solution, exact: Callable) -> tuple[float, float]:
@@ -853,26 +841,25 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     _error_grid by one product with the Legendre table of degree N_max, so
     their errors can differ from error_norms(solve_fide(N)) in the last
     digits; one call of _distances scores every row, bit for bit as row by
-    row.  That table and the Chebyshev nodes of every N below N_max depend
-    on the truncations alone: they are one stored entry, _ladder_tables,
-    which another study over the same truncations reads back.
+    row.  That table depends on N_max alone: it is one stored entry,
+    _error_table, which another study up to the same N_max reads back.
 
-    Solver failures at individual truncations, a lifted solution that is
-    not finite among them, are recorded on their entries without aborting
-    the sweep.  Errors below 1e-12 are treated as the machine floor and
-    excluded from the decay fit; a sweep that sinks below the floor before
-    three errors lie above it is "resolved" (see DecayFit).
+    A truncation below the derivative order raises ValueError from
+    _nested_systems before any table of the sweep is built.  Solver failures
+    at individual truncations, a lifted solution that is not finite among
+    them, are recorded on their entries without aborting the sweep.  Errors
+    below 1e-12 are treated as the machine floor and excluded from the decay
+    fit; a sweep that sinks below the floor before three errors lie above it
+    is "resolved" (see DecayFit).
     """
     ns = [_check_truncation(n) for n in truncations]
     if not ns:
         raise ValueError("need at least one truncation")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("truncations must be strictly increasing")
-    if ns[0] < problem.n:
-        raise ValueError(f"smallest truncation {ns[0]} is below derivative order {problem.n}")
     exact_values = _exact_samples(exact)
-    table, *below_nodes = _ladder_tables(tuple(ns))
-    lifted, outcomes = _solve_systems(ns, problem.ics, _nested_systems(problem, ns, below_nodes))
+    lifted, outcomes = _solve_systems(problem, ns)
+    table, = _error_table(ns[-1])
     errors = zip(*_distances(lifted.T @ table, exact_values))
     entries = tuple(ConvergenceEntry(n, None, None, outcome) if isinstance(outcome, str)
                     else ConvergenceEntry(n, *error)

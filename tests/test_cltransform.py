@@ -237,8 +237,7 @@ def test_interpolating_on_a_larger_rule_gives_the_same_projections():
     cases = [(truncations, 1e-15) for truncations in
              ((4, 17), (7, 16), (16,), (4, 7, 16), tuple(range(4, 18)))]
     for truncations, bound in cases + [(tuple(range(3, 130)), 2e-15)]:
-        got = cltransform._nested_projections(
-            np.exp, truncations, cltransform._chebyshev_nodes(truncations[:-1]))
+        got = cltransform._nested_projections(np.exp, truncations)
         assert len(got) == len(truncations)
         for n, projections in zip(truncations, got):
             expected = chebyshev_interpolate(np.exp, n)
@@ -251,8 +250,7 @@ def test_nested_projections_sample_once_below_the_top():
     # One call of f on the nodes of every n below the top, concatenated and
     # bit for bit those of each n alone, and one at the top.
     calls = []
-    cltransform._nested_projections(lambda t: calls.append(t.copy()) or np.exp(t), (3, 4, 9),
-                                    cltransform._chebyshev_nodes((3, 4)))
+    cltransform._nested_projections(lambda t: calls.append(t.copy()) or np.exp(t), (3, 4, 9))
     assert [t.size for t in calls] == [4 + 5, 10]
     single = lambda n: cltransform._chebyshev_nodes((n,))
     np.testing.assert_array_equal(calls[0], np.concatenate((single(3)[0], single(4)[0])))

@@ -1,13 +1,14 @@
 """Package-wide properties: the one table store is bounded, every exported name is
-used by the package or a demo, and numpy is the only runtime dependency:
-the package imports without mpmath and solves without scipy (both
-test-only dependencies).  The CLI loads the expression parser only to
-compile a config's expressions, and at a fixed BLAS thread count the same
-invocation prints the same bytes."""
+used by the package or a demo, every private name the README cites exists,
+and numpy is the only runtime dependency: the package imports without
+mpmath and solves without scipy (both test-only dependencies).  The CLI
+loads the expression parser only to compile a config's expressions, and at
+a fixed BLAS thread count the same invocation prints the same bytes."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from collections import OrderedDict
@@ -37,7 +38,7 @@ def test_every_lru_cache_is_bounded(monkeypatch):
                 stored.add(f"{name}.{attr}")
     assert {"cltransform._legendre_projection", "solver._caputo_quadrature",
             "solver._singular_rule", "solver._error_grid", "solver._integral_rows",
-            "solver._ladder_tables"} == stored
+            "solver._error_table"} == stored
     assert isinstance(cltransform._TABLE_BYTES, int) and 0 < cltransform._TABLE_BYTES < 2**40
     monkeypatch.setattr(cltransform, "_tables", OrderedDict())
     tiny = cltransform._stored(lambda key: (np.zeros(1),))
@@ -88,6 +89,19 @@ def test_every_exported_name_is_used_outside_the_tests():
     unused = [f"{name}.{attr}" for name in _MODULES
               for attr in importlib.import_module(f"cltau.{name}").__all__ if attr not in used]
     assert not unused
+
+
+def test_every_private_name_the_readme_cites_exists():
+    # The README cites private helpers as `module._name`; a helper renamed
+    # or removed under a stale README fails here.
+    readme = (Path(cltau.__file__).resolve().parent.parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    cited = [(name, attr) for name, attr in re.findall(r"`(\w+)\.(_\w+)`", readme)
+             if name in _MODULES]
+    assert cited
+    missing = [f"{name}.{attr}" for name, attr in cited
+               if not hasattr(importlib.import_module(f"cltau.{name}"), attr)]
+    assert not missing
 
 
 def _run_fresh(code: str, **environ: str) -> subprocess.CompletedProcess:

@@ -31,7 +31,6 @@ from cltau.solver import (
     DecayFit,
     FIDEProblem,
     SolverError,
-    assemble_system,
     builtin_example,
     builtin_example_ids,
     convergence_study,
@@ -252,6 +251,13 @@ def test_complex_forcing_is_rejected_not_cut_to_its_real_part():
 
 # ---------------------------------------------------------------- assembly
 
+def _system(problem, truncation):
+    """(matrix, rhs) of the tau system at one truncation, as the solve loop
+    assembles it."""
+    ((_, matrix, rhs),) = solver._nested_systems(problem, (truncation,))
+    return matrix, rhs
+
+
 def test_assembly_hand_checked_two_by_two():
     # First catalog problem at N = 2, unknown v = y' in span{L_0, L_1}, so
     # y = I v (y(0) = 0).  With a = (0, 1) the classical part is v itself.
@@ -267,7 +273,7 @@ def test_assembly_hand_checked_two_by_two():
     expected = np.eye(2) - 0.5 * moments[None, :]
     expected_rhs = np.array([14.0 - 5.6 / _SQRT_PI, -5.6 / _SQRT_PI])
     for truncation in (1, 2):
-        matrix, rhs = assemble_system(problem, truncation)
+        matrix, rhs = _system(problem, truncation)
         assert matrix.shape == (truncation, truncation) and rhs.shape == (truncation,)
         np.testing.assert_allclose(matrix, expected[:truncation, :truncation], rtol=0, atol=1e-15)
         np.testing.assert_allclose(rhs, expected_rhs[:truncation], rtol=0, atol=1e-14)
@@ -283,7 +289,7 @@ def test_assembly_shapes_and_condition_rows():
     # solved series give the initial values, and initial_condition_residuals
     # (through the operational matrices) agrees.
     problem = builtin_example("5.4").problem
-    matrix, rhs = assemble_system(problem, 6)
+    matrix, rhs = _system(problem, 6)
     assert matrix.shape == (4, 4) and rhs.shape == (4,)
     for truncation in (6, 64):
         solution = solve_fide(problem, truncation)
@@ -809,25 +815,23 @@ def test_a_sweep_keeps_one_table_per_cache():
     convergence_study(ex.problem, ex.exact, range(4, 33, 4))
     assert Counter(builder.__name__ for builder, _ in cltransform._tables) == {
         "_integral_rows": 1, "_legendre_projection": 1, "_caputo_quadrature": 1,
-        "_singular_rule": 1, "_error_grid": 1, "_ladder_tables": 1}
+        "_singular_rule": 1, "_error_grid": 1, "_error_table": 1}
 
 
 def test_a_second_sweep_on_a_ladder_rebuilds_none_of_its_tables(monkeypatch):
-    # The error-grid Legendre table of N_max and the Chebyshev nodes of the
-    # rungs below it depend on the ladder alone: a second sweep over it, of
-    # the same problem or another, reads them from the store, and its
-    # entries are those of a sweep from an empty store, byte for byte (the
-    # repr of a float round-trips).
+    # The error-grid Legendre table of N_max depends on the ladder alone: a
+    # second sweep over it, of the same problem or another, reads it from
+    # the store, and its entries are those of a sweep from an empty store,
+    # byte for byte (the repr of a float round-trips).
     ladder, first, other = range(4, 33, 4), builtin_example("5.4"), builtin_example("5.2")
     cltransform._tables.clear()
     other_cold = convergence_study(other.problem, other.exact, ladder)
     cltransform._tables.clear()
     first_cold = convergence_study(first.problem, first.exact, ladder)
     tables = _count_calls(monkeypatch, orthopoly.shifted_legendre_table)
-    nodes = _count_calls(monkeypatch, cltransform._chebyshev_nodes)
     assert repr(convergence_study(first.problem, first.exact, ladder)) == repr(first_cold)
     assert repr(convergence_study(other.problem, other.exact, ladder)) == repr(other_cold)
-    assert tables == {"shifted_legendre_table": 0} and nodes == {"_chebyshev_nodes": 0}
+    assert tables == {"shifted_legendre_table": 0}
 
 
 def test_stacked_distances_are_the_row_by_row_distances():
@@ -892,8 +896,8 @@ def test_a_non_finite_slice_stops_the_sweep_at_its_truncation(monkeypatch):
     ex = builtin_example("5.4")
     nested, assembled = solver._nested_systems, []
 
-    def poisoned(problem, truncations, below_nodes):
-        for truncation, matrix, rhs in nested(problem, truncations, below_nodes):
+    def poisoned(problem, truncations):
+        for truncation, matrix, rhs in nested(problem, truncations):
             if truncation >= 16:
                 rhs = rhs.copy()
                 rhs[0] = np.inf
@@ -917,6 +921,34 @@ def test_convergence_study_validation():
 
 
 # ------------------------------------------------------------- validation
+
+@pytest.mark.parametrize("call", ["solve_fide", "convergence_study", "cltau solve",
+                                  "cltau convergence"])
+def test_a_truncation_below_the_order_is_rejected_before_any_table_is_built(call, capsys):
+    # One check, in _nested_systems, rejects a truncation below n for every
+    # caller with one message, before the solve builds a table.  The printed
+    # 5.3 (n = 2) compiles its forcing, so building it stores nothing; a
+    # study samples its exact solution first, on the error grid, which
+    # depends on nothing the caller passes and is built before the store
+    # is read.
+    ex = builtin_example("5.3", "printed")
+    message = "truncation 1 is below the derivative order 2"
+    solver._error_grid()
+    held = set(cltransform._tables)
+    if call == "solve_fide":
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_fide(ex.problem, 1)
+    elif call == "convergence_study":
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            convergence_study(ex.problem, ex.exact, (1, 5))
+    else:
+        command = call.split()[1]
+        truncation = ["--N", "1"] if command == "solve" else ["--N-sweep", "1:5:4"]
+        assert cli.main([command, "--example", "5.3", "--variant", "printed",
+                         *truncation]) == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert set(cltransform._tables) == held
+
 
 def test_problem_validation():
     with pytest.raises(ValueError):
@@ -1126,7 +1158,7 @@ def _lapack_smallest_pivot(matrix):
 @pytest.mark.parametrize("eid", ["5.1", "5.2", "5.3", "5.4"])
 @pytest.mark.parametrize("truncation", [8, 32, 64, 128])
 def test_smallest_pivot_matches_lapack_on_tau_systems(eid, truncation):
-    matrix, _ = assemble_system(builtin_example(eid).problem, truncation)
+    matrix, _ = _system(builtin_example(eid).problem, truncation)
     reference = _lapack_smallest_pivot(matrix)
     assert abs(solver._smallest_pivot(matrix) - reference) <= 1e-14 * reference
 
@@ -1196,8 +1228,8 @@ def test_pivot_gate_decided_by_elimination_near_the_edge(monkeypatch):
     exact = np.linspace(1.0, 2.0, 8)
     # 5.1 has n = 1, so at N = 8 its system has M + 1 = 8 unknowns.
     for relative_pivot, matrix in matrices.items():
-        monkeypatch.setattr(solver, "assemble_system",
-                            lambda *args, m=matrix: (m, m @ exact))
+        monkeypatch.setattr(solver, "_nested_systems",
+                            lambda *args, m=matrix: iter([(8, m, m @ exact)]))
         if relative_pivot < 1e-14:
             with pytest.raises(SolverError, match=r"truncation 8 \(smallest pivot"):
                 solve_fide(problem, 8)
@@ -1228,8 +1260,8 @@ def test_one_factorization_per_solve(monkeypatch):
     problem = builtin_example("5.1").problem
     for relative_pivot in (1e-13, 0.0):
         matrix = _matrix_with_pivot(relative_pivot)
-        monkeypatch.setattr(solver, "assemble_system",
-                            lambda *args, m=matrix: (m, m @ np.linspace(1.0, 2.0, 8)))
+        monkeypatch.setattr(solver, "_nested_systems",
+                            lambda *args, m=matrix: iter([(8, m, m @ np.linspace(1.0, 2.0, 8))]))
         calls.update(solve=0, inv=0)
         if relative_pivot:
             assert solve_fide(problem, 8).condition_estimate > 1e12
@@ -1246,7 +1278,7 @@ def test_solve_matches_scipy_lu_reference(eid, truncation):
     # I^n and the Taylor polynomial p = sum_l d_l t^l/l! = sum_l d_l I^l 1
     # taken from numpy's Legendre integration (on [-1, 1], hence scl=0.5).
     problem = builtin_example(eid).problem
-    matrix, rhs = assemble_system(problem, truncation)
+    matrix, rhs = _system(problem, truncation)
     v = scipy.linalg.lu_solve(scipy.linalg.lu_factor(matrix), rhs)
     integrate = lambda c, times: np.polynomial.legendre.legint(c, m=times, lbnd=-1, scl=0.5)
     reference = integrate(v, problem.n)
@@ -1277,12 +1309,12 @@ def test_overflowing_system_is_rejected():
 def test_an_overflowing_kernel_term_is_inf_without_a_warning():
     # exp(700 t s) is finite on the grid, but the kernel term's products
     # overflow.  No errstate: the RuntimeWarning filter of the suite turns a
-    # warning from fredholm_block, assemble_system or solve_fide into a failure.
+    # warning from fredholm_block, _nested_systems or solve_fide into a failure.
     kernel = lambda t, s: np.exp(700.0 * t * s)
     assert not np.isfinite(fredholm_block(kernel, 7.3, 16)).all()
     problem = FIDEProblem(n=3, a=(1.0, 0.0, -1.0, 3.0), order=7.3, kernel=kernel,
                           forcing=np.exp, ics=(0.0, 0.0, 0.0))
-    matrix, _ = assemble_system(problem, 16)
+    matrix, _ = _system(problem, 16)
     assert not np.isfinite(matrix).all()
     with pytest.raises(ValueError, match="non-finite entries at truncation 16"):
         solve_fide(problem, 16)
@@ -1291,7 +1323,7 @@ def test_an_overflowing_kernel_term_is_inf_without_a_warning():
     huge = lambda t, s: np.full(np.broadcast(t, s).shape, -1.7e308)
     problem = FIDEProblem(n=1, a=(0.0, 1.7e308), order=0.5, kernel=huge,
                           forcing=np.ones_like, ics=(0.0,))
-    matrix, _ = assemble_system(problem, 4)
+    matrix, _ = _system(problem, 4)
     assert np.isinf(matrix).any()
     with pytest.raises(ValueError, match="non-finite entries at truncation 4"):
         solve_fide(problem, 4)
@@ -1303,7 +1335,7 @@ def test_overflowing_coefficient_is_rejected_without_a_warning(tmp_path, capsys)
     # table is cached with its inf, so the repeat raises the same error,
     # again without a warning, and the CLI exits with the config code 2.
     problem = FIDEProblem(**_OVERFLOWING)
-    matrix, _ = assemble_system(problem, 8)
+    matrix, _ = _system(problem, 8)
     assert not np.isfinite(matrix).all()
     for _ in range(2):
         with pytest.raises(ValueError, match="non-finite entries at truncation 8"):
@@ -1426,10 +1458,10 @@ def test_cached_classical_rows_serve_another_problem_with_the_same_a():
     # assembly from an empty table store bit for bit.
     first, second = builtin_example("5.1").problem, builtin_example("5.2").problem
     assert first.a == second.a
-    assemble_system(first, 16)
-    warm = assemble_system(second, 16)
+    _system(first, 16)
+    warm = _system(second, 16)
     cltransform._tables.clear()
-    fresh = assemble_system(second, 16)
+    fresh = _system(second, 16)
     for got, expected in zip(warm, fresh):
         assert got.tobytes() == expected.tobytes()
 
@@ -1478,7 +1510,7 @@ def test_cached_tables_are_read_only():
     arrays = (list(cltransform._legendre_projection(12))
               + list(solver._caputo_quadrature(0.5, 1, 12, 3))
               + list(solver._error_grid())
-              + list(solver._ladder_tables((4, 8, 12)))
+              + list(solver._error_table(12))
               + list(solver._integral_rows((1.0, 0.0, -1.0, 3.0), 12)))
     for array in arrays:
         with pytest.raises(ValueError):
