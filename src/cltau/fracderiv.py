@@ -4,8 +4,8 @@ operational matrix.
 The power rule is exact: D^a x^b = Gamma(b+1)/Gamma(b-a+1) x^{b-a}, with
 integer powers below m = ceil(a) annihilated.  _caputo_basis evaluates D^a
 of each trial function of the solver, un-truncated, as x^(m-a) times a
-polynomial; caputo_legendre_factors is its case of the shifted Legendre
-polynomials themselves.  The operational matrix projects D^a applied to
+polynomial; its n = 0 case is D^a of the shifted Legendre polynomials
+themselves.  The operational matrix projects D^a applied to
 each shifted Legendre polynomial back onto the basis, in float64 and
 without monomial expansions: integer orders are powers of the exact
 integer first-derivative matrix, and fractional orders integrate those
@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthopoly import (MonomialSeries, _check_domain, _check_integer, _jacobi_table,
-                        _over_gamma, shifted_legendre_table)
+from .orthopoly import (MonomialSeries, _check_integer, _jacobi_table, _over_gamma,
+                        shifted_legendre_table)
 from .quadrature import jacobi_gauss_rule
 
 __all__ = [
     "CaputoOrder",
     "caputo_power_rule",
     "caputo_apply",
-    "caputo_legendre_factors",
     "operational_matrix",
 ]
 
@@ -104,19 +103,6 @@ def _legendre_derivative_coeffs(n: int, m: int) -> np.ndarray:
     return np.linalg.matrix_power(first, m)
 
 
-def caputo_legendre_factors(order, n: int, x) -> np.ndarray:
-    """Polynomial factors g_0..g_n of D^alpha L_{1,j}(x) = x^(m-alpha) g_j(x).
-
-    Row j holds g_j at the points x in [0, 1]; g_j has degree j - m and
-    vanishes for j < m.  This is the n = 0 case of _caputo_basis:
-    D^alpha = I^(m-alpha) D^m, the m-th derivative expanded in L_{1,k} by
-    an integer matrix and I^(m-alpha) applied to each L_{1,k} in closed form.
-    """
-    order = _as_order(order)
-    n = _check_integer(n, 0, "truncation degree must be a non-negative integer")
-    return _caputo_basis(order, 0, n, _check_domain(x))
-
-
 def _caputo_basis(order: CaputoOrder, n: int, degree: int, x: np.ndarray) -> np.ndarray:
     """Row j: g_j at the points x, where D^alpha u_j = x^(m-alpha) g_j for the
     trial functions of y = p + I^n v: u_j = x^l/l! for l = m..n-1, then
@@ -159,7 +145,7 @@ def operational_matrix(order, n: int) -> np.ndarray:
     about m * n * eps.
 
     Fractional alpha: D^alpha L_{1,i}(x) = x^(m-alpha) g_i(x) with g_i a
-    polynomial of degree i - m (caputo_legendre_factors), so
+    polynomial of degree i - m (_caputo_basis at n = 0), so
     S(i,j) = (2j+1) sum_q w_q g_i(s_q) L_{1,j}(s_q) over the (n+2)-point
     Jacobi-Gauss rule for the weight x^(m-alpha), which is exact because
     g_i L_{1,j} has degree at most 2n.
@@ -171,7 +157,7 @@ def operational_matrix(order, n: int) -> np.ndarray:
     if order.alpha == order.m:
         return _legendre_derivative_coeffs(n, order.m)
     rule = jacobi_gauss_rule(n + 1, order.m - order.alpha)
-    factors = caputo_legendre_factors(order, n, rule.nodes) * rule.weights
+    factors = _caputo_basis(order, 0, n, rule.nodes) * rule.weights
     basis = shifted_legendre_table(n, rule.nodes)
     entries = (factors @ basis.T) * (2.0 * np.arange(n + 1) + 1.0)
     entries[:order.m] = 0.0

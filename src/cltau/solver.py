@@ -20,7 +20,10 @@ kernel_s_power) of degree <= 2 (N + 16) - 1 - p (N - ceil(alpha)); see
 _kernel_rows.  The system at N is the leading block of the one at any
 larger truncation, up to quadrature, so a ladder of truncations is
 assembled once, at its largest N, and every rung is a view of that
-matrix (_nested_systems).
+matrix (_nested_systems).  Below the top, a rung thus integrates the
+kernel term on the top's rules; `cltau convergence` solves its smallest
+rung alone as well and prints a note when the two errors differ (see
+convergence_study and the cli module).
 
 The system is solved by one LAPACK gesv through numpy.linalg.solve (LU with
 partial pivoting) behind two gates: every LU pivot must reach 1e-14 times the
@@ -57,7 +60,6 @@ __all__ = [
     "ConvergenceEntry",
     "DecayFit",
     "ConvergenceReport",
-    "fredholm_block",
     "solve_fide",
     "mms_forcing",
     "BuiltinExample",
@@ -263,22 +265,6 @@ def _kernel_rows(kernel: Callable, order: CaputoOrder, truncation: int, s_power:
         return ((grid @ table.T).T @ weighted[:, :truncation - n + 1]) * scale[:truncation - n + 1]
 
 
-def fredholm_block(kernel: Callable, order, truncation: int, s_power: int = 1) -> np.ndarray:
-    """Kernel term of the classical tau system, _kernel_rows for n = 0,
-    read-only: the Legendre projection of x -> integral_0^1 k(x, s)
-    D^alpha L_{1,j}(s) ds, which tau_residuals checks solutions against.
-    It is exact for kernels polynomial in v = s**(1/s_power) of degree
-    <= 2 (truncation + 16) - 1 - s_power (truncation - ceil(alpha)).  Where
-    the kernel is polynomial of degree <= truncation in s, it equals the
-    operational matrix times the Legendre kernel moments, since projecting
-    D^alpha L_{1,j} onto degree <= truncation is then free.
-    """
-    block = _kernel_rows(kernel, _as_order(order), _check_truncation(truncation),
-                         _check_s_power(s_power), 0)
-    block.flags.writeable = False
-    return block
-
-
 def _integrate(coeffs: np.ndarray) -> np.ndarray:
     """Legendre coefficients (axis 0) of the integrals from 0 of the series
     in the columns of coeffs, by I L_{1,0} = (L_{1,0} + L_{1,1})/2 and
@@ -434,8 +420,9 @@ def _gated_solve(truncation: int, matrix: np.ndarray,
     decided from the inverse: every pivot u_kk of partial pivoting has
     1/|u_kk| <= size * ||A^-1||_1, so when 2 * size * ||A^-1||_1 * 1e-14 *
     max|A| < 1 no pivot can fail (the 2 covers rounding in the computed
-    inverse).  Only when that bound is inconclusive, or the matrix is
-    exactly singular, does _smallest_pivot eliminate explicitly to decide.
+    inverse).  Only when that bound is inconclusive does _smallest_pivot
+    eliminate explicitly to decide; an exactly zero pivot, which gesv
+    reports as LinAlgError, fails the gate with smallest pivot 0.
     _solve_systems holds the numpy.errstate under which an overflow becomes
     inf without a warning.
     """
@@ -455,8 +442,8 @@ def _gated_solve(truncation: int, matrix: np.ndarray,
     joint[:, size] = rhs
     try:
         joint = np.linalg.solve(matrix, joint)
-    except np.linalg.LinAlgError:  # an exactly zero pivot
-        raise singular(_smallest_pivot(matrix)) from None
+    except np.linalg.LinAlgError:  # getrf met an exactly zero pivot
+        raise singular(0.0) from None
     # ||.||_1 as numpy.linalg.norm(., 1) computes it: the largest column sum of |.|.
     inverse_norm = float(np.abs(joint[:, :size]).sum(axis=0).max())
     if not 2.0 * size * inverse_norm * _PIVOT_RTOL * scale < 1.0:
@@ -771,15 +758,17 @@ def initial_condition_residuals(problem: FIDEProblem, solution) -> np.ndarray:
 
 def tau_residuals(problem: FIDEProblem, solution) -> np.ndarray:
     """Absolute Galerkin-row residuals of the classical tau system, from the
-    operational matrices and fredholm_block, rows divided by 2k + 1: an
-    oracle independent of the system and factorization solve_fide uses."""
+    operational matrices and the kernel term of _kernel_rows at n = 0 (the
+    Legendre projection of x -> integral_0^1 k(x, s) D^alpha L_{1,j}(s) ds),
+    rows divided by 2k + 1: an oracle independent of the system and
+    factorization solve_fide uses."""
     series = _as_series(solution)
     degree, rows = series.degree, series.degree - problem.n + 1
     if rows < 1:
         raise ValueError(f"degree {degree} is below the derivative order {problem.n}")
     operator = sum(coeff * operational_matrix(i, degree)
-                   for i, coeff in enumerate(problem.a) if coeff != 0.0) - fredholm_block(
-        problem.kernel, problem.order, degree, problem.kernel_s_power)
+                   for i, coeff in enumerate(problem.a) if coeff != 0.0) - _kernel_rows(
+        problem.kernel, problem.order, degree, problem.kernel_s_power, 0)
     applied = (operator.T @ series.coeffs)[:rows] / (2.0 * np.arange(rows) + 1.0)
     return np.abs(applied - chebyshev_interpolate(problem.forcing, degree)[:rows])
 
@@ -832,7 +821,8 @@ def convergence_study(problem: FIDEProblem, exact: Callable, truncations) -> Con
     most 1.6e-15 of the coefficients, max-normalised, on 5.1-5.4 at
     N = 4..128 and on t e^t with kernel exp(t - s) for n = 4..6.  For other
     kernels the sweep entry is the more accurate one, off a standalone solve
-    by that solve's quadrature error.  For alpha > n the systems are
+    by that solve's quadrature error; `cltau convergence` checks its
+    smallest truncation against one and notes the gap.  For alpha > n the systems are
     ill-conditioned and the gap grows with the condition: on that t e^t
     problem 3.9e-13 at n = 1, alpha = 1.5 and up to 6.0e-9 at (1, 2.5) and
     (2, 3.5), N = 4..128.

@@ -15,8 +15,8 @@ import pytest
 from test_solver import _perturb_the_solution
 
 from cltau.cli import ProblemConfig, main
-from cltau.solver import (_CATALOG, builtin_example, builtin_example_ids, error_norms,
-                          example_config, solve_fide)
+from cltau.solver import (_CATALOG, SolverError, builtin_example, builtin_example_ids,
+                          error_norms, example_config, solve_fide)
 
 # ------------------------------------------------------------------ helpers
 
@@ -589,6 +589,90 @@ def test_convergence_reports_resolved_sweep(capsys):
                                     "--N-sweep", "4:64:4"])
     assert code == 0
     assert "fitted decay: resolved at N=12" in stderr
+
+
+# |t - s| is integrated exactly by neither N's rules nor N_max's, so below
+# N_max a sweep entry is not the standalone solve at its N.
+_KINK_CONFIG = {"n": 1, "a": [1, 1], "alpha": 0.5, "kernel": "abs(t - s)",
+                "mms_exact": [[1, 2], [1, 3]], "ics": [0]}
+
+
+def _counting_cli_solves(monkeypatch):
+    from cltau import cli
+    truncations = []
+
+    def counted(problem, truncation):
+        truncations.append(truncation)
+        return solve_fide(problem, truncation)
+
+    monkeypatch.setattr(cli, "solve_fide", counted)
+    return truncations
+
+
+def test_convergence_notes_an_entry_that_the_standalone_solve_misses(capsys, tmp_path,
+                                                                    monkeypatch):
+    # The sweep's N = 8 entry reads 3.25e-5; solve --N 8 errs by 1.07e-4.
+    from cltau import cli
+    path = _write_config(tmp_path, _KINK_CONFIG)
+    argv = ["convergence", "--config", path, "--N-sweep", "8:32:8"]
+    solves = _counting_cli_solves(monkeypatch)
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 0
+    assert solves == [8]
+    problem, exact = ProblemConfig.from_dict(_KINK_CONFIG).build()
+    entry = float(stdout.splitlines()[1].split(",")[1])
+    alone = error_norms(solve_fide(problem, 8), exact)[0]
+    assert 3.2e-5 < entry < 3.3e-5 and 1.0e-4 < alone < 1.1e-4
+    note, fit = stderr.splitlines()
+    assert note == (f"note: at N=8 the sweep reads l2_error={entry:.6e}, but solve --N 8 "
+                    f"gives l2_error={alone:.6e}: below N=32 the sweep integrates the kernel "
+                    "term on the rules of N=32")
+    assert fit == "fitted decay: stagnated, of the sweep entries, not of standalone solves"
+    # The CSV keeps its bytes: without the check it is the same text.
+    monkeypatch.setattr(cli, "_standalone_gap", lambda *args: None)
+    assert _run(capsys, argv) == (0, stdout, "fitted decay: stagnated\n")
+
+
+@pytest.mark.parametrize("error", [SolverError, ValueError], ids=["solver", "value"])
+def test_convergence_notes_a_standalone_solve_that_fails(capsys, tmp_path, monkeypatch, error):
+    # A solver gate, or a kernel that is not finite on N0's own rules.
+    from cltau import cli
+
+    def failing(problem, truncation):
+        raise error(f"gate tripped at truncation {truncation}")
+
+    monkeypatch.setattr(cli, "solve_fide", failing)
+    path = _write_config(tmp_path, _KINK_CONFIG)
+    code, _, stderr = _run(capsys, ["convergence", "--config", path, "--N-sweep", "8:16:8"])
+    assert code == 0
+    note, fit = stderr.splitlines()
+    assert note.startswith("note: at N=8 the sweep reads l2_error=")
+    assert note.endswith(", but solve --N 8 fails (gate tripped at truncation 8): below N=16 "
+                         "the sweep integrates the kernel term on the rules of N=16")
+    assert fit.endswith(", of the sweep entries, not of standalone solves")
+
+
+@pytest.mark.parametrize("variant", ["printed", "corrected"])
+@pytest.mark.parametrize("example_id", ["5.1", "5.2", "5.3", "5.4"])
+def test_catalog_sweeps_match_their_standalone_solves(capsys, monkeypatch, example_id, variant):
+    # The catalog's kernels are exact on every rule, so the check runs its
+    # one solve and prints nothing.
+    solves = _counting_cli_solves(monkeypatch)
+    code, _, stderr = _run(capsys, ["convergence", "--example", example_id,
+                                    "--variant", variant, "--N-sweep", "4:32:4"])
+    assert code == 0
+    assert solves == [4]
+    assert "note: at N=" not in stderr
+    assert "standalone" not in stderr
+
+
+def test_a_one_truncation_sweep_runs_no_standalone_solve(capsys, tmp_path, monkeypatch):
+    solves = _counting_cli_solves(monkeypatch)
+    path = _write_config(tmp_path, _KINK_CONFIG)
+    code, _, stderr = _run(capsys, ["convergence", "--config", path, "--N-sweep", "8:8:1"])
+    assert code == 0
+    assert solves == []
+    assert stderr == "fitted decay: stagnated\n"
 
 
 def test_convergence_requires_exact_solution(capsys, tmp_path):

@@ -21,8 +21,8 @@ from test_orthopoly import monomial_form_legendre
 
 from cltau.fracderiv import (
     CaputoOrder,
+    _caputo_basis,
     caputo_apply,
-    caputo_legendre_factors,
     caputo_power_rule,
     operational_matrix,
 )
@@ -257,7 +257,7 @@ def test_caputo_legendre_factors_match_power_rule(alpha):
     n = 24
     m = math.ceil(alpha)
     x = np.array([0.0, 1e-3, 0.1, 0.37, 0.5, 0.83, 1.0])
-    factors = caputo_legendre_factors(alpha, n, x)
+    factors = _caputo_basis(CaputoOrder(alpha), 0, n, x)
     assert factors.shape == (n + 1, x.size)
     assert np.all(factors[:m] == 0.0)
     with mpmath.mp.workdps(40):

@@ -54,7 +54,6 @@ _SIZED = {
     "jacobi_gauss_rule": lambda n: quadrature.jacobi_gauss_rule(n, 0.5).nodes,
     "shifted_legendre_table": lambda n: orthopoly.shifted_legendre_table(n, [0.25, 0.5]),
     "operational_matrix": lambda n: fracderiv.operational_matrix(1, n),
-    "caputo_legendre_factors": lambda n: fracderiv.caputo_legendre_factors(0.5, n, [0.25]),
     "chebyshev_interpolate": lambda n: cltransform.chebyshev_interpolate(np.exp, n),
 }
 

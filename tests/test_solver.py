@@ -21,8 +21,7 @@ from test_orthopoly import monomial_form_legendre
 
 from cltau import cli, cltransform, exprlang, fracderiv, orthopoly, solver
 from cltau.cltransform import chebyshev_interpolate
-from cltau.fracderiv import (CaputoOrder, caputo_apply, caputo_legendre_factors,
-                             operational_matrix)
+from cltau.fracderiv import CaputoOrder, _caputo_basis, caputo_apply, operational_matrix
 from cltau.orthopoly import MonomialSeries, shifted_legendre_table
 from cltau.quadrature import legendre_gauss_rule
 from cltau.solver import (
@@ -36,7 +35,6 @@ from cltau.solver import (
     convergence_study,
     error_norms,
     example_config,
-    fredholm_block,
     initial_condition_residuals,
     mms_forcing,
     solve_fide,
@@ -122,17 +120,15 @@ def test_kernel_moments_s_power_substitution():
     assert 1e-8 < worst < 1e-4
 
 
-@pytest.mark.parametrize("s_power", [1.5, 0, True, 2.0])
-def test_fredholm_block_checks_s_power(s_power):
-    # As FIDEProblem and mms_forcing do, before the table store, which takes
-    # True and 1 for one key.
-    with pytest.raises(ValueError, match="kernel_s_power must be an integer >= 1"):
-        fredholm_block(lambda t, s: t * s, 0.5, 8, s_power)
+def _fredholm_block(kernel, alpha, truncation, s_power=1):
+    """The kernel term of the classical tau system: solver._kernel_rows at
+    n = 0, as tau_residuals reads it."""
+    return solver._kernel_rows(kernel, CaputoOrder(alpha), truncation, s_power, 0)
 
 
 def test_fredholm_block_rejects_non_finite_kernel():
     with pytest.raises(ValueError, match="non-finite kernel"):
-        fredholm_block(lambda t, s: np.full(np.broadcast(t, s).shape, np.nan), 0.5, 2)
+        _fredholm_block(lambda t, s: np.full(np.broadcast(t, s).shape, np.nan), 0.5, 2)
 
 
 def test_complex_kernel_is_rejected_not_cut_to_its_real_part():
@@ -143,11 +139,11 @@ def test_complex_kernel_is_rejected_not_cut_to_its_real_part():
 
 
 def _per_truncation_block(kernel, alpha, truncation, s_power):
-    """fredholm_block with its own (truncation + 16)-point inner rule and
-    Caputo table, in the operations and order of fredholm_block."""
+    """_fredholm_block with its own (truncation + 16)-point inner rule and
+    Caputo table, in the operations and order of solver._kernel_rows."""
     order = CaputoOrder(alpha)
     s, weights = solver._singular_rule(truncation + 16, order.m - order.alpha, s_power)
-    table = caputo_legendre_factors(order, truncation, s) * weights
+    table = _caputo_basis(order, 0, truncation, s) * weights
     x, weighted, scale, *_ = cltransform._legendre_projection(truncation)
     samples = np.broadcast_to(kernel(x[:, None], s[None, :]), (x.size, s.size))
     return ((samples @ table.T).T @ weighted) * scale[None, :]
@@ -160,7 +156,7 @@ def test_fredholm_block_matches_the_per_truncation_table(example_id):
     problem = builtin_example(example_id).problem
     args = (problem.kernel, problem.order.alpha)
     for truncation in (0, 1, 5, 16, 17, 20, 31, 32, 47, 48, 64):
-        block = fredholm_block(*args, truncation, problem.kernel_s_power)
+        block = _fredholm_block(*args, truncation, problem.kernel_s_power)
         reference = _per_truncation_block(*args, truncation, problem.kernel_s_power)
         assert block.tobytes() == reference.tobytes(), truncation
 
@@ -174,7 +170,7 @@ def test_fredholm_block_equals_projected_product_for_polynomial_kernels(alpha, t
     # self-adjoint.  So the exact block must equal operational matrix times
     # kernel moments there.
     for kernel in (lambda t, s: t * s, lambda t, s: 1.0 + t * s ** 2 - 0.5 * t ** 2):
-        block = fredholm_block(kernel, alpha, truncation)
+        block = _fredholm_block(kernel, alpha, truncation)
         product = (operational_matrix(alpha, truncation)
                    @ kernel_moments(kernel, truncation).entries)
         assert block.shape == product.shape
@@ -186,7 +182,7 @@ def test_fredholm_block_sqrt_kernel_closed_form():
     # D^(3/2) L_{1,j}(s) ds = sum_k c_jk Gamma(k+1)/Gamma(k-1/2) / k over
     # the exact monomial coefficients c_jk (k >= 2), summed in 40-digit
     # arithmetic; the x-direction columns r >= 1 vanish.
-    block = fredholm_block(lambda t, s: np.sqrt(s) * np.ones_like(t), 1.5, 8, s_power=2)
+    block = _fredholm_block(lambda t, s: np.sqrt(s) * np.ones_like(t), 1.5, 8, s_power=2)
     with mpmath.mp.workdps(40):
         for j in range(9):
             expected = float(mpmath.fsum(
@@ -194,8 +190,6 @@ def test_fredholm_block_sqrt_kernel_closed_form():
                 for q, k in monomial_form_legendre(j).terms if k >= 2))
             assert block[j, 0] == pytest.approx(expected, rel=1e-13, abs=1e-13)
     assert np.allclose(block[:, 1:], 0.0, rtol=0, atol=1e-11)
-    with pytest.raises(ValueError):
-        block[0, 0] = 1.0  # frozen buffer
 
 
 @pytest.mark.parametrize("s_power", [1, 2, 3])
@@ -1103,13 +1097,13 @@ def test_catalog_condition_does_not_grow_with_truncation(truncation):
 def _classical_tau_coeffs(problem, truncation):
     """The coefficients of the classical tau system: Galerkin rows of
     sum_i a_i D^i - K D^alpha from the operational matrices and
-    fredholm_block, divided by 2k + 1, then n initial-condition rows
+    _fredholm_block, divided by 2k + 1, then n initial-condition rows
     d^i L_{1,j}(0) = (-1)^(j-i) (j+i)! / (i! (j-i)!) in closed form."""
     rows = truncation - problem.n + 1
     operator = sum(coeff * operational_matrix(i, truncation)
                    for i, coeff in enumerate(problem.a))
-    operator = operator - fredholm_block(problem.kernel, problem.order, truncation,
-                                         problem.kernel_s_power)
+    operator = operator - _fredholm_block(problem.kernel, problem.order.alpha, truncation,
+                                          problem.kernel_s_power)
     matrix = np.empty((truncation + 1, truncation + 1))
     matrix[:rows] = operator[:, :rows].T / (2.0 * np.arange(rows) + 1.0)[:, None]
     for i in range(problem.n):
@@ -1252,22 +1246,28 @@ def _count_linalg(monkeypatch):
 def test_one_factorization_per_solve(monkeypatch):
     # The inverse for the condition estimate and the pivot gate and the
     # coefficients come from one gesv; an exactly zero pivot (LAPACK's
-    # LinAlgError) is decided by elimination and raises the pivot message.
+    # LinAlgError) raises the pivot message with pivot 0 and no elimination,
+    # which only the inconclusive certificate of the near-singular one runs.
     calls = _count_linalg(monkeypatch)
     solve_fide(builtin_example("5.4").problem, 32)
     assert calls == {"solve": 1, "inv": 0}
     # 5.1 has n = 1, so at N = 8 its system has M + 1 = 8 unknowns.
     problem = builtin_example("5.1").problem
-    for relative_pivot in (1e-13, 0.0):
-        matrix = _matrix_with_pivot(relative_pivot)
+    matrices = {relative_pivot: _matrix_with_pivot(relative_pivot)
+                for relative_pivot in (1e-13, 0.0)}
+    eliminations = _counting_smallest_pivot(monkeypatch)
+    for relative_pivot, matrix in matrices.items():
         monkeypatch.setattr(solver, "_nested_systems",
                             lambda *args, m=matrix: iter([(8, m, m @ np.linspace(1.0, 2.0, 8))]))
         calls.update(solve=0, inv=0)
+        eliminations.clear()
         if relative_pivot:
             assert solve_fide(problem, 8).condition_estimate > 1e12
+            assert eliminations == [(8, 8)]
         else:
             with pytest.raises(SolverError, match=r"smallest pivot 0\.000e\+00, threshold"):
                 solve_fide(problem, 8)
+            assert eliminations == []
         assert calls == {"solve": 1, "inv": 0}
 
 
@@ -1309,9 +1309,9 @@ def test_overflowing_system_is_rejected():
 def test_an_overflowing_kernel_term_is_inf_without_a_warning():
     # exp(700 t s) is finite on the grid, but the kernel term's products
     # overflow.  No errstate: the RuntimeWarning filter of the suite turns a
-    # warning from fredholm_block, _nested_systems or solve_fide into a failure.
+    # warning from _kernel_rows, _nested_systems or solve_fide into a failure.
     kernel = lambda t, s: np.exp(700.0 * t * s)
-    assert not np.isfinite(fredholm_block(kernel, 7.3, 16)).all()
+    assert not np.isfinite(_fredholm_block(kernel, 7.3, 16)).all()
     problem = FIDEProblem(n=3, a=(1.0, 0.0, -1.0, 3.0), order=7.3, kernel=kernel,
                           forcing=np.exp, ics=(0.0, 0.0, 0.0))
     matrix, _ = _system(problem, 16)
