@@ -60,7 +60,11 @@ one truncation whose smallest N0 solved also runs solve_fide at N0 alone
 0.1 * max(entry, 1e-12), or that solve raises, stderr gets one note naming
 N0, both errors (or the failure) and the cause, before the fit line, which
 then says it is of the sweep entries, not of standalone solves.  The CSV
-is the same either way.  The catalog's kernels are exact on both rules,
+is the same either way.  The note compares N0 alone: the entries between
+N0 and N_max go unchecked, and they can rise while the standalone errors
+fall.  Over 8:32:8 that problem's CSV reads L2 errors 3.25e-5, 2.34e-5,
+2.50e-5 and 2.71e-5, where `solve --N` gives 1.07e-4, 5.45e-5, 3.60e-5
+and 2.71e-5.  The catalog's kernels are exact on both rules,
 so their entries are the standalone solves to round-off and print no note.
 
 The problem digest is the SHA-256 of ProblemConfig.fields, the canonical

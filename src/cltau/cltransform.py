@@ -88,9 +88,8 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
     _barycentric_matrix P from the y_j to the x_q, so that
     weighted^T (P f(y)) = ((I_n f, L_{1,k}))_k.
     """
-    rule = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
-    x = rule.nodes
-    weighted = rule.weights[:, None] * shifted_legendre_table(n, x).T
+    x, w_x = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
+    weighted = w_x[:, None] * shifted_legendre_table(n, x).T
     scale = 2.0 * np.arange(n + 1) + 1.0
     nodes, weights, _ = _chebyshev_nodes((n,))
     return x, weighted, scale, nodes, _barycentric_matrix(x, nodes, weights)

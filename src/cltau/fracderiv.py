@@ -156,9 +156,9 @@ def operational_matrix(order, n: int) -> np.ndarray:
     order = _as_order(order)
     if order.alpha == order.m:
         return _legendre_derivative_coeffs(n, order.m)
-    rule = jacobi_gauss_rule(n + 1, order.m - order.alpha)
-    factors = _caputo_basis(order, 0, n, rule.nodes) * rule.weights
-    basis = shifted_legendre_table(n, rule.nodes)
+    s, w = jacobi_gauss_rule(n + 1, order.m - order.alpha)
+    factors = _caputo_basis(order, 0, n, s) * w
+    basis = shifted_legendre_table(n, s)
     entries = (factors @ basis.T) * (2.0 * np.arange(n + 1) + 1.0)
     entries[:order.m] = 0.0
     return entries

@@ -10,55 +10,38 @@ absorb an integrable power singularity at x = 0, come from the eigenvalues
 of the Jacobi matrix (Golub-Welsch).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .orthopoly import _check_integer
 
-__all__ = [
-    "QuadratureRule",
-    "legendre_gauss_rule",
-    "jacobi_gauss_rule",
-]
+__all__ = ["legendre_gauss_rule", "jacobi_gauss_rule"]
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITERS = 100
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """An (N+1)-point rule on (0, 1): strictly increasing nodes, positive weights."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        # Each condition is written so that NaN fails it.
-        if not np.all((nodes > 0.0) & (nodes < 1.0)):
-            raise ValueError("quadrature nodes must lie strictly inside (0, 1)")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("quadrature nodes must be strictly increasing")
-        if not np.all(weights > 0):
-            raise ValueError("quadrature weights must be positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def npoints(self) -> int:
-        return self.nodes.size
+def _checked_rule(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float arrays (nodes, weights) of a builder, checked to be a rule
+    on (0, 1): strictly increasing nodes, positive weights, else ValueError."""
+    if nodes.ndim != 1 or nodes.shape != weights.shape:
+        raise ValueError("nodes and weights must be 1-d arrays of equal length")
+    # Each condition is written so that NaN fails it.
+    if not np.all((nodes > 0.0) & (nodes < 1.0)):
+        raise ValueError("quadrature nodes must lie strictly inside (0, 1)")
+    if not np.all(np.diff(nodes) > 0):
+        raise ValueError("quadrature nodes must be strictly increasing")
+    if not np.all(weights > 0):
+        raise ValueError("quadrature weights must be positive")
+    return nodes, weights
 
 
 def _check_rule_index(n) -> int:
     return _check_integer(n, 0, "rule index must be a non-negative integer")
 
 
-def legendre_gauss_rule(n: int) -> QuadratureRule:
-    """(n+1)-point Legendre-Gauss rule on (0, 1): nodes are the roots of L_{1,n+1}.
+def legendre_gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n+1)-point Legendre-Gauss rule on (0, 1) as (nodes, weights): the
+    nodes are the roots of L_{1,n+1}.
 
     Newton iteration in theta = arccos x on the cosine series
     P_m(cos theta) = sum_k c_k cos((m - 2k) theta), m = n + 1, with
@@ -114,11 +97,12 @@ def legendre_gauss_rule(n: int) -> QuadratureRule:
     w = 1.0 / series(theta)[1] ** 2
     x = np.concatenate((-x, x[::-1][m % 2:]))
     w = np.concatenate((w, w[::-1][m % 2:]))
-    return QuadratureRule((x + 1.0) / 2.0, w)
+    return _checked_rule((x + 1.0) / 2.0, w)
 
 
-def jacobi_gauss_rule(n: int, exponent: float) -> QuadratureRule:
-    """(n+1)-point Gauss rule on (0, 1) for the weight x^exponent, exponent > -1.
+def jacobi_gauss_rule(n: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n+1)-point Gauss rule on (0, 1) for the weight x^exponent, exponent > -1,
+    as (nodes, weights).
 
     sum_j w_j g(x_j) equals int_0^1 x^exponent g(x) dx for polynomials g of
     degree <= 2n+1.  Nodes and weights come from the symmetric tridiagonal
@@ -138,5 +122,5 @@ def jacobi_gauss_rule(n: int, exponent: float) -> QuadratureRule:
     jacobi = np.diag((1.0 + diag) / 2.0) + np.diag(off / 2.0, 1) + np.diag(off / 2.0, -1)
     nodes, vectors = np.linalg.eigh(jacobi)
     weights = vectors[0] ** 2 / (b + 1.0)
-    return QuadratureRule(nodes, weights)
+    return _checked_rule(nodes, weights)
 

@@ -220,8 +220,8 @@ def _singular_rule(points: int, phi: float, s_power: int) -> tuple[np.ndarray, n
     is exact when h(v**s_power) is a polynomial of degree < 2 points.
     Stored.
     """
-    rule = jacobi_gauss_rule(points - 1, s_power * (phi + 1.0) - 1.0)
-    return rule.nodes ** s_power, s_power * rule.weights
+    v, w = jacobi_gauss_rule(points - 1, s_power * (phi + 1.0) - 1.0)
+    return v ** s_power, s_power * w
 
 
 def _kernel_grid(kernel: Callable, x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -693,8 +693,8 @@ def _error_grid() -> tuple[np.ndarray, np.ndarray]:
     """The 128 shifted Legendre-Gauss nodes followed by the 101 equispaced
     points of [0, 1] (both endpoints included), and the Gauss weights;
     stored."""
-    rule = legendre_gauss_rule(_ERROR_RULE_POINTS - 1)
-    return np.concatenate((rule.nodes, np.linspace(0.0, 1.0, _MAX_ERROR_POINTS))), rule.weights
+    nodes, weights = legendre_gauss_rule(_ERROR_RULE_POINTS - 1)
+    return np.concatenate((nodes, np.linspace(0.0, 1.0, _MAX_ERROR_POINTS))), weights
 
 
 @_stored

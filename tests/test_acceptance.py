@@ -238,9 +238,9 @@ def test_09_quadrature_exactness():
     # The (N+1)-point rule must integrate every monomial through degree
     # 2N+1 over [0, 1] to 1e-12.
     for n in (2, 4, 8, 16):
-        rule = legendre_gauss_rule(n)
+        nodes, weights = legendre_gauss_rule(n)
         for degree in range(2 * n + 2):
-            value = float(rule.weights @ rule.nodes ** degree)
+            value = float(weights @ nodes ** degree)
             assert abs(value - 1.0 / (degree + 1)) <= 1e-12, (
                 f"n={n}, degree {degree}: error {abs(value - 1.0 / (degree + 1)):.3e}")
 

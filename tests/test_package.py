@@ -50,8 +50,8 @@ def test_every_lru_cache_is_bounded(monkeypatch):
 
 # Every entry point that takes a size or degree, reduced to an array.
 _SIZED = {
-    "legendre_gauss_rule": lambda n: quadrature.legendre_gauss_rule(n).nodes,
-    "jacobi_gauss_rule": lambda n: quadrature.jacobi_gauss_rule(n, 0.5).nodes,
+    "legendre_gauss_rule": lambda n: quadrature.legendre_gauss_rule(n)[0],
+    "jacobi_gauss_rule": lambda n: quadrature.jacobi_gauss_rule(n, 0.5)[0],
     "shifted_legendre_table": lambda n: orthopoly.shifted_legendre_table(n, [0.25, 0.5]),
     "operational_matrix": lambda n: fracderiv.operational_matrix(1, n),
     "chebyshev_interpolate": lambda n: cltransform.chebyshev_interpolate(np.exp, n),
