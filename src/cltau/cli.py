@@ -40,6 +40,13 @@ terms for the exact solution, from which the forcing is rebuilt), ics
 (n reals; with mms_exact, the exact solution's derivatives at 0), optional
 kernel_s_power (integer >= 1, see FIDEProblem).  A config holds the problem
 alone: the truncation comes from --N and the sweep from --N-sweep.
+ProblemConfig.from_dict checks what JSON can get wrong: unknown keys, text
+fields, lists of finite numbers that are not booleans, the mms_exact pairs,
+and exactly one of forcing / mms_exact.  The values (n >= 1, the lengths
+of a and ics, alpha > 0, kernel_s_power >= 1) are checked once, by
+FIDEProblem when the problem is built, so the CLI words a bad value as the
+library does; an mms_exact config's ics are then checked against its
+exact solution.
 
 A kernel with a fractional power of s needs kernel_s_power = p, with the
 kernel smooth in s**(1/p) (p = 2 for t^2*sqrt(s)).  Without it the kernel
@@ -49,23 +56,15 @@ the catalog's 5.3 config (t^2*sqrt(s)) errs by 9.6e-11 in L2 at N = 8 and
 "kernel_s_power": 2.
 
 A convergence sweep assembles once, at its largest truncation N_max, so
-below N_max an entry integrates the kernel term with N_max's rules.  For
-kernels that neither rule integrates exactly (|t-s|, ln|t-s|,
-1/(1+c(t-s)^2)) an entry can read far below the error of `solve --N` at
-that N.  On y' + y with kernel |t-s|, alpha = 0.5 and exact solution
-t^2 + t^3, every entry of the sweep N = 8, 16, ..., 256 errs by 7.8e-7 in
-L2, while the solve at N = 8 errs by 9.95e-5.  So a sweep of more than
-one truncation whose smallest N0 solved also runs solve_fide at N0 alone
+below N_max an entry integrates the kernel term with N_max's rules (the
+README shows a kernel where that matters).  A sweep of more than one
+truncation whose smallest N0 solved also runs solve_fide at N0 alone
 (_standalone_gap).  When that L2 error is off the entry's by more than
 0.1 * max(entry, 1e-12), or that solve raises, stderr gets one note naming
 N0, both errors (or the failure) and the cause, before the fit line, which
 then says it is of the sweep entries, not of standalone solves.  The CSV
-is the same either way.  The note compares N0 alone: the entries between
-N0 and N_max go unchecked, and they can rise while the standalone errors
-fall.  Over 8:32:8 that problem's CSV reads L2 errors 3.25e-5, 2.34e-5,
-2.50e-5 and 2.71e-5, where `solve --N` gives 1.07e-4, 5.45e-5, 3.60e-5
-and 2.71e-5.  The catalog's kernels are exact on both rules,
-so their entries are the standalone solves to round-off and print no note.
+keeps its bytes either way, and the entries between N0 and N_max go
+unchecked.
 
 The problem digest is the SHA-256 of ProblemConfig.fields, the canonical
 problem fields (name, n, a, alpha, kernel, forcing or mms_exact, ics,
@@ -141,22 +140,20 @@ def _as_real(value, what: str) -> float:
     return real
 
 
-def _as_reals(value, count: int, what: str) -> list[float]:
-    _require(isinstance(value, list) and len(value) == count,
-             f"{what} must be a list of {count} numbers")
+def _as_reals(value, what: str) -> list[float]:
+    _require(isinstance(value, list), f"{what} must be a list of numbers")
     return [_as_real(v, f"{what} entry") for v in value]
-
-
-def _as_int(value, what: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{what} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Validated problem configuration (see the module docstring schema):
-    the canonical problem fields, which the digest hashes and build reads."""
+    """A problem configuration (see the module docstring schema): the
+    canonical problem fields, which the digest hashes and build reads.
+
+    from_dict checks the JSON types only; n and kernel_s_power are stored
+    as given.  build checks the values, through FIDEProblem, so a config
+    is valid once build returns: cmd_solve builds before it digests or
+    writes anything."""
 
     fields: dict
 
@@ -167,9 +164,7 @@ class ProblemConfig:
             _require(key in _CONFIG_KEYS, f"unknown config key {key!r}")
         name = raw.get("name", "")
         _require(isinstance(name, str), "name must be text")
-        n = _as_int(raw.get("n"), "n")
-        _require(n >= 1, f"n must be >= 1, got {n}")
-        fields = {"name": name, "n": n, "a": _as_reals(raw.get("a"), n + 1, "a"),
+        fields = {"name": name, "n": raw.get("n"), "a": _as_reals(raw.get("a"), "a"),
                   "alpha": _as_real(raw.get("alpha"), "alpha"), "kernel": raw.get("kernel")}
         _require(isinstance(fields["kernel"], str), "kernel must be expression text")
         forcing, mms_raw = raw.get("forcing"), raw.get("mms_exact")
@@ -186,9 +181,8 @@ class ProblemConfig:
         else:
             _require(isinstance(forcing, str), "forcing must be expression text")
             fields["forcing"] = forcing
-        fields["ics"] = _as_reals(raw.get("ics"), n, "ics")
-        fields["kernel_s_power"] = _as_int(raw.get("kernel_s_power", 1), "kernel_s_power")
-        _require(fields["kernel_s_power"] >= 1, "kernel_s_power must be >= 1")
+        fields["ics"] = _as_reals(raw.get("ics"), "ics")
+        fields["kernel_s_power"] = raw.get("kernel_s_power", 1)
         return ProblemConfig(fields)
 
     def digest(self) -> str:

@@ -83,16 +83,15 @@ def _legendre_projection(n: int) -> tuple[np.ndarray, ...]:
     """The per-n tables of the projection onto degrees 0..n; stored.
 
     Returns the nodes x of the (n + 16)-point shifted Legendre-Gauss rule,
-    the weighted table w_x L_{1,r}(x) (indexed [x, r]), the scale 2r + 1,
-    the shifted Chebyshev-Gauss nodes y_j and the (n + 16) x (n + 1)
+    the weighted table w_x L_{1,r}(x) (indexed [x, r]), the shifted
+    Chebyshev-Gauss nodes y_j and the (n + 16) x (n + 1)
     _barycentric_matrix P from the y_j to the x_q, so that
     weighted^T (P f(y)) = ((I_n f, L_{1,k}))_k.
     """
     x, w_x = legendre_gauss_rule(n + _KERNEL_EXTRA_POINTS - 1)
     weighted = w_x[:, None] * shifted_legendre_table(n, x).T
-    scale = 2.0 * np.arange(n + 1) + 1.0
     nodes, weights, _ = _chebyshev_nodes((n,))
-    return x, weighted, scale, nodes, _barycentric_matrix(x, nodes, weights)
+    return x, weighted, nodes, _barycentric_matrix(x, nodes, weights)
 
 
 def _chebyshev_nodes(ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,7 +156,7 @@ def chebyshev_interpolate(f, n: int) -> np.ndarray:
     come from the table store, so a repeated call evaluates only f and
     the two matrix-vector products of weighted^T (P f).
     """
-    _, weighted, _, nodes, interpolation = _legendre_projection(
+    _, weighted, nodes, interpolation = _legendre_projection(
         _check_integer(n, 0, "truncation must be a non-negative integer"))
     return weighted.T @ (interpolation @ _forcing_samples(f, nodes))
 

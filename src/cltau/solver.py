@@ -108,25 +108,17 @@ class FIDEProblem:
     kernel_s_power: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _check_order_n(self.n))
-        a = tuple(float(v) for v in self.a)
-        if len(a) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} coefficients a_0..a_n, got {len(a)}")
-        if not all(math.isfinite(v) for v in a):
-            raise ValueError("non-finite derivative coefficient")
-        if a[self.n] == 0.0:
+        n, a, order, s_power = _check_operator(self.n, self.a, self.order, self.kernel_s_power)
+        if a[n] == 0.0:
             raise ValueError("leading coefficient a_n must be nonzero")
-        ics = tuple(float(v) for v in self.ics)
-        if len(ics) != self.n:
-            raise ValueError(f"need {self.n} initial values, got {len(ics)}")
-        if not all(math.isfinite(v) for v in ics):
-            raise ValueError("non-finite initial value")
+        ics = _finite_floats(self.ics, n, "initial values", "initial value")
         if not callable(self.kernel) or not callable(self.forcing):
             raise TypeError("kernel and forcing must be callable")
-        object.__setattr__(self, "kernel_s_power", _check_s_power(self.kernel_s_power))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "ics", ics)
-        object.__setattr__(self, "order", _as_order(self.order))
+        object.__setattr__(self, "kernel_s_power", s_power)
 
 
 @dataclass(frozen=True)
@@ -203,12 +195,26 @@ def _check_truncation(truncation) -> int:
     return _check_integer(truncation, 0, "truncation must be a non-negative integer")
 
 
-def _check_s_power(s_power) -> int:
-    return _check_integer(s_power, 1, "kernel_s_power must be an integer >= 1")
+def _finite_floats(values, count: int, plural: str, singular: str) -> tuple[float, ...]:
+    """values as a tuple of count finite floats; the ValueError names what
+    they are (plural for the count, singular for a non-finite entry)."""
+    values = tuple(float(v) for v in values)
+    if len(values) != count:
+        raise ValueError(f"need {count} {plural}, got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"non-finite {singular}")
+    return values
 
 
-def _check_order_n(n) -> int:
-    return _check_integer(n, 1, "derivative order n must be an integer >= 1")
+def _check_operator(n, a, order, kernel_s_power) -> tuple:
+    """(n, a, order, kernel_s_power) of a problem's operator, checked and
+    converted: n an integer >= 1, a its n + 1 finite coefficients as floats,
+    order a CaputoOrder, kernel_s_power an integer >= 1.  The one check of
+    these values, shared by FIDEProblem and mms_forcing."""
+    n = _check_integer(n, 1, "derivative order n must be an integer >= 1")
+    a = _finite_floats(a, n + 1, "coefficients a_0..a_n", "derivative coefficient")
+    s_power = _check_integer(kernel_s_power, 1, "kernel_s_power must be an integer >= 1")
+    return n, a, _as_order(order), s_power
 
 
 @_stored
@@ -259,10 +265,11 @@ def _kernel_rows(kernel: Callable, order: CaputoOrder, truncation: int, s_power:
     product that overflows stays in the block as inf or NaN without a warning.
     """
     s, table = _caputo_quadrature(order.alpha, s_power, truncation, n)
-    x, weighted, scale, *_ = _legendre_projection(truncation)
+    x, weighted, *_ = _legendre_projection(truncation)
     grid = _kernel_grid(kernel, x, s)
+    cols = truncation - n + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        return ((grid @ table.T).T @ weighted[:, :truncation - n + 1]) * scale[:truncation - n + 1]
+        return ((grid @ table.T).T @ weighted[:, :cols]) * (2.0 * np.arange(cols) + 1.0)
 
 
 def _integrate(coeffs: np.ndarray) -> np.ndarray:
@@ -482,12 +489,7 @@ def mms_forcing(exact: MonomialSeries, n: int, a, order, kernel: Callable,
     """
     if not isinstance(exact, MonomialSeries):
         raise TypeError(f"exact must be a MonomialSeries, got {type(exact).__name__}")
-    n = _check_order_n(n)
-    a = tuple(float(v) for v in a)
-    if len(a) != n + 1:
-        raise ValueError(f"need {n + 1} coefficients a_0..a_n, got {len(a)}")
-    order = _as_order(order)
-    kernel_s_power = _check_s_power(kernel_s_power)
+    n, a, order, kernel_s_power = _check_operator(n, a, order, kernel_s_power)
     for _, p in exact.terms:
         if abs(p - round(p)) > _INTEGER_TOL and p <= n - 1:
             raise ValueError(
@@ -627,9 +629,11 @@ def _config_problem(fields: dict, kernel: Callable | None = None
     the MonomialSeries of "mms_exact", or None.  The "kernel" expression is
     compiled unless `kernel` is given as a callable, and the "forcing"
     expression when the key is present; otherwise mms_forcing builds the
-    forcing from exact, and each d_i must match exact's i-th derivative at
-    0 to 1e-12 * max(1, |derivative|).  The catalog and the CLI both build
-    here, and only here is expression text compiled."""
+    forcing from exact.  With an exact solution, each d_i of the built
+    problem must match exact's i-th derivative at 0 to
+    1e-12 * max(1, |derivative|); FIDEProblem has checked the count of
+    ics by then.  The catalog and the CLI both build here, and only here
+    is expression text compiled."""
     if kernel is None:
         kernel = _compiled(fields, "kernel", ("t", "s"))
     n, a, alpha, ics = fields["n"], fields["a"], fields["alpha"], fields["ics"]
@@ -640,13 +644,14 @@ def _config_problem(fields: dict, kernel: Callable | None = None
         forcing = _compiled(fields, "forcing", ("t",))
     else:
         forcing = mms_forcing(exact, n, a, alpha, kernel, kernel_s_power=s_power)
-        for i, given in enumerate(ics):
-            value = (caputo_apply(exact, i) if i else exact)(0.0)
-            if abs(given - value) > 1e-12 * max(1.0, abs(value)):
-                raise ValueError(f"ics[{i}] = {given!r} contradicts mms_exact, whose derivative "
-                                 f"of order {i} at 0 is {value!r}")
-    return FIDEProblem(n=n, a=a, order=alpha, kernel=kernel, forcing=forcing, ics=ics,
-                       kernel_s_power=s_power), exact
+    problem = FIDEProblem(n=n, a=a, order=alpha, kernel=kernel, forcing=forcing, ics=ics,
+                          kernel_s_power=s_power)
+    for i, given in enumerate(problem.ics if exact is not None else ()):
+        value = (caputo_apply(exact, i) if i else exact)(0.0)
+        if abs(given - value) > 1e-12 * max(1.0, abs(value)):
+            raise ValueError(f"ics[{i}] = {given!r} contradicts mms_exact, whose derivative "
+                             f"of order {i} at 0 is {value!r}")
+    return problem, exact
 
 
 def builtin_example(example_id: str, variant: str = "corrected") -> BuiltinExample:
@@ -747,8 +752,7 @@ def initial_condition_residuals(problem: FIDEProblem, solution) -> np.ndarray:
     """|y^(i)(0) - d_i| for i < n, derivatives taken through integer
     operational matrices."""
     series = _as_series(solution)
-    size = series.degree + 1
-    signs = (-1.0) ** np.arange(size)
+    signs = (-1.0) ** np.arange(series.degree + 1)
     residuals = np.empty(problem.n)
     for i in range(problem.n):
         at_zero = series.coeffs @ (operational_matrix(i, series.degree) @ signs)

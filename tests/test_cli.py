@@ -15,8 +15,8 @@ import pytest
 from test_solver import _perturb_the_solution
 
 from cltau.cli import ProblemConfig, main
-from cltau.solver import (_CATALOG, SolverError, builtin_example, builtin_example_ids,
-                          error_norms, example_config, solve_fide)
+from cltau.solver import (_CATALOG, FIDEProblem, SolverError, builtin_example,
+                          builtin_example_ids, error_norms, example_config, solve_fide)
 
 # ------------------------------------------------------------------ helpers
 
@@ -478,6 +478,34 @@ def test_expression_error_is_config_error(capsys, tmp_path, command, base, key, 
     assert stdout == ""
     assert stderr.startswith("error: ")
     assert f"in {named!r}" in stderr
+
+
+@pytest.mark.parametrize("base", [_FORCING_CONFIG, _MMS_CONFIG], ids=["forcing", "mms_exact"])
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 0, "derivative order n must be an integer >= 1, got 0"),
+    ("n", True, "derivative order n must be an integer >= 1, got True"),
+    ("n", 1.5, "derivative order n must be an integer >= 1, got 1.5"),
+    ("n", "1", "derivative order n must be an integer >= 1, got '1'"),
+    ("a", [0, 1, 2], "need 2 coefficients a_0..a_n, got 3"),
+    ("ics", [0, 0], "need 1 initial values, got 2"),
+    ("kernel_s_power", 0, "kernel_s_power must be an integer >= 1, got 0"),
+    ("kernel_s_power", True, "kernel_s_power must be an integer >= 1, got True"),
+    ("kernel_s_power", 1.0, "kernel_s_power must be an integer >= 1, got 1.0"),
+], ids=["n-0", "n-true", "n-1.5", "n-text", "a-3", "ics-2", "s_power-0", "s_power-true",
+        "s_power-1.0"])
+def test_problem_values_are_worded_by_fide_problem(capsys, tmp_path, base, key, value, message):
+    # The config reader checks JSON types only; the values of n, a, ics and
+    # kernel_s_power are checked by FIDEProblem's rules, so a config states
+    # each fault in FIDEProblem's words whether it gives forcing or
+    # mms_exact, and a wrong count of ics is a count, not a contradiction.
+    fields = {"n": 1, "a": (0.0, 1.0), "order": 0.5, "kernel": lambda t, s: t * s,
+              "forcing": lambda t: t, "ics": (0.0,)}
+    with pytest.raises(ValueError) as raised:
+        FIDEProblem(**{**fields, key: value})
+    assert str(raised.value) == message
+    path = _write_config(tmp_path, dict(base, **{key: value}))
+    code, stdout, stderr = _run(capsys, ["solve", "--config", path, "--N", "4"])
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("key, value", [

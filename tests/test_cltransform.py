@@ -306,7 +306,7 @@ def test_forcing_map_validation_and_caching():
         chebyshev_interpolate(np.exp, -1)
     assert cltransform._legendre_projection(8) is cltransform._legendre_projection(8)
     with pytest.raises(ValueError):
-        cltransform._legendre_projection(8)[4][0, 0] = 2.0  # frozen buffers
+        cltransform._legendre_projection(8)[3][0, 0] = 2.0  # frozen buffers
 
 
 @pytest.mark.parametrize("n", [16, 48, 96])

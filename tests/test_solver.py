@@ -144,9 +144,9 @@ def _per_truncation_block(kernel, alpha, truncation, s_power):
     order = CaputoOrder(alpha)
     s, weights = solver._singular_rule(truncation + 16, order.m - order.alpha, s_power)
     table = _caputo_basis(order, 0, truncation, s) * weights
-    x, weighted, scale, *_ = cltransform._legendre_projection(truncation)
+    x, weighted, *_ = cltransform._legendre_projection(truncation)
     samples = np.broadcast_to(kernel(x[:, None], s[None, :]), (x.size, s.size))
-    return ((samples @ table.T).T @ weighted) * scale[None, :]
+    return ((samples @ table.T).T @ weighted) * (2.0 * np.arange(truncation + 1) + 1.0)
 
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.2", "5.3", "5.4"])
@@ -508,6 +508,16 @@ def test_mms_forcing_validates_kernel_s_power():
     for bad in (0, -1, 2.0, "2"):
         with pytest.raises(ValueError, match=r"kernel_s_power must be an integer >= 1"):
             mms_forcing(exact, 1, (0.0, 1.0), 0.5, _const_kernel(1.0), kernel_s_power=bad)
+
+
+@pytest.mark.parametrize("a", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf)],
+                         ids=["nan-a0", "inf-a0", "inf-a1"])
+def test_mms_forcing_names_a_non_finite_coefficient(a):
+    # mms_forcing checks n, a and kernel_s_power by FIDEProblem's rule, so a
+    # non-finite a_i is named as the coefficient it is, not as a monomial
+    # term of the forcing it would produce.
+    with pytest.raises(ValueError, match="^non-finite derivative coefficient$"):
+        mms_forcing(MonomialSeries(((1.0, 1.0),)), 1, a, 0.5, _const_kernel(1.0))
 
 
 def test_manufactured_polynomial_round_trips():
